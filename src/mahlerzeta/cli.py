@@ -9,7 +9,8 @@ Three subcommands are exposed:
 * ``constants`` lists or pre-computes the persistent constant store.
 
 Exit codes are uniform across commands: 0 on success, 1 when a verification
-check fails, 2 on usage errors.
+check fails, 2 on usage errors, 3 when a numeric evaluation fails (a constant
+does not reach the requested digits).
 """
 
 from __future__ import annotations
@@ -177,6 +178,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
     record = OutputRecord.from_evaluation(spec, result.combination, numeric, args.digits)
     if args.format == "json":
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
@@ -459,6 +463,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
         except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
+        except RuntimeError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
         computed += 1
     print(
         "store %s holds %d constants (%d computed at %d digits)"

@@ -25,7 +25,6 @@ from typing import Callable, List, Tuple
 
 import mpmath as mp
 import numpy as np
-from scipy.stats import qmc
 
 from .exact import bernoulli, log_moment_poly
 from .formulas import Family, FamilySpec, coeff_a, coeff_b, mahler_measure
@@ -806,6 +805,42 @@ def _replicate_mean_log(values: np.ndarray) -> Tuple[float, int]:
     return float(np.mean(logs[finite])), used
 
 
+# Joe-Kuo (s, a, m) triples for Sobol dimensions 2..4; dimension 1 is the
+# van der Corput sequence.
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+_SOBOL_BITS = 30
+
+
+def _sobol_base2(dim: int, exponent: int) -> np.ndarray:
+    """The first ``2**exponent`` unscrambled Sobol points in ``[0, 1)^dim``.
+
+    Direction numbers are Joe and Kuo's (SIAM J. Sci. Comput. 30, 2008) at 30
+    bits.  The points come in Gray-code order, built by reflected doubling,
+    which is the order and scaling of the common unscrambled generators; the
+    tests compare them bit for bit with one.
+    """
+    if not 1 <= dim <= 1 + len(_JOE_KUO):
+        raise ValueError("Sobol points are built for 1 to %d dimensions" % (1 + len(_JOE_KUO)))
+    rows = [[1] * _SOBOL_BITS]
+    for s, a, m in _JOE_KUO[: dim - 1]:
+        v = list(m)
+        for j in range(s, _SOBOL_BITS):
+            new = v[j - s] ^ (v[j - s] << s)
+            for k in range(1, s):
+                if (a >> (s - 1 - k)) & 1:
+                    new ^= v[j - k] << k
+            v.append(new)
+        rows.append(v)
+    directions = np.array(
+        [[number << (_SOBOL_BITS - 1 - j) for j, number in enumerate(v)] for v in rows],
+        dtype=np.uint32,
+    )
+    points = np.zeros((1, dim), dtype=np.uint32)
+    for j in range(exponent):
+        points = np.concatenate([points, points[::-1] ^ directions[:, j]])
+    return points * 2.0**-_SOBOL_BITS
+
+
 def torus_qmc(
     spec: FamilySpec,
     samples: int = 10_000_000,
@@ -860,7 +895,7 @@ def torus_qmc(
     total_used = 0
     if mode == "sobol":
         exponent = max(1, (per_replicate - 1).bit_length())
-        base = qmc.Sobol(d=dim, scramble=False).random_base2(exponent)
+        base = _sobol_base2(dim, exponent)
         for _ in range(replicates):
             shifted = (base + rng.random(dim)) % 1.0
             mean, used = _replicate_mean_log(_torus_polynomial_values(spec, shifted))
@@ -912,7 +947,7 @@ def imaginary_measure_qmc(
         raise ValueError("at least 2 replicates are needed for an error estimate")
     per_replicate = max(2, -(-samples // replicates))
     exponent = max(1, (per_replicate - 1).bit_length())
-    base = qmc.Sobol(d=2, scramble=False).random_base2(exponent)
+    base = _sobol_base2(2, exponent)
     rng = np.random.default_rng(seed)
     means = []
     total_used = 0

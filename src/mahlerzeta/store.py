@@ -17,6 +17,7 @@ explicit path.
 from __future__ import annotations
 
 import os
+import secrets
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -64,9 +65,18 @@ class ConstantStore:
         lines = [_HEADER]
         for (kind, arg), (digits, value) in sorted(self._entries.items()):
             lines.append(f"{kind} {arg} {digits} {value}")
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n")
-        tmp.replace(self.path)
+        # Each save writes its own temp file, so concurrent savers never
+        # rename one another's file away; 0o666 under the umask is the mode a
+        # plain open() gives.
+        tmp = self.path.with_name("%s.%s.tmp" % (self.path.name, secrets.token_hex(8)))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write("\n".join(lines) + "\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get(self, kind: str, arg: int, digits: int) -> Optional[str]:
         """The stored decimal string, or None unless stored digits >= digits."""

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import List, Tuple
 
 import mpmath as mp
 import pytest
 
+import mahlerzeta.cli
 from mahlerzeta.cli import OutputRecord, main
 from mahlerzeta.cli import _pi_label
 from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
@@ -221,3 +226,41 @@ def test_store_environment_override(tmp_path, capsys, monkeypatch) -> None:
     assert "2*L(chi_-4,2)" in out
     assert target.exists()
     assert "lchi4 2" in target.read_text()
+
+
+def _fail_numerically(*args, **kwargs):
+    raise RuntimeError("series did not converge")
+
+
+def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setattr(mahlerzeta.cli, "combination_value", _fail_numerically)
+    store = str(tmp_path / "store.txt")
+    code, out, err = run_cli(
+        ["eval", "--family", "ii", "--n", "1", "--digits", "60", "--store", store], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: series did not converge\n"
+
+
+def test_constants_warm_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.setattr(mahlerzeta.cli, "combination_value", _fail_numerically)
+    store = str(tmp_path / "store.txt")
+    code, out, err = run_cli(["constants", "warm", "--digits", "60", "--store", store], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: series did not converge\n"
+
+
+def test_cli_import_does_not_load_scipy() -> None:
+    src = str(Path(mahlerzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import sys, mahlerzeta.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from mahlerzeta.formulas import Family, FamilySpec
@@ -30,6 +31,7 @@ from mahlerzeta.oracle import (
     _li3,
     _log_ratio_minus,
     _measure_pi_scale,
+    _sobol_base2,
     _stable_log,
     _symmetrized_measure,
     _tanh_sinh_unit,
@@ -344,3 +346,24 @@ def test_imaginary_measure_sign_symmetry() -> None:
     assert abs(positive.value - formula) <= 5 * positive.error_estimate + 1e-6
     with pytest.raises(ValueError):
         imaginary_measure_qmc(0.7, replicates=1)
+
+
+def test_sobol_points_match_reference_generator() -> None:
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for dim in range(1, 5):
+        for exponent in range(1, 21):
+            reference = qmc.Sobol(d=dim, scramble=False).random_base2(exponent)
+            assert np.array_equal(_sobol_base2(dim, exponent), reference), (dim, exponent)
+
+
+def test_sobol_points_are_a_base_two_net() -> None:
+    points = _sobol_base2(4, 6)
+    assert points.shape == (64, 4)
+    assert not points[0].any()
+    # every dimension alone is a permutation of the 64 dyadic points
+    for column in points.T:
+        assert sorted(column * 64) == list(range(64))
+    with pytest.raises(ValueError):
+        _sobol_base2(5, 3)
+    with pytest.raises(ValueError):
+        _sobol_base2(0, 3)

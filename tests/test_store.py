@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import stat
+import threading
+
 import pytest
 
 from mahlerzeta.store import STORE_ENV_VAR, ConstantStore
@@ -61,3 +65,39 @@ def test_env_var_overrides_default_path(tmp_path, monkeypatch) -> None:
     assert target.exists()
     monkeypatch.delenv(STORE_ENV_VAR)
     assert ConstantStore.default_path().name == "constants.txt"
+
+
+def test_concurrent_saves_do_not_crash(tmp_path) -> None:
+    path = tmp_path / "shared.txt"
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def writer(index: int) -> None:
+        store = ConstantStore(path)
+        barrier.wait()
+        try:
+            for arg in range(40):
+                store.put("zeta", 100 * index + arg, 5, "1.0000")
+                store.save()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert len(ConstantStore(path)) >= 40
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.txt"]
+
+
+def test_save_gives_the_umask_mode(tmp_path) -> None:
+    store = ConstantStore(tmp_path / "c.txt")
+    store.put("log2", 0, 10, "0.6931471806")
+    previous = os.umask(0o027)
+    try:
+        store.save()
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "c.txt").stat().st_mode) == 0o640
