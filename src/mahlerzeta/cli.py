@@ -30,7 +30,6 @@ from .formulas import (
     FamilySpec,
     mahler_measure,
     reduction_identity,
-    reduction_induction_identity,
 )
 from .identities import (
     check_bernoulli_euler_transfer,
@@ -42,6 +41,7 @@ from .identities import (
     check_weighted_factorial_sum,
     log_moment_poly_bernoulli_form,
     monomial_from_log_moment_polys,
+    reduction_induction_identity,
 )
 from .exact import PolyQ, log_moment_poly
 from .oracle import (
@@ -175,7 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with mp.workdps(args.digits + 10):
             value = combination_value(result.combination, digits=args.digits, store=store)
             numeric = mp.nstr(value, args.digits)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -3,8 +3,14 @@ polynomials, dense rational polynomials, Gaussian rationals, and the family of
 log-moment kernel polynomials.
 
 Everything in this module is computed over arbitrary-precision rationals
-(``fractions.Fraction``); no floating point is ever involved, so equality
-checks are exact.
+(``fractions.Fraction``, or plain ``int`` where every input is an integer);
+no floating point is ever involved, so equality checks are exact.
+
+Elementary symmetric polynomials come as whole ladders: ``symmetric_ladder``
+returns every ``s_0, ..., s_k`` of its arguments from one DP over the
+coefficients of ``prod(1 + a_i t)``.  Integer arguments (the square ladders
+``even_squares`` and ``odd_squares``) keep the whole DP in ``int``, with no
+gcd per operation; callers build a ladder once and index it.
 
 The log-moment kernel polynomials ``P_k`` are the rational polynomials that
 express the moment integrals
@@ -22,12 +28,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 __all__ = [
     "Rational",
     "bernoulli",
     "euler_number",
+    "symmetric_ladder",
     "elementary_symmetric",
     "even_squares",
     "odd_squares",
@@ -90,27 +97,35 @@ def euler_number(n: int) -> int:
     return _EULER_EVEN[half]
 
 
+def symmetric_ladder(values: Sequence[Rational]) -> Tuple[Rational, ...]:
+    """Every elementary symmetric polynomial ``(s_0, ..., s_k)`` of ``values``.
+
+    The entries are the coefficients of ``prod(1 + a_i t)``, multiplied out
+    one factor at a time in a single O(k^2) pass.  Integer arguments give
+    ``int`` entries; any other argument is taken as an exact ``Fraction``.
+    """
+    e: List[Rational] = [1] + [0] * len(values)
+    for i, v in enumerate(values, 1):
+        if not isinstance(v, int):
+            v = Fraction(v)
+        for j in range(i, 0, -1):
+            e[j] += v * e[j - 1]
+    return tuple(e)
+
+
 def elementary_symmetric(values: Sequence[Rational], l: int) -> Fraction:
     """Elementary symmetric polynomial s_l(a_1, ..., a_k).
 
     Follows the three-case convention: s_0 = 1, s_l = 0 when l exceeds the
     number of arguments, and otherwise the sum of all products of l distinct
-    arguments.
+    arguments.  To use several ``s_l`` of the same arguments, index one
+    :func:`symmetric_ladder` instead.
     """
     if l < 0:
         raise ValueError("symmetric-polynomial index must be nonnegative")
-    k = len(values)
-    if l == 0:
-        return Fraction(1)
-    if l > k:
+    if l > len(values):
         return Fraction(0)
-    # One pass of the standard DP: e[j] accumulates s_j of the prefix.
-    e = [Fraction(1)] + [Fraction(0)] * l
-    for v in values:
-        vf = Fraction(v)
-        for j in range(min(l, k), 0, -1):
-            e[j] += vf * e[j - 1]
-    return e[l]
+    return Fraction(symmetric_ladder(values)[l])
 
 
 def even_squares(count: int) -> List[int]:

@@ -17,7 +17,9 @@ homogeneous of total weight ``pi_normalization + 1``.
 The module also exposes the rational coefficient ladders ``coeff_a`` and
 ``coeff_b`` that convert the iterated arctangent-density integrals into
 one-dimensional log moments, together with the exact polynomial identities
-that link the two ladders through the log-moment polynomials.
+that link the two ladders through the log-moment polynomials.  Every
+coefficient indexes one integer :func:`~mahlerzeta.exact.symmetric_ladder` of
+the even or odd squares, built once per ``(parity, count)`` and cached.
 """
 
 from __future__ import annotations
@@ -25,18 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from typing import Tuple
 
 from .combinations import ZetaCombination
 from .exact import (
     PolyQ,
     bernoulli,
-    elementary_symmetric,
     euler_number,
     even_squares,
     log_moment_poly,
     log_moment_poly_at_i,
     odd_squares,
+    symmetric_ladder,
 )
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "coeff_a",
     "coeff_b",
     "reduction_identity",
-    "reduction_induction_identity",
     "family_one",
     "family_two",
     "family_three",
@@ -175,6 +178,12 @@ class MahlerResult:
         return self.pi_normalization + 1
 
 
+@lru_cache(maxsize=4)
+def _square_ladder(parity: int, count: int) -> Tuple[int, ...]:
+    """``symmetric_ladder`` of the first ``count`` even (0) or odd (1) squares."""
+    return symmetric_ladder(odd_squares(count) if parity else even_squares(count))
+
+
 def coeff_a(n: int, h: int) -> Fraction:
     """Rational weight ``a(n, h)`` for the even-count reduction.
 
@@ -197,7 +206,7 @@ def coeff_a(n: int, h: int) -> Fraction:
         raise ValueError("n must be at least 1")
     if not 0 <= h <= n - 1:
         raise ValueError("h must lie in [0, n-1]")
-    return elementary_symmetric(even_squares(n - 1), n - 1 - h) / factorial(2 * n - 1)
+    return Fraction(_square_ladder(0, n - 1)[n - 1 - h], factorial(2 * n - 1))
 
 
 def coeff_b(n: int, h: int) -> Fraction:
@@ -222,7 +231,7 @@ def coeff_b(n: int, h: int) -> Fraction:
         raise ValueError("n must be nonnegative")
     if not 0 <= h <= n:
         raise ValueError("h must lie in [0, n]")
-    return elementary_symmetric(odd_squares(n), n - h) / factorial(2 * n)
+    return Fraction(_square_ladder(1, n)[n - h], factorial(2 * n))
 
 
 def reduction_identity(n: int, variant: str = "ab") -> bool:
@@ -272,61 +281,6 @@ def reduction_identity(n: int, variant: str = "ab") -> bool:
         for h in range(n + 1):
             rhs = rhs + log_moment_poly(2 * h) * coeff_b(n, h)
         return lhs == rhs
-    raise ValueError("variant must be 'ab' or 'ba'")
-
-
-def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
-    """Check the raw symmetric-sum identities behind :func:`reduction_identity`.
-
-    These are the same identities cleared of factorial denominators, written
-    directly in elementary symmetric polynomials.  Variant ``"ab"``
-    (``n >= 1``) checks::
-
-        sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
-            == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
-
-    and variant ``"ba"`` (``n >= 0``) checks::
-
-        sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
-            == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
-
-    Parameters
-    ----------
-    n : int
-        Ladder index.
-    variant : {"ab", "ba"}
-        Which identity to check.
-
-    Returns
-    -------
-    bool
-        True when the identity holds exactly.
-    """
-    if variant == "ab":
-        if n < 1:
-            raise ValueError("variant 'ab' requires n >= 1")
-        odds = odd_squares(n)
-        evens = even_squares(n - 1)
-        lhs = PolyQ.zero()
-        for h in range(n + 1):
-            lhs = lhs + PolyQ.monomial(2 * h, elementary_symmetric(odds, n - h))
-        rhs = PolyQ.zero()
-        for h in range(1, n + 1):
-            shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-            rhs = rhs + shifted * elementary_symmetric(evens, n - h)
-        return lhs == rhs * (2 * n)
-    if variant == "ba":
-        if n < 0:
-            raise ValueError("variant 'ba' requires n >= 0")
-        evens = even_squares(n)
-        odds = odd_squares(n)
-        lhs = PolyQ.zero()
-        for h in range(n + 1):
-            lhs = lhs + PolyQ.monomial(2 * h + 1, elementary_symmetric(evens, n - h))
-        rhs = PolyQ.zero()
-        for h in range(n + 1):
-            rhs = rhs + log_moment_poly(2 * h) * elementary_symmetric(odds, n - h)
-        return lhs == rhs * (2 * n + 1)
     raise ValueError("variant must be 'ab' or 'ba'")
 
 
@@ -399,12 +353,12 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     combo = ZetaCombination.zero()
     if transforms % 2 == 0:
         n = transforms // 2
-        evens = even_squares(n - 1)
+        evens = _square_ladder(0, n - 1)
         for h in range(1, n + 1):
             inner = Fraction(0)
             for l in range(n - h + 1):
                 inner += (
-                    elementary_symmetric(evens, n - h - l)
+                    evens[n - h - l]
                     * comb(2 * (l + h), 2 * h)
                     * Fraction((-1) ** l * 2 ** (2 * l), l + h)
                     * bernoulli(2 * l)
@@ -443,13 +397,13 @@ def _family_three_tail(
     if n == 0:
         return combo
     if variant == "bernoulli":
-        evens = even_squares(n - 1)
+        evens = _square_ladder(0, n - 1)
         for h in range(1, n + 1):
             inner = Fraction(0)
             for l in range(n - h + 1):
                 lower = 2 * h if binomial_reading == "h" else 2 * l
                 inner += (
-                    elementary_symmetric(evens, n - h - l)
+                    evens[n - h - l]
                     * comb(2 * (l + h), lower)
                     * (-1) ** (l + 1)
                     * Fraction(2) ** (2 * l)
@@ -464,13 +418,13 @@ def _family_three_tail(
             )
             combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h + pi_shift, coeff)
     else:
-        odds = odd_squares(n)
+        odds = _square_ladder(1, n)
         for l in range(1, n + 1):
             inner = Fraction(0)
             for h in range(n - l + 1):
                 lower = 2 * l if binomial_reading == "l" else 2 * h
                 inner += (
-                    elementary_symmetric(odds, n - l - h)
+                    odds[n - l - h]
                     * comb(2 * (h + l), lower)
                     * (-1) ** h
                     * euler_number(2 * h)
@@ -520,10 +474,10 @@ def family_three(
         combo = combo + _family_three_tail(n, 1, variant, binomial_reading)
     else:
         n = (transforms - 1) // 2
-        evens = even_squares(n)
+        evens = _square_ladder(0, n)
         for h in range(n + 1):
             coeff = (
-                elementary_symmetric(evens, n - h)
+                evens[n - h]
                 * Fraction(factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), 4)
                 / factorial(2 * n + 1)
             )

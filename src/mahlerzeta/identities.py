@@ -6,6 +6,10 @@ the two elementary-symmetric ladders built on odd squares ``(1^2, 3^2, ...)``
 and even squares ``(2^2, 4^2, ...)``, with Bernoulli and Euler numbers acting
 as the transfer kernels; they are what make the dimension-reduction recursion
 in :mod:`mahlerzeta.formulas` telescope into finite closed forms.
+
+Each check builds the ladders it needs once, with
+:func:`~mahlerzeta.exact.symmetric_ladder`, and indexes them: ``evens[j]`` is
+``s_j`` of the even squares and ``odds[j]`` that of the odd squares.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ from .exact import (
     GaussianRational,
     PolyQ,
     bernoulli,
-    elementary_symmetric,
     euler_number,
     even_squares,
     log_moment_poly,
     log_moment_poly_at_i,
     odd_squares,
+    symmetric_ladder,
 )
 
 __all__ = [
+    "reduction_induction_identity",
     "check_symmetric_transfer",
     "check_bernoulli_transfer",
     "check_bernoulli_euler_transfer",
@@ -37,6 +42,62 @@ __all__ = [
     "monomial_from_log_moment_polys",
     "log_moment_poly_bernoulli_form",
 ]
+
+
+def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
+    """Check the raw symmetric-sum identities behind ``reduction_identity``.
+
+    These are the identities of :func:`mahlerzeta.formulas.reduction_identity`
+    cleared of factorial denominators, written directly in elementary
+    symmetric polynomials.  Variant ``"ab"``
+    (``n >= 1``) checks::
+
+        sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
+            == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
+
+    and variant ``"ba"`` (``n >= 0``) checks::
+
+        sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
+            == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
+
+    Parameters
+    ----------
+    n : int
+        Ladder index.
+    variant : {"ab", "ba"}
+        Which identity to check.
+
+    Returns
+    -------
+    bool
+        True when the identity holds exactly.
+    """
+    if variant == "ab":
+        if n < 1:
+            raise ValueError("variant 'ab' requires n >= 1")
+        odds = symmetric_ladder(odd_squares(n))
+        evens = symmetric_ladder(even_squares(n - 1))
+        lhs = PolyQ.zero()
+        for h in range(n + 1):
+            lhs = lhs + PolyQ.monomial(2 * h, odds[n - h])
+        rhs = PolyQ.zero()
+        for h in range(1, n + 1):
+            shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
+            rhs = rhs + shifted * evens[n - h]
+        return lhs == rhs * (2 * n)
+    if variant == "ba":
+        if n < 0:
+            raise ValueError("variant 'ba' requires n >= 0")
+        evens = symmetric_ladder(even_squares(n))
+        odds = symmetric_ladder(odd_squares(n))
+        lhs = PolyQ.zero()
+        for h in range(n + 1):
+            lhs = lhs + PolyQ.monomial(2 * h + 1, evens[n - h])
+        rhs = PolyQ.zero()
+        for h in range(n + 1):
+            rhs = rhs + log_moment_poly(2 * h) * odds[n - h]
+        return lhs == rhs * (2 * n + 1)
+    raise ValueError("variant must be 'ab' or 'ba'")
 
 
 def check_symmetric_transfer(n: int, l: int, variant: str = "first") -> bool:
@@ -55,29 +116,21 @@ def check_symmetric_transfer(n: int, l: int, variant: str = "first") -> bool:
     if variant == "first":
         if n < 1 or not 1 <= l <= n:
             raise ValueError("first variant requires n >= 1 and 1 <= l <= n")
-        evens = even_squares(n - 1)
-        odds = odd_squares(n)
-        lhs = 2 * n * (-1) ** l * elementary_symmetric(evens, n - l)
+        evens = symmetric_ladder(even_squares(n - 1))
+        odds = symmetric_ladder(odd_squares(n))
+        lhs = 2 * n * (-1) ** l * evens[n - l]
         rhs = sum(
-            (
-                (-1) ** h * comb(2 * h, 2 * l - 1) * elementary_symmetric(odds, n - h)
-                for h in range(l, n + 1)
-            ),
-            Fraction(0),
+            (-1) ** h * comb(2 * h, 2 * l - 1) * odds[n - h] for h in range(l, n + 1)
         )
         return lhs == rhs
     if variant == "second":
         if n < 0 or not 0 <= l <= n:
             raise ValueError("second variant requires n >= 0 and 0 <= l <= n")
-        odds = odd_squares(n)
-        evens = even_squares(n)
-        lhs = (2 * n + 1) * (-1) ** l * elementary_symmetric(odds, n - l)
+        odds = symmetric_ladder(odd_squares(n))
+        evens = symmetric_ladder(even_squares(n))
+        lhs = (2 * n + 1) * (-1) ** l * odds[n - l]
         rhs = sum(
-            (
-                (-1) ** h * comb(2 * h + 1, 2 * l) * elementary_symmetric(evens, n - h)
-                for h in range(l, n + 1)
-            ),
-            Fraction(0),
+            (-1) ** h * comb(2 * h + 1, 2 * l) * evens[n - h] for h in range(l, n + 1)
         )
         return lhs == rhs
     raise ValueError(f"unknown variant {variant!r}")
@@ -111,11 +164,11 @@ def check_bernoulli_transfer(
             raise ValueError("first variant requires l")
         if n < 1 or not 1 <= l <= n:
             raise ValueError("first variant requires n >= 1 and 1 <= l <= n")
-        evens = even_squares(n - 1)
-        lhs = elementary_symmetric(odd_squares(n), n - l)
+        evens = symmetric_ladder(even_squares(n - 1))
+        lhs = symmetric_ladder(odd_squares(n))[n - l]
         rhs = n * sum(
             (
-                elementary_symmetric(evens, n - l - s)
+                evens[n - l - s]
                 * Fraction(1, l + s)
                 * bernoulli(2 * s)
                 * comb(2 * (l + s), 2 * s)
@@ -131,11 +184,11 @@ def check_bernoulli_transfer(
             raise ValueError("second variant takes no l")
         if n < 1:
             raise ValueError("second variant requires n >= 1")
-        evens = even_squares(n - 1)
+        evens = symmetric_ladder(even_squares(n - 1))
         lhs = Fraction(factorial(2 * n), 2**n * factorial(n)) ** 2
         rhs = 2 * n * sum(
             (
-                elementary_symmetric(evens, n - s)
+                evens[n - s]
                 * Fraction(1, s)
                 * bernoulli(2 * s)
                 * (2 ** (2 * s) - 1)
@@ -150,11 +203,11 @@ def check_bernoulli_transfer(
             raise ValueError("third variant requires l")
         if n < 0 or not 0 <= l <= n:
             raise ValueError("third variant requires n >= 0 and 0 <= l <= n")
-        odds = odd_squares(n)
-        lhs = (2 * l + 1) * elementary_symmetric(even_squares(n), n - l)
+        odds = symmetric_ladder(odd_squares(n))
+        lhs = (2 * l + 1) * symmetric_ladder(even_squares(n))[n - l]
         rhs = (2 * n + 1) * sum(
             (
-                elementary_symmetric(odds, n - l - s)
+                odds[n - l - s]
                 * bernoulli(2 * s)
                 * comb(2 * (l + s), 2 * s)
                 * (2 ** (2 * s) - 2)
@@ -181,11 +234,11 @@ def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
     """
     if n < 1 or not 1 <= l <= n:
         raise ValueError("requires n >= 1 and 1 <= l <= n")
-    evens = even_squares(n - 1)
-    odds = odd_squares(n)
+    evens = symmetric_ladder(even_squares(n - 1))
+    odds = symmetric_ladder(odd_squares(n))
     lhs = n * sum(
         (
-            elementary_symmetric(evens, n - l - s)
+            evens[n - l - s]
             * Fraction(1, l + s)
             * bernoulli(2 * s)
             * comb(2 * (l + s), 2 * s)
@@ -199,7 +252,7 @@ def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
     rhs = sum(
         (
             Fraction((-1) ** (k + l) * comb(2 * k, 2 * l))
-            * elementary_symmetric(odds, n - k)
+            * odds[n - k]
             * euler_number(2 * (k - l))
             for k in range(l, n + 1)
         ),
@@ -227,11 +280,11 @@ def check_weighted_factorial_sum(n: int, variant: str = "euler") -> bool:
     if variant in ("euler", "euler_shifted"):
         if n < 0:
             raise ValueError("requires n >= 0")
-        odds = odd_squares(n)
+        odds = symmetric_ladder(odd_squares(n))
         if variant == "euler":
             lhs = sum(
                 (
-                    elementary_symmetric(odds, n - h)
+                    odds[n - h]
                     * (-1) ** h
                     * euler_number(2 * h)
                     for h in range(n + 1)
@@ -241,7 +294,7 @@ def check_weighted_factorial_sum(n: int, variant: str = "euler") -> bool:
             return lhs == factorial(2 * n)
         lhs = sum(
             (
-                elementary_symmetric(odds, n - h)
+                odds[n - h]
                 * (-1) ** (h + 1)
                 * euler_number(2 * h + 2)
                 for h in range(n + 1)
@@ -252,10 +305,10 @@ def check_weighted_factorial_sum(n: int, variant: str = "euler") -> bool:
     if variant == "bernoulli":
         if n < 1:
             raise ValueError("bernoulli variant requires n >= 1")
-        evens = even_squares(n - 1)
+        evens = symmetric_ladder(even_squares(n - 1))
         lhs = sum(
             (
-                elementary_symmetric(evens, n - h)
+                evens[n - h]
                 * (-1) ** (h + 1)
                 * Fraction(2 ** (2 * h) * (2 ** (2 * h) - 1), h)
                 * bernoulli(2 * h)

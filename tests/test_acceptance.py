@@ -32,7 +32,6 @@ from mahlerzeta.formulas import (
     FamilySpec,
     mahler_measure,
     reduction_identity,
-    reduction_induction_identity,
 )
 from mahlerzeta.identities import (
     check_bernoulli_euler_transfer,
@@ -44,6 +43,7 @@ from mahlerzeta.identities import (
     check_weighted_factorial_sum,
     log_moment_poly_bernoulli_form,
     monomial_from_log_moment_polys,
+    reduction_induction_identity,
 )
 from mahlerzeta.oracle import (
     arctangent_moment_check,

@@ -243,6 +243,20 @@ def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
     assert err == "error: series did not converge\n"
 
 
+def test_eval_unwritable_store_exits_2(tmp_path, capsys) -> None:
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file, not a directory\n")
+    store = str(blocker / "store.txt")
+    code, out, err = run_cli(
+        ["eval", "--family", "i", "--n", "1", "--digits", "12", "--store", store], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "a regular file, not a directory\n"
+
+
 def test_constants_warm_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setattr(mahlerzeta.cli, "combination_value", _fail_numerically)
     store = str(tmp_path / "store.txt")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
@@ -20,6 +21,7 @@ from mahlerzeta.exact import (
     log_moment_poly_at_i,
     log_moment_poly_closed,
     odd_squares,
+    symmetric_ladder,
 )
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,51 @@ def test_square_ladders() -> None:
         even_squares(-1)
     with pytest.raises(ValueError):
         odd_squares(-1)
+
+
+def _random_vectors(rng: random.Random):
+    """Seeded small vectors: all-int ones, then ones mixing in Fractions."""
+    for k in range(8):
+        yield [rng.randint(-30, 30) for _ in range(k)]
+        yield [
+            Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.5
+            else rng.randint(-30, 30)
+            for _ in range(k)
+        ]
+
+
+def test_symmetric_ladder_matches_brute_force_sums() -> None:
+    rng = random.Random(20261018)
+    for _ in range(5):
+        for values in _random_vectors(rng):
+            ladder = symmetric_ladder(values)
+            assert len(ladder) == len(values) + 1
+            for l, entry in enumerate(ladder):
+                brute = sum(
+                    (prod(Fraction(v) for v in subset) for subset in combinations(values, l)),
+                    Fraction(0),
+                )
+                assert entry == brute
+
+
+def test_symmetric_ladder_is_the_product_polynomial() -> None:
+    rng = random.Random(7)
+    for values in _random_vectors(rng):
+        product = PolyQ([1])
+        for v in values:
+            product = product * PolyQ([1, v])
+        ladder = symmetric_ladder(values)
+        assert [product.coefficient(j) for j in range(len(ladder))] == list(ladder)
+
+
+def test_symmetric_ladder_keeps_integers() -> None:
+    for values in (even_squares(12), odd_squares(12), [3, -7, 0, 11]):
+        assert all(type(entry) is int for entry in symmetric_ladder(values))
+    assert symmetric_ladder(odd_squares(3)) == (1, 35, 259, 225)
+
+
+def test_symmetric_ladder_of_nothing_is_one() -> None:
+    assert symmetric_ladder([]) == (1,)
 
 
 # ---------------------------------------------------------------------------

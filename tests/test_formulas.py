@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,8 @@ from mahlerzeta.formulas import (
     family_two,
     mahler_measure,
     reduction_identity,
-    reduction_induction_identity,
 )
+from mahlerzeta.identities import reduction_induction_identity
 from mahlerzeta.values import combination_value
 
 import mpmath as mp
@@ -123,6 +125,34 @@ def test_reduction_induction_identity() -> None:
         reduction_induction_identity(0, "ab")
     with pytest.raises(ValueError):
         reduction_induction_identity(1, "other")
+
+
+# SHA-256 of the canonical JSON of ``to_records()``, as computed by the
+# earlier O(n^3) evaluators, which called ``elementary_symmetric`` once per
+# coefficient.
+LARGE_N_DIGESTS = {
+    ("ii", 64): "307469d62a164bc16018834ae336f30a6ae050ec983c9bd7c697b4c7c789d1c9",
+    ("ii", 65): "50e0a88f1c048ffd3fcec39339b6689022f39a86aaa74ec182d165dc360e6791",
+    ("iii", 64): "c34f9839311d2a8d72dd67865f082dd6743c69242309b3210eba1d669cdb0670",
+    ("iii", 65): "a11d675a1a414983d1cd583fdb311d2c95a855d211e49fbd1ae72239be332f13",
+    ("i", 200): "6c73628c5774e5fbda0e1b6fb5e99142074f17583e659bcd80e93455246e3b1b",
+    ("ii", 200): "140ca91740a8ce2e26f1c1f496c1b85d5dd5f5c113fd09ab16d4887083f21e37",
+    ("iii", 200): "23808d10139f1eef4e3dbca917f61cd554d4a4c06ee8d566aeffffe28b218b37",
+}
+
+
+def _records_digest(result: MahlerResult) -> str:
+    canonical = json.dumps(result.combination.to_records(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label, transforms", sorted(LARGE_N_DIGESTS))
+def test_large_n_results_are_pinned(label: str, transforms: int) -> None:
+    spec = FamilySpec(Family.from_label(label), transforms)
+    assert _records_digest(mahler_measure(spec)) == LARGE_N_DIGESTS[label, transforms]
+    if spec.family is Family.THREE:
+        euler = family_three(spec, variant="euler", binomial_reading="l")
+        assert _records_digest(euler) == LARGE_N_DIGESTS[label, transforms]
 
 
 def test_family_one_small_cases() -> None:
