@@ -1,31 +1,31 @@
 """Arbitrary-precision numerical values of the constants in closed forms.
 
-Two evaluation routes are deliberately kept independent wherever a constant
-matters to a closed form:
-
-* assembled routes (:func:`li_single`, :func:`combination_value`) fold exact
-  Bernoulli/Euler rationals computed in :mod:`mahlerzeta.exact`;
-* series routes (:func:`li_single_series`, :func:`multiple_polylog`) sum the
-  defining series directly, with convergence acceleration.
+Single constants are assembled from exact Bernoulli/Euler rationals computed
+in :mod:`mahlerzeta.exact` (:func:`li_single`, :func:`combination_value`),
+with accelerated alternating series for the odd zeta values and the even
+L-values.  Independent series cross-checks of these routes live with the
+tests.
 
 All functions take a ``digits`` argument (decimal digits of target accuracy)
 and run internally with guard digits; returned values are mpmath numbers.
 
 The alternating single series use the Cohen-Rodriguez Villegas-Zagier
 Chebyshev acceleration, whose error decays like (3 + sqrt(8))^(-n) for n
-terms.  The double series are evaluated by taking outer partial sums at
-equally spaced checkpoints (a multiple of 4 apart, so that fourth-root-of-
-unity oscillation is sampled coherently) and extrapolating the checkpoint
-sequence to its limit with Neville's scheme in the reciprocal checkpoint
-index; the stride between checkpoints doubles until the extrapolation
-stabilizes below the requested tolerance.
+terms.  The double polylogarithms behind the ``l3_ii`` constants are
+iterated integrals on the alphabet of fourth roots of unity, evaluated by
+the Hoelder convolution of Borwein, Bradley, Broadhurst and Lisonek
+("Special values of multiple polylogarithms", Trans. AMS 353, 2001): the
+path from 0 to 1 is split at 1/2, and each half is a power series that
+converges like 2^-N in its number N of terms.  The term count follows from
+the requested digits before any term is summed, and the truncation error it
+leaves is a true bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Callable, List, Optional, Tuple
+from math import ceil, factorial, log2
+from typing import Callable, List, Optional
 
 import mpmath as mp
 
@@ -38,7 +38,6 @@ __all__ = [
     "zeta",
     "dirichlet_l_chi4",
     "li_single",
-    "li_single_series",
     "multiple_polylog",
     "script_l_single",
     "script_l_double",
@@ -151,86 +150,35 @@ def li_single(s: int, base, digits: int = 30):
         return +mp.mpc(at_minus_one * mp.mpf(2) ** (-s), sign * imag)
 
 
-def li_single_series(s: int, base, digits: int = 30):
-    """Polylogarithm Li_s at a fourth root of unity, from the series only.
+def _values_at_half(letters: List[complex], terms: int) -> List["mp.mpc"]:
+    """``G(letters[k:]; 1/2)`` for ``k = 0 .. len(letters)``, in that order.
 
-    An independent cross-check of :func:`li_single`: the defining series is
-    rearranged into alternating series and accelerated directly, with no
-    Bernoulli/Euler folding anywhere.
+    ``G(b_1, ..., b_m; t) = int_0^t G(b_2, ..., b_m; u) du / (u - b_1)`` with
+    ``G(; t) = 1``.  The last letter must be nonzero, so every other ``G`` is
+    a power series in ``t`` without constant term, and prepending a letter is
+    one O(terms) recurrence on its coefficients.  The series are kept in
+    ``2t`` (every letter doubled), so a value at ``t = 1/2`` is a coefficient
+    sum.  If every nonzero letter has modulus >= 1, the coefficient of
+    ``(2t)^k`` has modulus <= 2^-k (by induction over the letters): each
+    value has modulus <= 1, and truncation after ``terms`` errs by <= 2^-terms.
     """
-    if s < 1:
-        raise ValueError("polylogarithm index must be an integer >= 1")
-    _require_digits(digits)
-    u = _as_unit(base)
-    with mp.workdps(digits + 10):
-        if u == 1:
-            if s == 1:
-                raise ValueError("Li_1(1) diverges")
-            eta = alternating_sum(lambda j: mp.mpf(1) / mp.mpf((j + 1) ** s), digits)
-            return +(eta / (1 - mp.mpf(2) ** (1 - s)))
-        if u == -1:
-            return +(
-                -alternating_sum(lambda j: mp.mpf(1) / mp.mpf((j + 1) ** s), digits)
-            )
-        # Even-index terms carry (+-i)^{2m} = (-1)^m; odd-index ones the i part.
-        re = -alternating_sum(lambda j: mp.mpf(1) / mp.mpf((2 * (j + 1)) ** s), digits)
-        im = alternating_sum(lambda j: mp.mpf(1) / mp.mpf((2 * j + 1) ** s), digits)
-        sign = 1 if u == 1j else -1
-        return +mp.mpc(re, sign * im)
-
-
-def _checkpoint_partial_sums(
-    r: int, s: int, u1: complex, u2: complex, stride: int, grid: int
-) -> List["mp.mpc"]:
-    """Outer partial sums of the double series at ``grid`` checkpoints.
-
-    Checkpoints sit at multiples of ``4 * stride`` terms so that powers of
-    fourth roots of unity are sampled at a fixed phase.
-    """
-    x1 = mp.mpc(u1)
-    x2 = mp.mpc(u2)
-    step = 4 * stride
-    prefix = mp.mpc(0)  # sum_{k1 <= k} x1^{k1}/k1^r
-    total = mp.mpc(0)
-    p1 = mp.mpc(1)
-    p2 = mp.mpc(1)
-    out: List[mp.mpc] = []
-    k = 0
-    for _ in range(grid):
-        for _ in range(step):
-            k += 1
-            p1 *= x1
-            p2 *= x2
-            total += p2 / mp.mpf(k**s) * prefix
-            prefix += p1 / mp.mpf(k**r)
-        out.append(total)
-    return out
-
-
-def _extrapolate_to_zero(values: List["mp.mpc"]) -> Tuple["mp.mpc", "mp.mpf"]:
-    """Neville extrapolation of checkpoint values to infinite index.
-
-    Nodes are the reciprocals 1/m of the checkpoint numbers; the returned
-    error estimate compares the full-order extrapolant against both
-    one-point-fewer extrapolants.
-    """
-    n = len(values)
-    xs = [mp.mpf(1) / (m + 1) for m in range(n)]
-    tab = list(values)
-    penultimate: Optional[List[mp.mpc]] = None
-    for lev in range(1, n):
-        tab = [
-            (tab[i + 1] * xs[i] - tab[i] * xs[i + lev]) / (xs[i] - xs[i + lev])
-            for i in range(n - lev)
-        ]
-        if lev == n - 2:
-            penultimate = list(tab)
-    est = tab[0]
-    if penultimate is None:
-        err = abs(est - values[-1])
-    else:
-        err = max(abs(est - penultimate[0]), abs(est - penultimate[1]))
-    return est, err
+    coeffs = [mp.mpf(1)] + [mp.mpf(0)] * terms
+    out = [mp.mpf(1)]
+    for b in reversed(letters):
+        if b == 0:
+            coeffs = [mp.mpf(0)] + [coeffs[k] / k for k in range(1, terms + 1)]
+        else:
+            inv = 1 / (2 * mp.mpc(b))
+            if b.imag == 0:
+                inv = inv.real
+            acc = mp.mpf(0)  # sum_{j<k} c_j (2b)^(j-k) over the inner word
+            grown = [mp.mpf(0)]
+            for k in range(1, terms + 1):
+                acc = (acc + coeffs[k - 1]) * inv
+                grown.append(-acc / k)
+            coeffs = grown
+        out.append(mp.fsum(coeffs))
+    return out[::-1]
 
 
 def multiple_polylog(r: int, s: int, x1, x2, digits: int = 30):
@@ -247,21 +195,22 @@ def multiple_polylog(r: int, s: int, x1, x2, digits: int = 30):
     u2 = _as_unit(x2)
     if s == 1 and u2 == 1:
         raise ValueError("Li_{r,1}(x1, 1) diverges")
+    # Li_{r,s}(x1, x2) = G(0^(s-1), 1/x2, 0^(r-1), 1/(x1 x2); 1); the inverse
+    # of a unit is its conjugate, so every letter is exact.
+    word = [0j] * (s - 1) + [u2.conjugate()] + [0j] * (r - 1) + [(u1 * u2).conjugate()]
+    n = len(word)
+    # Hoelder convolution at p = 2, splitting the path at t = 1/2:
+    #   G(a_1..a_n; 1) = sum_j (-1)^j G(1-a_j, ..., 1-a_1; 1/2) G(a_{j+1}..a_n; 1/2).
+    # Every nonzero letter on both sides has modulus >= 1, so each of the
+    # n + 1 products errs by <= 2 * 2^-terms and the sum by <= 2n * 2^-terms.
+    terms = ceil((digits + 2) * log2(10) + log2(2 * n))
     with mp.workdps(digits + 15):
-        target = mp.mpf(10) ** (-(digits + 2))
-        stride = 64 if digits <= 12 else 400
-        for _ in range(8):
-            sums = _checkpoint_partial_sums(r, s, u1, u2, stride, 12)
-            est, err = _extrapolate_to_zero(sums)
-            if err <= target:
-                if u1.imag == 0 and u2.imag == 0:
-                    return +est.real
-                return +est
-            stride *= 2
-        raise RuntimeError(
-            f"double-series extrapolation failed to reach {digits} digits "
-            f"for Li_{{{r},{s}}}({x1}, {x2})"
-        )
+        inner = _values_at_half(word, terms)
+        outer = _values_at_half([1 - a for a in reversed(word)], terms)
+        total = mp.fsum((-1) ** j * outer[n - j] * inner[j] for j in range(n + 1))
+        if u1.imag == 0 and u2.imag == 0:
+            return +total.real
+        return +total
 
 
 def script_l_single(r: int, alpha, digits: int = 30):

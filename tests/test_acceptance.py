@@ -6,7 +6,7 @@ pass/fail line per criterion:
 1. exact reproduction of all eighteen tabulated closed forms,
 2. exact combinatorial identity suites at full scale,
 3. the log-kernel integral formula against adaptive quadrature,
-4. the double-polylogarithm reduction against direct series summation,
+4. the double-polylogarithm reduction against numerical evaluation,
 5. the reduced one-dimensional integrals against the closed forms,
 6. a quasi-Monte Carlo torus integral against its known value, and
 7. the one-dimensional defining integrals behind the base measures.
@@ -158,7 +158,7 @@ def _convergent_double_polylog_cases() -> List[Tuple[int, int, int, int]]:
 
 
 def test_criterion_4_double_polylog_reduction_matches_series() -> None:
-    """The zeta-value reduction of Li_{r,s}(+-1,+-1) matches direct summation."""
+    """The zeta-value reduction of Li_{r,s}(+-1,+-1) matches numerical evaluation."""
     cases = _convergent_double_polylog_cases()
     assert len(cases) == 56
     for r, s, rho, sigma in cases:
@@ -167,7 +167,7 @@ def test_criterion_4_double_polylog_reduction_matches_series() -> None:
         assert abs(float(mp.re(series)) - float(closed)) < 1e-6, (r, s, rho, sigma)
 
     # The weight-five signed combination has the exact closed form
-    # (93/4) zeta(5) - (7/4) pi^2 zeta(3); the series agrees within 1e-6.
+    # (93/4) zeta(5) - (7/4) pi^2 zeta(3); the numeric value agrees within 1e-6.
     closed_combo = script_l_double_even_closed(1)
     assert closed_combo == (
         ZetaCombination.zeta(5, 0, Fraction(93, 4))
@@ -186,13 +186,7 @@ def test_criterion_5_reduced_integrals_match_closed_forms() -> None:
             spec = FamilySpec(family, n_transforms)
             estimate = reduced_integral(spec)
             closed = closed_form_measure(spec)
-            # Family II at odd transform counts rests on series constants
-            # with a heuristic error bound; everything else gets 1e-7.
-            if family is Family.TWO and n_transforms % 2 == 1:
-                tolerance = 1e-5
-            else:
-                tolerance = 1e-7
-            assert abs(estimate.value - closed) < tolerance, (
+            assert abs(estimate.value - closed) < 1e-7, (
                 f"{spec}: integral {estimate.value!r} vs closed {closed!r}"
             )
     assert time.perf_counter() - start < 300.0

@@ -243,6 +243,23 @@ def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
     assert err == "error: series did not converge\n"
 
 
+def test_eval_family_ii_odd_at_60_digits(tmp_path, capsys) -> None:
+    store = str(tmp_path / "store.txt")
+    code, out, err = run_cli(
+        ["eval", "--family", "ii", "--n", "1", "--digits", "60", "--store", store], capsys
+    )
+    assert code == 0
+    assert err == ""
+    assert "to 60 digits" in out
+    printed = out.splitlines()[2].split(" = ")[1].split(" to ")[0]
+    # 2 pi^2 Catalan + 2 l3_ii(1), with l3_ii(1) from an independent Mellin
+    # integral at 60 digits.
+    with mp.workdps(80):
+        l3_ii_1 = mp.mpf("2.82711656135535384798168130964810547987764443387222074341544")
+        expected = 2 * mp.pi**2 * mp.catalan + 2 * l3_ii_1
+        assert abs(mp.mpf(printed) - expected) < mp.mpf(10) ** -57
+
+
 def test_eval_unwritable_store_exits_2(tmp_path, capsys) -> None:
     blocker = tmp_path / "F"
     blocker.write_text("a regular file, not a directory\n")

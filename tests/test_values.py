@@ -15,12 +15,14 @@ from mahlerzeta.values import (
     dirichlet_l_chi4,
     l3_ii_value,
     li_single,
-    li_single_series,
     multiple_polylog,
     script_l_double,
     script_l_single,
     zeta,
 )
+from series_oracle import li_single_series, multiple_polylog_series
+
+UNITS = (1, -1, 1j, -1j)
 
 
 def _close(a, b, digits: int) -> bool:
@@ -159,6 +161,54 @@ def test_l3_ii_values() -> None:
         l3_ii_value(2, 16)
     with pytest.raises(ValueError):
         l3_ii_value(-1, 16)
+
+
+# The 60-digit values of data/l3_ii.json in the benchmark, computed there from
+# a Mellin integral with mpmath.quad and mpmath.polylog at two precisions.
+L3_II_MELLIN = {
+    1: "2.82711656135535384798168130964810547987764443387222074341544",
+    3: "0.905442887548100789233022600366710782820036628537122235046341",
+    5: "0.243295478681513937718895235807243471708595746239792499805969",
+}
+
+
+def test_l3_ii_values_at_100_digits() -> None:
+    with mp.workdps(130):
+        for b, reference in L3_II_MELLIN.items():
+            value = l3_ii_value(b, 100)
+            assert _close(value, l3_ii_value(b, 120), 100)
+            assert _close(value, mp.mpf(reference), 59)
+
+
+def test_multiple_polylog_meets_its_term_count_bound() -> None:
+    # The term count is set a priori from the digits asked for; 20 more
+    # digits must not move the value beyond the first request.
+    with mp.workdps(80):
+        for r, s, x1, x2 in ((3, 1, 1j, 1j), (2, 3, -1j, -1)):
+            for d in (15, 40):
+                low = multiple_polylog(r, s, x1, x2, d)
+                assert _close(low, multiple_polylog(r, s, x1, x2, d + 20), d)
+
+
+def test_multiple_polylog_matches_direct_summation() -> None:
+    # Every convergent Li_{r,s}(x1, x2) at fourth roots of unity with
+    # r + s <= 6 against the summed double series.  With r = 1 and x1 = 1
+    # the inner sum grows like log k, which the oracle's extrapolation in
+    # 1/k does not model; it reaches 4 digits there.
+    with mp.workdps(30):
+        for weight in range(2, 7):
+            for r in range(1, weight):
+                s = weight - r
+                for x1 in UNITS:
+                    for x2 in UNITS:
+                        if s == 1 and x2 == 1:
+                            continue
+                        digits = 4 if (r == 1 and x1 == 1) else 12
+                        assert _close(
+                            multiple_polylog(r, s, x1, x2, 20),
+                            multiple_polylog_series(r, s, x1, x2, digits),
+                            digits,
+                        ), (r, s, x1, x2)
 
 
 def test_combination_value_basic() -> None:
