@@ -21,7 +21,6 @@ import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
-import numpy as np
 from dataclasses import dataclass
 
 from .combinations import ZetaCombination
@@ -342,6 +341,8 @@ def _oracle_checks(max_n: int, tolerance: float, seed: int) -> List[Check]:
         return run
 
     def kernel_cases() -> bool:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         for _ in range(20):
             a, b = rng.uniform(0.1, 10.0, size=2)

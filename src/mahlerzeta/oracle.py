@@ -15,16 +15,20 @@ Three kinds of oracles are provided:
   the closed forms;
 * direct quasi-Monte Carlo integration of ``log |P|`` over the torus
   (:func:`torus_qmc`).
+
+numpy is imported on first use, by the QMC routines and the Gauss-Legendre
+nodes of ``Ti_2``, so importing this module (and with it the package) does
+not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Tuple
 
 import mpmath as mp
-import numpy as np
 
 from .exact import bernoulli, log_moment_poly
 from .formulas import Family, FamilySpec, coeff_a, coeff_b, mahler_measure
@@ -35,6 +39,9 @@ from .reduce import (
     unit_log_moment_closed,
 )
 from .values import combination_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegralEstimate",
@@ -240,10 +247,14 @@ def _script_l3(t: float) -> float:
     return 2.0 * _li3(t) - 0.25 * _li3(t * t)
 
 
-_GL_POINTS: List[Tuple[float, float]] = [
-    (float(node), float(weight))
-    for node, weight in zip(*np.polynomial.legendre.leggauss(20))
-]
+@lru_cache(maxsize=None)
+def _gl_points() -> Tuple[Tuple[float, float], ...]:
+    """The 20-point Gauss-Legendre nodes and weights on ``(-1, 1)``."""
+    from numpy.polynomial.legendre import leggauss
+
+    return tuple(
+        (float(node), float(weight)) for node, weight in zip(*leggauss(20))
+    )
 
 
 def _inverse_tangent_integral(x: float) -> float:
@@ -260,7 +271,7 @@ def _inverse_tangent_integral(x: float) -> float:
         return _inverse_tangent_integral(1.0 / x) + 0.5 * math.pi * math.log(x)
     half = 0.5 * x
     total = 0.0
-    for node, weight in _GL_POINTS:
+    for node, weight in _gl_points():
         t = half * (node + 1.0)
         total += weight * (math.atan(t) / t if t > 0.0 else 1.0)
     return half * total
@@ -771,6 +782,8 @@ def _torus_polynomial_values(spec: FamilySpec, points: np.ndarray) -> np.ndarray
     ``prod (1 + x_i)`` changes the measure by ``m(prod (1 + x_i)) = 0``), so
     the integrand is a genuine polynomial with no poles on the torus.
     """
+    import numpy as np
+
     angles = (2.0 * math.pi) * points
     n = spec.n_transforms
     count = points.shape[0]
@@ -796,6 +809,8 @@ def _torus_polynomial_values(spec: FamilySpec, points: np.ndarray) -> np.ndarray
 
 def _replicate_mean_log(values: np.ndarray) -> Tuple[float, int]:
     """Mean of ``log`` over the finite samples (zeros of ``P`` are skipped)."""
+    import numpy as np
+
     with np.errstate(divide="ignore"):
         logs = np.log(values)
     finite = np.isfinite(logs)
@@ -819,6 +834,8 @@ def _sobol_base2(dim: int, exponent: int) -> np.ndarray:
     which is the order and scaling of the common unscrambled generators; the
     tests compare them bit for bit with one.
     """
+    import numpy as np
+
     if not 1 <= dim <= 1 + len(_JOE_KUO):
         raise ValueError("Sobol points are built for 1 to %d dimensions" % (1 + len(_JOE_KUO)))
     rows = [[1] * _SOBOL_BITS]
@@ -889,6 +906,8 @@ def torus_qmc(
         raise ValueError("at least 2 replicates are needed for an error estimate")
     if mode not in ("sobol", "pseudo"):
         raise ValueError("mode must be 'sobol' or 'pseudo'")
+    import numpy as np
+
     per_replicate = max(1, -(-samples // replicates))
     rng = np.random.default_rng(seed)
     means = []
@@ -945,6 +964,8 @@ def imaginary_measure_qmc(
     """
     if replicates < 2:
         raise ValueError("at least 2 replicates are needed for an error estimate")
+    import numpy as np
+
     per_replicate = max(2, -(-samples // replicates))
     exponent = max(1, (per_replicate - 1).bit_length())
     base = _sobol_base2(2, exponent)

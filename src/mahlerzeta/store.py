@@ -17,7 +17,6 @@ explicit path.
 from __future__ import annotations
 
 import os
-import secrets
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -67,8 +66,9 @@ class ConstantStore:
             lines.append(f"{kind} {arg} {digits} {value}")
         # Each save writes its own temp file, so concurrent savers never
         # rename one another's file away; 0o666 under the umask is the mode a
-        # plain open() gives.
-        tmp = self.path.with_name("%s.%s.tmp" % (self.path.name, secrets.token_hex(8)))
+        # plain open() gives.  os.urandom gives the bytes secrets would,
+        # without importing hmac and _hashlib in every process.
+        tmp = self.path.with_name("%s.%s.tmp" % (self.path.name, os.urandom(8).hex()))
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:

@@ -295,3 +295,42 @@ def test_cli_import_does_not_load_scipy() -> None:
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("probe", ["package", "cli", "eval-warm", "eval-cold"])
+def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
+    # numpy serves only the numerical oracle; the oracle module itself stays
+    # imported, because tracers look it up in sys.modules.
+    store = tmp_path / "store.txt"
+    argv = ["eval", "--family", "ii", "--n", "1", "--digits", "12", "--store", str(store)]
+    if probe == "eval-warm":
+        assert main(argv) == 0
+        warm = store.read_text()
+    setup = {"package": "import mahlerzeta", "cli": "import mahlerzeta.cli"}.get(
+        probe, "import mahlerzeta.cli; code = mahlerzeta.cli.main(%r)" % (argv,)
+    )
+    report = (
+        "import json, sys; print(json.dumps({"
+        "'code': globals().get('code', 0), "
+        "'oracle': 'mahlerzeta.oracle' in sys.modules, "
+        "'loaded': sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))}))"
+    )
+    src = str(Path(mahlerzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", setup + "\n" + report],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "code": 0,
+        "oracle": True,
+        "loaded": [],
+    }
+    if probe == "eval-warm":
+        assert store.read_text() == warm
+    elif probe == "eval-cold":
+        assert "l3_ii 1 " in store.read_text()

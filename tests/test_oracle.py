@@ -367,3 +367,74 @@ def test_sobol_points_are_a_base_two_net() -> None:
         _sobol_base2(5, 3)
     with pytest.raises(ValueError):
         _sobol_base2(0, 3)
+
+
+# float.hex() of oracle values computed when the Gauss-Legendre nodes were
+# built at import time and numpy was imported eagerly; building them on first
+# use must not change a bit.
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (0.3, "0x1.30392372fe15cp-2"),
+        (0.9, "0x1.ac06a8160f6f9p-1"),
+        (1.0, "0x1.d4f9713e8135dp-1"),
+        (2.5, "0x1.d5239365ed3c0p+0"),
+        (7.0, "0x1.997e35576dc62p+1"),
+    ],
+)
+def test_inverse_tangent_integral_is_pinned(x, expected) -> None:
+    assert _inverse_tangent_integral(x).hex() == expected
+
+
+@pytest.mark.parametrize(
+    "family, n, value, error, evaluations",
+    [
+        (Family.ONE, 2, "0x1.b4825317a654cp-1", "0x1.9f02f6222c721p-53", 211),
+        (Family.TWO, 1, "0x1.87ecede860a20p-1", "0x1.08345eb45d77fp-52", 209),
+        (Family.THREE, 1, "0x1.8bb34183a4f9fp-1", "0x1.37423899a1558p-52", 209),
+        (Family.THREE, 2, "0x1.f8d3d6498e8f1p-1", "0x0.0p+0", 211),
+    ],
+)
+def test_reduced_integral_is_pinned(family, n, value, error, evaluations) -> None:
+    estimate = reduced_integral(FamilySpec(family, n))
+    assert estimate.value.hex() == value
+    assert estimate.error_estimate.hex() == error
+    assert estimate.evaluations == evaluations
+
+
+@pytest.mark.parametrize(
+    "run, value, error, used",
+    [
+        (
+            lambda: torus_qmc(FamilySpec(Family.ONE, 2), samples=2**16, seed=3, replicates=8),
+            "0x1.b48a56e4ee3ccp-1",
+            "0x1.48211b7b4a860p-12",
+            65536,
+        ),
+        (
+            lambda: torus_qmc(FamilySpec(Family.TWO, 0), samples=2**14, seed=2, replicates=4),
+            "0x1.b3d2c649dfb28p-2",
+            "0x1.dfa217d8ddf53p-11",
+            16384,
+        ),
+        (
+            lambda: torus_qmc(
+                FamilySpec(Family.THREE, 1), samples=2**14, seed=5, replicates=4, mode="pseudo"
+            ),
+            "0x1.8caa926a18ea3p-1",
+            "0x1.5e9a2174c475dp-9",
+            16384,
+        ),
+        (
+            lambda: imaginary_measure_qmc(-0.7, samples=2**14, seed=1, replicates=4),
+            "0x1.3f60e2a91bbf6p-2",
+            "0x1.ed3311f6d06f9p-13",
+            16384,
+        ),
+    ],
+)
+def test_qmc_estimates_are_pinned(run, value, error, used) -> None:
+    estimate = run()
+    assert estimate.value.hex() == value
+    assert estimate.error_estimate.hex() == error
+    assert estimate.evaluations == used
