@@ -16,10 +16,13 @@ homogeneous of total weight ``pi_normalization + 1``.
 
 The module also exposes the rational coefficient ladders ``coeff_a`` and
 ``coeff_b`` that convert the iterated arctangent-density integrals into
-one-dimensional log moments, together with the exact polynomial identities
-that link the two ladders through the log-moment polynomials.  Every
-coefficient indexes one integer :func:`~mahlerzeta.exact.symmetric_ladder` of
-the even or odd squares, built once per ``(parity, count)`` and cached.
+one-dimensional log moments.  Every coefficient indexes one integer
+:func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares, built
+once per ``(parity, count)`` and cached.
+
+Each quantity has one route here.  The identities that link the two ladders
+(``reduction_identity``) and the Euler-weighted rewriting of family
+``iii``'s third sum are checks, and live in :mod:`mahlerzeta.identities`.
 """
 
 from __future__ import annotations
@@ -32,16 +35,7 @@ from math import comb, factorial
 from typing import Tuple
 
 from .combinations import ZetaCombination
-from .exact import (
-    PolyQ,
-    bernoulli,
-    euler_number,
-    even_squares,
-    log_moment_poly,
-    log_moment_poly_at_i,
-    odd_squares,
-    symmetric_ladder,
-)
+from .exact import bernoulli, even_squares, odd_squares, symmetric_ladder
 
 __all__ = [
     "Family",
@@ -49,7 +43,6 @@ __all__ = [
     "MahlerResult",
     "coeff_a",
     "coeff_b",
-    "reduction_identity",
     "family_one",
     "family_two",
     "family_three",
@@ -234,56 +227,6 @@ def coeff_b(n: int, h: int) -> Fraction:
     return Fraction(_square_ladder(1, n)[n - h], factorial(2 * n))
 
 
-def reduction_identity(n: int, variant: str = "ab") -> bool:
-    """Check the exact polynomial identities linking the two coefficient ladders.
-
-    Variant ``"ab"`` (``n >= 1``) checks::
-
-        sum_h b(n, h) x^(2h) == sum_h a(n, h-1) (P_(2h-1)(x) - P_(2h-1)(i))
-
-    and variant ``"ba"`` (``n >= 0``) checks::
-
-        sum_h a(n+1, h-1) x^(2h-1) == sum_h b(n, h) P_(2h)(x)
-
-    where ``P_k`` are the log-moment polynomials.  Both are exact ``PolyQ``
-    comparisons over the rationals.
-
-    Parameters
-    ----------
-    n : int
-        Ladder index.
-    variant : {"ab", "ba"}
-        Which identity to check.
-
-    Returns
-    -------
-    bool
-        True when the identity holds exactly.
-    """
-    if variant == "ab":
-        if n < 1:
-            raise ValueError("variant 'ab' requires n >= 1")
-        lhs = PolyQ.zero()
-        for h in range(n + 1):
-            lhs = lhs + PolyQ.monomial(2 * h, coeff_b(n, h))
-        rhs = PolyQ.zero()
-        for h in range(1, n + 1):
-            shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-            rhs = rhs + shifted * coeff_a(n, h - 1)
-        return lhs == rhs
-    if variant == "ba":
-        if n < 0:
-            raise ValueError("variant 'ba' requires n >= 0")
-        lhs = PolyQ.zero()
-        for h in range(1, n + 2):
-            lhs = lhs + PolyQ.monomial(2 * h - 1, coeff_a(n + 1, h - 1))
-        rhs = PolyQ.zero()
-        for h in range(n + 1):
-            rhs = rhs + log_moment_poly(2 * h) * coeff_b(n, h)
-        return lhs == rhs
-    raise ValueError("variant must be 'ab' or 'ba'")
-
-
 def _require_family(spec: FamilySpec, family: Family) -> None:
     if spec.family is not family:
         raise ValueError(
@@ -382,76 +325,50 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     return MahlerResult(spec, spec.pi_normalization, combo)
 
 
-def _family_three_tail(
-    n: int, pi_shift: int, variant: str, binomial_reading: str
-) -> ZetaCombination:
-    """Shared third sum of both family-three closed forms.
+def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
+    """Third sum of both family-three closed forms, weighted by Bernoulli numbers.
 
-    The Bernoulli and Euler variants are two exact rewritings of the same
-    combination; ``pi_shift`` is 1 for even transform counts and 2 for odd
-    ones.  ``binomial_reading`` selects which of the two complementary lower
-    indices is handed to the binomial coefficient — the readings are
-    mathematically identical and both are kept so tests can assert that.
+    ``pi_shift`` is 1 for even transform counts and 2 for odd ones.  The
+    Euler-weighted rewriting of the same sum lives in
+    :func:`mahlerzeta.identities.family_three_rewriting`, which checks it
+    against this one.
     """
     combo = ZetaCombination.zero()
     if n == 0:
         return combo
-    if variant == "bernoulli":
-        evens = _square_ladder(0, n - 1)
-        for h in range(1, n + 1):
-            inner = Fraction(0)
-            for l in range(n - h + 1):
-                lower = 2 * h if binomial_reading == "h" else 2 * l
-                inner += (
-                    evens[n - h - l]
-                    * comb(2 * (l + h), lower)
-                    * (-1) ** (l + 1)
-                    * Fraction(2) ** (2 * l)
-                    * (Fraction(2) ** (2 * l - 1) - 1)
-                    / (l + h)
-                    * bernoulli(2 * l)
-                )
-            coeff = (
-                Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 4)
-                * inner
-                / factorial(2 * n - 1)
+    evens = _square_ladder(0, n - 1)
+    for h in range(1, n + 1):
+        inner = Fraction(0)
+        for l in range(n - h + 1):
+            inner += (
+                evens[n - h - l]
+                * comb(2 * (l + h), 2 * h)
+                * (-1) ** (l + 1)
+                * Fraction(2) ** (2 * l)
+                * (Fraction(2) ** (2 * l - 1) - 1)
+                / (l + h)
+                * bernoulli(2 * l)
             )
-            combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h + pi_shift, coeff)
-    else:
-        odds = _square_ladder(1, n)
-        for l in range(1, n + 1):
-            inner = Fraction(0)
-            for h in range(n - l + 1):
-                lower = 2 * l if binomial_reading == "l" else 2 * h
-                inner += (
-                    odds[n - l - h]
-                    * comb(2 * (h + l), lower)
-                    * (-1) ** h
-                    * euler_number(2 * h)
-                )
-            coeff = Fraction(factorial(2 * l) * (2 ** (2 * l + 1) - 1), 4 * factorial(2 * n)) * inner
-            combo = combo + ZetaCombination.zeta(2 * l + 1, 2 * n - 2 * l + pi_shift, coeff)
+        coeff = (
+            Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 4)
+            * inner
+            / factorial(2 * n - 1)
+        )
+        combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h + pi_shift, coeff)
     return combo
 
 
-def family_three(
-    spec: FamilySpec, *, variant: str = "bernoulli", binomial_reading: str = "h"
-) -> MahlerResult:
+def family_three(spec: FamilySpec) -> MahlerResult:
     """Closed form for ``pi**(n+1) * m(1 + T(...) x + (1 - T(...)) y)``.
 
     Every result carries the universal term ``(1/2) pi**(n+1) log 2`` plus two
-    rational sums over ``zeta(odd)``.  The third sum exists in two exact
-    rewritings, one weighted by Bernoulli numbers and one by Euler numbers.
+    rational sums over ``zeta(odd)``; the third sum is weighted by Bernoulli
+    numbers.
 
     Parameters
     ----------
     spec : FamilySpec
         Must have ``family == Family.THREE`` (``n_transforms >= 1``).
-    variant : {"bernoulli", "euler"}
-        Which rewriting of the third sum to evaluate; results are equal.
-    binomial_reading : {"h", "l"}
-        Which complementary lower index feeds the inner binomial coefficient;
-        results are equal.
 
     Returns
     -------
@@ -459,10 +376,6 @@ def family_three(
         ``pi**(n_transforms + 1) * m`` as an exact combination.
     """
     _require_family(spec, Family.THREE)
-    if variant not in ("bernoulli", "euler"):
-        raise ValueError("variant must be 'bernoulli' or 'euler'")
-    if binomial_reading not in ("h", "l"):
-        raise ValueError("binomial_reading must be 'h' or 'l'")
     transforms = spec.n_transforms
     pi_norm = spec.pi_normalization
     combo = ZetaCombination.log2(pi_norm, Fraction(1, 2))
@@ -471,7 +384,7 @@ def family_three(
         for h in range(1, n + 1):
             coeff = coeff_a(n, h - 1) * Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 4)
             combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h + 1, coeff)
-        combo = combo + _family_three_tail(n, 1, variant, binomial_reading)
+        combo = combo + _family_three_tail(n, 1)
     else:
         n = (transforms - 1) // 2
         evens = _square_ladder(0, n)
@@ -482,7 +395,7 @@ def family_three(
                 / factorial(2 * n + 1)
             )
             combo = combo + ZetaCombination.zeta(2 * h + 3, 2 * n - 2 * h, coeff)
-        combo = combo + _family_three_tail(n, 2, variant, binomial_reading)
+        combo = combo + _family_three_tail(n, 2)
     return MahlerResult(spec, pi_norm, combo)
 
 

@@ -7,6 +7,12 @@ and even squares ``(2^2, 4^2, ...)``, with Bernoulli and Euler numbers acting
 as the transfer kernels; they are what make the dimension-reduction recursion
 in :mod:`mahlerzeta.formulas` telescope into finite closed forms.
 
+The module also holds the routes that only cross-check production: the
+ladder identities ``reduction_identity`` and ``reduction_induction_identity``,
+and the three other exact rewritings of family ``iii``'s third sum
+(:func:`family_three_rewriting`).  :mod:`mahlerzeta.formulas` keeps one route
+per quantity.
+
 Each check builds the ladders it needs once, with
 :func:`~mahlerzeta.exact.symmetric_ladder`, and indexes them: ``evens[j]`` is
 ``s_j`` of the even squares and ``odds[j]`` that of the odd squares.
@@ -18,6 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import List, Optional, Tuple
 
+from .combinations import ZetaCombination
 from .exact import (
     GaussianRational,
     PolyQ,
@@ -29,9 +36,19 @@ from .exact import (
     odd_squares,
     symmetric_ladder,
 )
+from .formulas import (
+    FamilySpec,
+    MahlerResult,
+    _family_three_tail,
+    coeff_a,
+    coeff_b,
+    family_three,
+)
 
 __all__ = [
+    "reduction_identity",
     "reduction_induction_identity",
+    "family_three_rewriting",
     "check_symmetric_transfer",
     "check_bernoulli_transfer",
     "check_bernoulli_euler_transfer",
@@ -44,21 +61,20 @@ __all__ = [
 ]
 
 
-def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
-    """Check the raw symmetric-sum identities behind ``reduction_identity``.
+def reduction_identity(n: int, variant: str = "ab") -> bool:
+    """Check the exact polynomial identities linking the two coefficient ladders.
 
-    These are the identities of :func:`mahlerzeta.formulas.reduction_identity`
-    cleared of factorial denominators, written directly in elementary
-    symmetric polynomials.  Variant ``"ab"``
-    (``n >= 1``) checks::
+    Variant ``"ab"`` (``n >= 1``) checks::
 
-        sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
-            == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
+        sum_h b(n, h) x^(2h) == sum_h a(n, h-1) (P_(2h-1)(x) - P_(2h-1)(i))
 
     and variant ``"ba"`` (``n >= 0``) checks::
 
-        sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
-            == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
+        sum_h a(n+1, h-1) x^(2h-1) == sum_h b(n, h) P_(2h)(x)
+
+    where ``a``, ``b`` are :func:`~mahlerzeta.formulas.coeff_a` and
+    :func:`~mahlerzeta.formulas.coeff_b` and ``P_k`` the log-moment
+    polynomials.  Both are exact ``PolyQ`` comparisons over the rationals.
 
     Parameters
     ----------
@@ -71,6 +87,45 @@ def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
     -------
     bool
         True when the identity holds exactly.
+    """
+    if variant == "ab":
+        if n < 1:
+            raise ValueError("variant 'ab' requires n >= 1")
+        lhs = PolyQ.zero()
+        for h in range(n + 1):
+            lhs = lhs + PolyQ.monomial(2 * h, coeff_b(n, h))
+        rhs = PolyQ.zero()
+        for h in range(1, n + 1):
+            shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
+            rhs = rhs + shifted * coeff_a(n, h - 1)
+        return lhs == rhs
+    if variant == "ba":
+        if n < 0:
+            raise ValueError("variant 'ba' requires n >= 0")
+        lhs = PolyQ.zero()
+        for h in range(1, n + 2):
+            lhs = lhs + PolyQ.monomial(2 * h - 1, coeff_a(n + 1, h - 1))
+        rhs = PolyQ.zero()
+        for h in range(n + 1):
+            rhs = rhs + log_moment_poly(2 * h) * coeff_b(n, h)
+        return lhs == rhs
+    raise ValueError("variant must be 'ab' or 'ba'")
+
+
+def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
+    """Check the raw symmetric-sum identities behind :func:`reduction_identity`.
+
+    These are the same identities, with the same ``n`` and ``variant``,
+    cleared of factorial denominators and written directly in elementary
+    symmetric polynomials.  Variant ``"ab"`` (``n >= 1``) checks::
+
+        sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
+            == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
+
+    and variant ``"ba"`` (``n >= 0``) checks::
+
+        sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
+            == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
     """
     if variant == "ab":
         if n < 1:
@@ -98,6 +153,67 @@ def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
             rhs = rhs + log_moment_poly(2 * h) * odds[n - h]
         return lhs == rhs * (2 * n + 1)
     raise ValueError("variant must be 'ab' or 'ba'")
+
+
+def family_three_rewriting(
+    spec: FamilySpec, variant: str = "euler", binomial_reading: str = "l"
+) -> MahlerResult:
+    """Family ``iii``'s closed form with its third sum in one of four exact rewritings.
+
+    The third sum is weighted by Bernoulli numbers (``variant="bernoulli"``)
+    or by Euler numbers (``"euler"``).  Its inner binomial coefficient takes
+    either of two complementary lower indices, named after the summation
+    index they double (``binomial_reading="h"`` or ``"l"``).
+    :func:`~mahlerzeta.formulas.family_three` evaluates the Bernoulli sum
+    with the ``h`` reading; this swaps in the chosen rewriting, so every
+    result must equal ``family_three(spec)``.
+    """
+    if variant == "bernoulli":
+        outer = "h"
+
+        def weight(i: int, o: int) -> Fraction:
+            return (
+                (-1) ** (i + 1)
+                * Fraction(2) ** (2 * i)
+                * (Fraction(2) ** (2 * i - 1) - 1)
+                / (o + i)
+                * bernoulli(2 * i)
+            )
+
+    elif variant == "euler":
+        outer = "l"
+
+        def weight(i: int, o: int) -> Fraction:
+            return Fraction((-1) ** i * euler_number(2 * i))
+
+    else:
+        raise ValueError("variant must be 'bernoulli' or 'euler'")
+    if binomial_reading not in ("h", "l"):
+        raise ValueError("binomial_reading must be 'h' or 'l'")
+    production = family_three(spec)
+    n = spec.n_transforms // 2
+    if n == 0:  # one transform: the third sum is empty in every rewriting
+        return production
+    pi_shift = 1 + spec.parity
+    if variant == "bernoulli":
+        ladder, scale = symmetric_ladder(even_squares(n - 1)), factorial(2 * n - 1)
+    else:
+        ladder, scale = symmetric_ladder(odd_squares(n)), factorial(2 * n)
+    tail = ZetaCombination.zero()
+    for o in range(1, n + 1):
+        inner = sum(
+            (
+                ladder[n - o - i]
+                * comb(2 * (o + i), 2 * o if binomial_reading == outer else 2 * i)
+                * weight(i, o)
+                for i in range(n - o + 1)
+            ),
+            Fraction(0),
+        )
+        coeff = Fraction(factorial(2 * o) * (2 ** (2 * o + 1) - 1), 4 * scale) * inner
+        tail = tail + ZetaCombination.zeta(2 * o + 1, 2 * n - 2 * o + pi_shift, coeff)
+    combination = production.combination - _family_three_tail(n, pi_shift) + tail
+    return MahlerResult(spec, production.pi_normalization, combination)
 
 
 def check_symmetric_transfer(n: int, l: int, variant: str = "first") -> bool:

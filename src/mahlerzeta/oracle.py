@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 
 import mpmath as mp
 
+from .combinations import ZetaCombination
 from .exact import bernoulli, log_moment_poly
 from .formulas import Family, FamilySpec, coeff_a, coeff_b, mahler_measure
 from .reduce import (
@@ -100,7 +101,11 @@ class IntegralEstimate:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a quadrature-versus-closed-form comparison."""
+    """Outcome of a quadrature-versus-closed-form comparison.
+
+    ``agree`` is true when ``|quadrature - closed_form|`` is within the
+    absolute tolerance that the producing check states.
+    """
 
     quadrature: float
     closed_form: float
@@ -112,13 +117,12 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 _T_MAX = 6.0
+# Relative difference between two refinement levels at which to stop.
+_TARGET = 1e-13
 
 
 def _tanh_sinh_unit(
-    f: Callable[[float, float], float],
-    *,
-    target: float = 1e-13,
-    max_level: int = 11,
+    f: Callable[[float, float], float], *, max_level: int = 11
 ) -> Tuple[float, float, int]:
     """Integrate ``f`` over ``(0, 1)`` with a tanh-sinh transform.
 
@@ -168,7 +172,7 @@ def _tanh_sinh_unit(
         if previous is not None:
             error = abs(estimate - previous)
             value = estimate
-            if error <= target * max(1.0, abs(estimate)):
+            if error <= _TARGET * max(1.0, abs(estimate)):
                 return estimate, error, evaluations
         previous = estimate
         value = estimate
@@ -361,31 +365,38 @@ def base_measure_three(alpha: float, mode: str = "real") -> float:
 # kernel and log-moment integral checks
 # ---------------------------------------------------------------------------
 
-def kernel_integral_check(
-    a: float, b: float, k: int, *, tolerance: float = 1e-9, refinement: int = 11
+# Absolute agreement thresholds of the checks, and the working digits of the
+# exact closed forms they compare with.
+_KERNEL_TOLERANCE = 1e-9
+_UNIT_MOMENT_TOLERANCE = 1e-10
+_MOMENT_TOLERANCE = 1e-8
+_CLOSED_FORM_DIGITS = 25
+
+
+def _quadrature_check(
+    closed: float, tolerance: float, *pieces: Callable[[float, float], float]
 ) -> CheckResult:
-    """Compare the two-pole log-moment kernel integral with its closed form.
+    """Compare ``closed`` with the sum of the pieces' integrals over ``(0, 1)``.
+
+    A half-line integral comes as two pieces: the integrand on ``(0, 1)`` and
+    its tail folded onto ``(0, 1)`` by ``x -> 1/y``.
+    """
+    quadrature = sum(_tanh_sinh_unit(piece)[0] for piece in pieces)
+    return CheckResult(quadrature, closed, abs(quadrature - closed) <= tolerance)
+
+
+def _closed_float(combination: ZetaCombination) -> float:
+    return float(combination_value(combination, digits=_CLOSED_FORM_DIGITS))
+
+
+def kernel_integral_check(a: float, b: float, k: int) -> CheckResult:
+    """Compare the two-pole log-moment kernel integral with its closed form, to 1e-9.
 
     The integral is ``int_0^inf x log^k x / ((x^2+a^2)(x^2+b^2)) dx``; the
     closed form is ``(pi/2)^(k+1) (P_k(2 log a / pi) - P_k(2 log b / pi)) /
-    (a^2 - b^2)`` with ``P_k`` the log-moment polynomials.
-
-    Parameters
-    ----------
-    a, b : float
-        Positive pole parameters, ``a != b`` (the confluent case is rejected
-        because the closed form divides by ``a^2 - b^2``).
-    k : int
-        Log power, ``0 <= k <= 10``.
-    tolerance : float
-        Absolute agreement threshold.
-    refinement : int
-        Maximum quadrature halving level.
-
-    Returns
-    -------
-    CheckResult
-        Quadrature value, closed form, and the agreement flag.
+    (a^2 - b^2)`` with ``P_k`` the log-moment polynomials.  The pole
+    parameters ``a`` and ``b`` must be positive and distinct (the closed form
+    divides by ``a^2 - b^2``), and the log power ``0 <= k <= 10``.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -408,36 +419,16 @@ def kernel_integral_check(
         logy = _stable_log(y, cy)
         return y * (-logy) ** k / ((1.0 + a * a * y * y) * (1.0 + b * b * y * y))
 
-    v_lower, _, _ = _tanh_sinh_unit(lower, max_level=refinement)
-    v_upper, _, _ = _tanh_sinh_unit(upper, max_level=refinement)
-    quadrature = v_lower + v_upper
-    return CheckResult(quadrature, closed, abs(quadrature - closed) <= tolerance)
+    return _quadrature_check(closed, _KERNEL_TOLERANCE, lower, upper)
 
 
-def power_kernel_check(
-    a: float, b: float, alpha: float, *, tolerance: float = 1e-9, refinement: int = 11
-) -> CheckResult:
-    """Compare the fractional-power kernel integral with its closed form.
+def power_kernel_check(a: float, b: float, alpha: float) -> CheckResult:
+    """Compare the fractional-power kernel integral with its closed form, to 1e-9.
 
     The integral is ``int_0^inf x^alpha / ((x^2+a^2)(x^2+b^2)) dx`` and the
     closed form ``pi (a^(alpha-1) - b^(alpha-1)) / (2 cos(pi alpha / 2)
-    (b^2 - a^2))``, valid for ``0 < alpha < 1``.
-
-    Parameters
-    ----------
-    a, b : float
-        Positive pole parameters, ``a != b``.
-    alpha : float
-        Exponent strictly between 0 and 1.
-    tolerance : float
-        Absolute agreement threshold.
-    refinement : int
-        Maximum quadrature halving level.
-
-    Returns
-    -------
-    CheckResult
-        Quadrature value, closed form, and the agreement flag.
+    (b^2 - a^2))``, valid for ``0 < alpha < 1`` and positive, distinct ``a``
+    and ``b``.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
@@ -457,45 +448,20 @@ def power_kernel_check(
     def upper(y: float, cy: float) -> float:
         return y ** (2.0 - alpha) / ((1.0 + a * a * y * y) * (1.0 + b * b * y * y))
 
-    v_lower, _, _ = _tanh_sinh_unit(lower, max_level=refinement)
-    v_upper, _, _ = _tanh_sinh_unit(upper, max_level=refinement)
-    quadrature = v_lower + v_upper
-    return CheckResult(quadrature, closed, abs(quadrature - closed) <= tolerance)
+    return _quadrature_check(closed, _KERNEL_TOLERANCE, lower, upper)
 
 
-def unit_log_moment_check(
-    j: int,
-    kernel: str = "minus",
-    *,
-    tolerance: float = 1e-10,
-    refinement: int = 11,
-    digits: int = 25,
-) -> CheckResult:
-    """Quadrature check of ``int_0^1 log^j x / (x^2 -+ 1) dx`` closed forms.
+def unit_log_moment_check(j: int, kernel: str = "minus") -> CheckResult:
+    """Quadrature check of ``int_0^1 log^j x / (x^2 -+ 1) dx`` closed forms, to 1e-10.
 
-    Parameters
-    ----------
-    j : int
-        Log power, at most 8 here.  The ``minus`` kernel needs ``j >= 1``
-        (the ``j = 0`` integral diverges and is rejected by the closed form).
-    kernel : {"minus", "plus"}
-        Denominator ``x^2 - 1`` or ``x^2 + 1``.
-    tolerance : float
-        Absolute agreement threshold.
-    refinement : int
-        Maximum quadrature halving level.
-    digits : int
-        Working precision for evaluating the exact closed form.
-
-    Returns
-    -------
-    CheckResult
-        Quadrature value, closed form, and the agreement flag.
+    ``kernel`` picks the denominator: ``"minus"`` for ``x^2 - 1``, ``"plus"``
+    for ``x^2 + 1``.  The log power ``j`` is at most 8 here; the ``minus``
+    kernel needs ``j >= 1`` (the ``j = 0`` integral diverges and is rejected
+    by the closed form).
     """
     if j > 8:
         raise ValueError("j must be at most 8 for the quadrature check")
-    combo = unit_log_moment_closed(j, kernel=kernel)
-    closed = float(combination_value(combo, digits=digits))
+    closed = _closed_float(unit_log_moment_closed(j, kernel=kernel))
     if kernel == "minus":
 
         def integrand(x: float, cx: float) -> float:
@@ -509,33 +475,15 @@ def unit_log_moment_check(
         def integrand(x: float, cx: float) -> float:
             return _stable_log(x, cx) ** j / (x * x + 1.0)
 
-    value, _, _ = _tanh_sinh_unit(integrand, max_level=refinement)
-    return CheckResult(value, closed, abs(value - closed) <= tolerance)
+    return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
 
-def log1p_moment_check(
-    h: int, *, tolerance: float = 1e-8, refinement: int = 11, digits: int = 25
-) -> CheckResult:
-    """Quadrature check of ``int_0^1 log(1+x) log^(2h-1) x / (x^2-1) dx``.
+def log1p_moment_check(h: int) -> CheckResult:
+    """Quadrature check of ``int_0^1 log(1+x) log^(2h-1) x / (x^2-1) dx``, to 1e-8.
 
-    Parameters
-    ----------
-    h : int
-        Half log power, ``h >= 1``.
-    tolerance : float
-        Absolute agreement threshold.
-    refinement : int
-        Maximum quadrature halving level.
-    digits : int
-        Working precision for the exact closed form.
-
-    Returns
-    -------
-    CheckResult
-        Quadrature value, closed form, and the agreement flag.
+    The half log power ``h`` is at least 1.
     """
-    combo = log1p_moment_closed(h)
-    closed = float(combination_value(combo, digits=digits))
+    closed = _closed_float(log1p_moment_closed(h))
 
     def integrand(x: float, cx: float) -> float:
         ratio = _log_ratio_minus(x, cx)
@@ -543,33 +491,15 @@ def log1p_moment_check(
             return math.log1p(x) * ratio
         return math.log1p(x) * ratio * _stable_log(x, cx) ** (2 * h - 2)
 
-    value, _, _ = _tanh_sinh_unit(integrand, max_level=refinement)
-    return CheckResult(value, closed, abs(value - closed) <= tolerance)
+    return _quadrature_check(closed, _MOMENT_TOLERANCE, integrand)
 
 
-def log_square_moment_check(
-    h: int, *, tolerance: float = 1e-8, refinement: int = 11, digits: int = 25
-) -> CheckResult:
-    """Quadrature check of ``int_0^inf log(1+x^2) log^(2h) x / (x^2+1) dx``.
+def log_square_moment_check(h: int) -> CheckResult:
+    """Quadrature check of ``int_0^inf log(1+x^2) log^(2h) x / (x^2+1) dx``, to 1e-8.
 
-    Parameters
-    ----------
-    h : int
-        Half log power, ``h >= 0``.
-    tolerance : float
-        Absolute agreement threshold.
-    refinement : int
-        Maximum quadrature halving level.
-    digits : int
-        Working precision for the exact closed form.
-
-    Returns
-    -------
-    CheckResult
-        Quadrature value, closed form, and the agreement flag.
+    The half log power ``h`` is at least 0.
     """
-    combo = log_square_moment_closed(h)
-    closed = float(combination_value(combo, digits=digits))
+    closed = _closed_float(log_square_moment_closed(h))
 
     def lower(x: float, cx: float) -> float:
         logx = _stable_log(x, cx)
@@ -579,35 +509,15 @@ def log_square_moment_check(
         logy = _stable_log(y, cy)
         return (math.log1p(y * y) - 2.0 * logy) * logy ** (2 * h) / (1.0 + y * y)
 
-    v_lower, _, _ = _tanh_sinh_unit(lower, max_level=refinement)
-    v_upper, _, _ = _tanh_sinh_unit(upper, max_level=refinement)
-    quadrature = v_lower + v_upper
-    return CheckResult(quadrature, closed, abs(quadrature - closed) <= tolerance)
+    return _quadrature_check(closed, _MOMENT_TOLERANCE, lower, upper)
 
 
-def arctangent_moment_check(
-    h: int, *, tolerance: float = 1e-8, refinement: int = 11, digits: int = 25
-) -> CheckResult:
-    """Quadrature check of ``int_0^inf Ti_2(x) log^(2h) x / (x^2+1) dx``.
+def arctangent_moment_check(h: int) -> CheckResult:
+    """Quadrature check of ``int_0^inf Ti_2(x) log^(2h) x / (x^2+1) dx``, to 1e-8.
 
-    Parameters
-    ----------
-    h : int
-        Half log power, ``h >= 0``.
-    tolerance : float
-        Absolute agreement threshold.
-    refinement : int
-        Maximum quadrature halving level.
-    digits : int
-        Working precision for the exact closed form.
-
-    Returns
-    -------
-    CheckResult
-        Quadrature value, closed form, and the agreement flag.
+    The half log power ``h`` is at least 0.
     """
-    combo = arctangent_moment_closed(h)
-    closed = float(combination_value(combo, digits=digits))
+    closed = _closed_float(arctangent_moment_closed(h))
 
     def lower(x: float, cx: float) -> float:
         logx = _stable_log(x, cx)
@@ -618,10 +528,7 @@ def arctangent_moment_check(
         inverted = _inverse_tangent_integral(y) - 0.5 * math.pi * logy
         return inverted * logy ** (2 * h) / (1.0 + y * y)
 
-    v_lower, _, _ = _tanh_sinh_unit(lower, max_level=refinement)
-    v_upper, _, _ = _tanh_sinh_unit(upper, max_level=refinement)
-    quadrature = v_lower + v_upper
-    return CheckResult(quadrature, closed, abs(quadrature - closed) <= tolerance)
+    return _quadrature_check(closed, _MOMENT_TOLERANCE, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -747,18 +654,16 @@ def reduced_integral(spec: FamilySpec, *, refinement: int = 11) -> IntegralEstim
     )
 
 
-def closed_form_measure(spec: FamilySpec, digits: int = 25) -> float:
+def closed_form_measure(spec: FamilySpec) -> float:
     """Float value of the closed-form measure ``m`` for comparison purposes.
 
-    Evaluates the exact combination at ``digits`` working digits, divides by
+    Evaluates the exact combination at 25 working digits, divides by
     ``pi**pi_normalization`` and rounds to float64.
 
     Parameters
     ----------
     spec : FamilySpec
         Family member.
-    digits : int
-        Working precision for the exact side.
 
     Returns
     -------
@@ -766,8 +671,8 @@ def closed_form_measure(spec: FamilySpec, digits: int = 25) -> float:
         The measure ``m``.
     """
     result = mahler_measure(spec)
-    with mp.workdps(digits + 10):
-        value = combination_value(result.combination, digits=digits)
+    with mp.workdps(_CLOSED_FORM_DIGITS + 10):
+        value = combination_value(result.combination, digits=_CLOSED_FORM_DIGITS)
         return float(value / mp.pi**result.pi_normalization)
 
 
@@ -807,19 +712,6 @@ def _torus_polynomial_values(spec: FamilySpec, points: np.ndarray) -> np.ndarray
     return np.abs(plus + minus * x + (plus - minus) * y)
 
 
-def _replicate_mean_log(values: np.ndarray) -> Tuple[float, int]:
-    """Mean of ``log`` over the finite samples (zeros of ``P`` are skipped)."""
-    import numpy as np
-
-    with np.errstate(divide="ignore"):
-        logs = np.log(values)
-    finite = np.isfinite(logs)
-    used = int(np.count_nonzero(finite))
-    if used == 0:
-        raise ValueError("all samples fell on zeros of the polynomial")
-    return float(np.mean(logs[finite])), used
-
-
 # Joe-Kuo (s, a, m) triples for Sobol dimensions 2..4; dimension 1 is the
 # van der Corput sequence.
 _JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
@@ -856,6 +748,44 @@ def _sobol_base2(dim: int, exponent: int) -> np.ndarray:
     for j in range(exponent):
         points = np.concatenate([points, points[::-1] ^ directions[:, j]])
     return points * 2.0**-_SOBOL_BITS
+
+
+def _replicated_mean_log(
+    values: Callable[[np.ndarray], np.ndarray], dim: int, samples: int, seed: int,
+    replicates: int, sobol: bool,
+) -> IntegralEstimate:
+    """Mean of ``log values(points)`` over randomized point sets in ``[0, 1)^dim``.
+
+    Sobol replicates shift one fixed Sobol point set, of ``samples /
+    replicates`` points rounded up to a power of two, by a seeded uniform
+    vector modulo 1; pseudo replicates draw fresh uniform points.  Samples on
+    zeros of ``values`` are skipped.  The error estimate is the standard
+    error of the replicate means.
+    """
+    import numpy as np
+
+    per_replicate = max(1, -(-samples // replicates))
+    rng = np.random.default_rng(seed)
+    if sobol:
+        base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length()))
+    means = []
+    total_used = 0
+    for _ in range(replicates):
+        if sobol:
+            points = (base + rng.random(dim)) % 1.0
+        else:
+            points = rng.random((per_replicate, dim))
+        with np.errstate(divide="ignore"):
+            logs = np.log(values(points))
+        finite = np.isfinite(logs)
+        used = int(np.count_nonzero(finite))
+        if used == 0:
+            raise ValueError("all samples fell on zeros of the polynomial")
+        means.append(float(np.mean(logs[finite])))
+        total_used += used
+    value = float(np.mean(means))
+    sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
+    return IntegralEstimate(value, max(sigma, 5e-17), "qmc", total_used)
 
 
 def torus_qmc(
@@ -906,29 +836,10 @@ def torus_qmc(
         raise ValueError("at least 2 replicates are needed for an error estimate")
     if mode not in ("sobol", "pseudo"):
         raise ValueError("mode must be 'sobol' or 'pseudo'")
-    import numpy as np
-
-    per_replicate = max(1, -(-samples // replicates))
-    rng = np.random.default_rng(seed)
-    means = []
-    total_used = 0
-    if mode == "sobol":
-        exponent = max(1, (per_replicate - 1).bit_length())
-        base = _sobol_base2(dim, exponent)
-        for _ in range(replicates):
-            shifted = (base + rng.random(dim)) % 1.0
-            mean, used = _replicate_mean_log(_torus_polynomial_values(spec, shifted))
-            means.append(mean)
-            total_used += used
-    else:
-        for _ in range(replicates):
-            points = rng.random((per_replicate, dim))
-            mean, used = _replicate_mean_log(_torus_polynomial_values(spec, points))
-            means.append(mean)
-            total_used += used
-    value = float(np.mean(means))
-    sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
-    return IntegralEstimate(value, max(sigma, 5e-17), "qmc", total_used)
+    return _replicated_mean_log(
+        lambda points: _torus_polynomial_values(spec, points),
+        dim, samples, seed, replicates, mode == "sobol",
+    )
 
 
 def imaginary_measure_qmc(
@@ -966,21 +877,10 @@ def imaginary_measure_qmc(
         raise ValueError("at least 2 replicates are needed for an error estimate")
     import numpy as np
 
-    per_replicate = max(2, -(-samples // replicates))
-    exponent = max(1, (per_replicate - 1).bit_length())
-    base = _sobol_base2(2, exponent)
-    rng = np.random.default_rng(seed)
-    means = []
-    total_used = 0
-    for _ in range(replicates):
-        shifted = (base + rng.random(2)) % 1.0
-        angles = (2.0 * math.pi) * shifted
+    def values(points: np.ndarray) -> np.ndarray:
+        angles = (2.0 * math.pi) * points
         x = np.exp(1j * angles[:, 0])
         y = np.exp(1j * angles[:, 1])
-        values = np.abs(1.0 + 1j * alpha * x + (1.0 - 1j * alpha) * y)
-        mean, used = _replicate_mean_log(values)
-        means.append(mean)
-        total_used += used
-    value = float(np.mean(means))
-    sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
-    return IntegralEstimate(value, max(sigma, 5e-17), "qmc", total_used)
+        return np.abs(1.0 + 1j * alpha * x + (1.0 - 1j * alpha) * y)
+
+    return _replicated_mean_log(values, 2, samples, seed, replicates, True)

@@ -27,12 +27,7 @@ import numpy as np
 
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.exact import PolyQ, log_moment_poly, log_moment_poly_closed
-from mahlerzeta.formulas import (
-    Family,
-    FamilySpec,
-    mahler_measure,
-    reduction_identity,
-)
+from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
 from mahlerzeta.identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_halving,
@@ -43,6 +38,7 @@ from mahlerzeta.identities import (
     check_weighted_factorial_sum,
     log_moment_poly_bernoulli_form,
     monomial_from_log_moment_polys,
+    reduction_identity,
     reduction_induction_identity,
 )
 from mahlerzeta.oracle import (
@@ -136,8 +132,8 @@ def test_criterion_3_kernel_integral_against_quadrature() -> None:
         while abs(a - b) < 0.15:
             b = float(rng.uniform(0.1, 10.0))
         k = int(rng.integers(0, 7))
-        result = kernel_integral_check(a, b, k, tolerance=1e-9)
-        assert result.agree, (
+        result = kernel_integral_check(a, b, k)
+        assert abs(result.quadrature - result.closed_form) <= 1e-9, (
             f"a={a!r} b={b!r} k={k}: quadrature {result.quadrature!r} "
             f"vs closed form {result.closed_form!r}"
         )
@@ -209,10 +205,14 @@ def test_criterion_6_torus_qmc_within_three_sigma() -> None:
 def test_criterion_7_defining_integrals_match_closed_forms() -> None:
     """The three one-dimensional defining integrals match their closed forms, h <= 3."""
     for h in range(1, 4):
-        result = log1p_moment_check(h, tolerance=1e-8)
-        assert result.agree, f"log1p moment h={h}: {result}"
+        result = log1p_moment_check(h)
+        assert abs(result.quadrature - result.closed_form) <= 1e-8, f"log1p moment h={h}: {result}"
     for h in range(0, 4):
-        result = log_square_moment_check(h, tolerance=1e-8)
-        assert result.agree, f"log-square moment h={h}: {result}"
-        result = arctangent_moment_check(h, tolerance=1e-8)
-        assert result.agree, f"arctangent moment h={h}: {result}"
+        result = log_square_moment_check(h)
+        assert abs(result.quadrature - result.closed_form) <= 1e-8, (
+            f"log-square moment h={h}: {result}"
+        )
+        result = arctangent_moment_check(h)
+        assert abs(result.quadrature - result.closed_form) <= 1e-8, (
+            f"arctangent moment h={h}: {result}"
+        )

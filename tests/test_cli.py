@@ -13,10 +13,42 @@ import mpmath as mp
 import pytest
 
 import mahlerzeta.cli
-from mahlerzeta.cli import OutputRecord, main
+from mahlerzeta.cli import main
 from mahlerzeta.cli import _pi_label
+from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
 from mahlerzeta.store import ConstantStore
+
+
+ALL_CHECKS = [
+    "identities/reduction-ab",
+    "identities/reduction-ba",
+    "identities/reduction-induction-ab",
+    "identities/reduction-induction-ba",
+    "identities/symmetric-transfer-first",
+    "identities/symmetric-transfer-second",
+    "identities/bernoulli-transfer-first",
+    "identities/bernoulli-transfer-second",
+    "identities/bernoulli-transfer-third",
+    "identities/bernoulli-euler-transfer",
+    "identities/weighted-factorial-sums",
+    "identities/bernoulli-recurrence",
+    "identities/bernoulli-halving",
+    "identities/log-moment-poly-properties",
+    "identities/log-moment-poly-bernoulli-form",
+    "identities/monomial-decomposition",
+    "identities/family-three-rewritings",
+    "tables/all-rows-match-canonical",
+    "tables/erratum-family-ii-3-transforms",
+    "tables/erratum-family-iii-3-transforms",
+    "oracle/reduced-vs-closed-family-i",
+    "oracle/reduced-vs-closed-family-ii",
+    "oracle/reduced-vs-closed-family-iii",
+    "oracle/kernel-integral-seeded-cases",
+    "oracle/unit-log-moments",
+    "oracle/defining-integrals",
+    "oracle/torus-qmc-family-i",
+]
 
 
 def run_cli(argv: List[str], capsys) -> Tuple[int, str, str]:
@@ -63,10 +95,12 @@ def test_eval_json_round_trip(tmp_path, capsys) -> None:
     assert data["pi_normalization"] == 2
     assert ["zeta", 3, 0, 7, 2] in data["combination"]
     assert ["log2", 0, 2, 1, 2] in data["combination"]
-    record = OutputRecord.from_dict(data)
-    assert record.to_dict() == data
-    expected = mahler_measure(FamilySpec(Family.THREE, 1)).combination
-    assert record.to_combination() == expected
+    assert (data["oracle_value"], data["oracle_method"], data["agreement"]) == (None, None, None)
+    rebuilt = ZetaCombination.from_records(
+        {"kind": kind, "arg": arg, "pi_power": pi_power, "coeff": "%d/%d" % (num, den)}
+        for kind, arg, pi_power, num, den in data["combination"]
+    )
+    assert rebuilt == mahler_measure(FamilySpec(Family.THREE, 1)).combination
     with mp.workdps(40):
         printed = mp.mpf(data["numeric_value"])
         truth = mp.mpf(7) / 2 * mp.zeta(3) + mp.pi**2 / 2 * mp.log(2)
@@ -88,24 +122,6 @@ def test_eval_unknown_family_is_usage_error(capsys) -> None:
         main(["eval", "--family", "iv", "--n", "1"])
     assert excinfo.value.code == 2
     capsys.readouterr()
-
-
-def test_output_record_round_trip_with_oracle_fields() -> None:
-    spec = FamilySpec(Family.ONE, 2)
-    combination = mahler_measure(spec).combination
-    record = OutputRecord.from_evaluation(
-        spec,
-        combination,
-        "8.41439832211716",
-        16,
-        oracle_value="0.852556797635012",
-        oracle_method="adaptive_quadrature",
-        agreement=True,
-    )
-    rebuilt = OutputRecord.from_dict(record.to_dict())
-    assert rebuilt == record
-    assert rebuilt.to_combination() == combination
-    assert rebuilt.agreement is True
 
 
 def test_pi_label() -> None:
@@ -174,12 +190,28 @@ def test_verify_failure_emits_machine_readable_list(capsys) -> None:
 
 
 def test_verify_rejects_bad_parameters(capsys) -> None:
-    code, _, err = run_cli(["verify", "--max-n", "0"], capsys)
-    assert code == 2
-    assert "error" in err
-    code, _, err = run_cli(["verify", "--tolerance", "-1"], capsys)
-    assert code == 2
-    assert "error" in err
+    # a nan tolerance would pass every reduced check, since abs(x) > nan is false
+    for option, value in (
+        ("--max-n", "0"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--seed", "-1"),
+    ):
+        code, out, err = run_cli(["verify", option, value], capsys)
+        assert (code, out) == (2, ""), (option, value)
+        assert err.startswith("error: "), (option, value)
+
+
+def test_verify_runs_every_check_in_registry_order(capsys) -> None:
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "2"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["pass " + name for name in ALL_CHECKS]
+    for suite in ("identities", "tables", "oracle"):
+        code, out, _ = run_cli(["verify", "--suite", suite, "--max-n", "2"], capsys)
+        assert code == 0
+        names = [name for name in ALL_CHECKS if name.startswith(suite + "/")]
+        assert out.splitlines() == ["pass " + name for name in names]
 
 
 def test_verify_is_deterministic(capsys) -> None:

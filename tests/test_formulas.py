@@ -19,9 +19,12 @@ from mahlerzeta.formulas import (
     family_three,
     family_two,
     mahler_measure,
-    reduction_identity,
 )
-from mahlerzeta.identities import reduction_induction_identity
+from mahlerzeta.identities import (
+    family_three_rewriting,
+    reduction_identity,
+    reduction_induction_identity,
+)
 from mahlerzeta.values import combination_value
 
 import mpmath as mp
@@ -151,7 +154,7 @@ def test_large_n_results_are_pinned(label: str, transforms: int) -> None:
     spec = FamilySpec(Family.from_label(label), transforms)
     assert _records_digest(mahler_measure(spec)) == LARGE_N_DIGESTS[label, transforms]
     if spec.family is Family.THREE:
-        euler = family_three(spec, variant="euler", binomial_reading="l")
+        euler = family_three_rewriting(spec, variant="euler", binomial_reading="l")
         assert _records_digest(euler) == LARGE_N_DIGESTS[label, transforms]
 
 
@@ -224,18 +227,21 @@ def test_family_three_small_cases() -> None:
     with pytest.raises(ValueError):
         family_three(FamilySpec(Family.ONE, 2))
     with pytest.raises(ValueError):
-        family_three(FamilySpec(Family.THREE, 2), variant="other")
+        family_three_rewriting(FamilySpec(Family.ONE, 2))
     with pytest.raises(ValueError):
-        family_three(FamilySpec(Family.THREE, 2), binomial_reading="x")
+        family_three_rewriting(FamilySpec(Family.THREE, 2), variant="other")
+    with pytest.raises(ValueError):
+        family_three_rewriting(FamilySpec(Family.THREE, 2), binomial_reading="x")
 
 
 def test_family_three_variants_agree() -> None:
+    # the Euler rewriting and the l reading are checks in the identities layer
     for transforms in range(1, 13):
         spec = FamilySpec(Family.THREE, transforms)
-        base = family_three(spec).combination
-        assert family_three(spec, variant="euler").combination == base
-        assert family_three(spec, binomial_reading="l").combination == base
-        assert family_three(spec, variant="euler", binomial_reading="l").combination == base
+        base = family_three(spec)
+        for variant in ("bernoulli", "euler"):
+            for reading in ("h", "l"):
+                assert family_three_rewriting(spec, variant, reading) == base, (variant, reading)
 
 
 def test_weight_homogeneity_all_families() -> None:
