@@ -12,7 +12,9 @@ Three subcommands are exposed:
 
 Exit codes are uniform across commands: 0 on success, 1 when a verification
 check fails, 2 on usage errors, 3 when a numeric evaluation fails (a constant
-does not reach the requested digits).
+does not reach the requested digits).  Commands raise; :func:`main` alone
+turns an ``OSError``/``ValueError`` (2) or ``RuntimeError`` (3) into one
+``error:`` line and its exit code.
 """
 
 from __future__ import annotations
@@ -74,22 +76,15 @@ def _open_store(path: Optional[str]) -> ConstantStore:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     """Evaluate one family member and print its closed form."""
-    try:
-        family = Family.from_label(args.family)
-        spec = FamilySpec(family, args.n)
-        if args.digits < 1:
-            raise ValueError("digits must be positive")
-        result = mahler_measure(spec)
-        store = _open_store(args.store)
-        with mp.workdps(args.digits + 10):
-            value = combination_value(result.combination, digits=args.digits, store=store)
-            numeric = mp.nstr(value, args.digits)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+    family = Family.from_label(args.family)
+    spec = FamilySpec(family, args.n)
+    if args.digits < 1:
+        raise ValueError("digits must be positive")
+    result = mahler_measure(spec)
+    store = _open_store(args.store)
+    with mp.workdps(args.digits + 10):
+        value = combination_value(result.combination, digits=args.digits, store=store)
+        numeric = mp.nstr(value, args.digits)
     if args.format == "json":
         record = {
             "family": family.value,
@@ -292,14 +287,11 @@ def _checks() -> List[Check]:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the selected verification suites and report per-check results."""
     if args.max_n < 1:
-        print("error: --max-n must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n must be positive")
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        print("error: --tolerance must be positive and finite", file=sys.stderr)
-        return 2
+        raise ValueError("--tolerance must be positive and finite")
     if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--seed must be nonnegative")
     failures: List[str] = []
     for name, run in _checks():
         if args.suite not in ("all", name.split("/")[0]):
@@ -333,45 +325,21 @@ _WARM_TARGETS: Tuple[Tuple[str, int], ...] = (
 )
 
 
-def _combination_for(kind: str, arg: int) -> ZetaCombination:
-    if kind == "zeta":
-        return ZetaCombination.zeta(arg)
-    if kind == "lchi4":
-        return ZetaCombination.lchi4(arg)
-    if kind == "l3_ii":
-        return ZetaCombination.l3_ii(arg)
-    if kind == "log2":
-        return ZetaCombination.log2()
-    raise ValueError("unknown constant kind %r" % (kind,))
-
-
 def cmd_constants(args: argparse.Namespace) -> int:
     """List the constant store or warm it to a requested precision."""
-    try:
-        store = _open_store(args.store)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    store = _open_store(args.store)
     if args.action == "list":
         for kind, arg, digits, value in store.entries():
             print("%s %d %d %s" % (kind, arg, digits, value))
         return 0
     # warm
     if args.digits < 1:
-        print("error: --digits must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--digits must be positive")
     computed = 0
     for kind, arg in _WARM_TARGETS:
         if store.get(kind, arg, args.digits) is not None:
             continue
-        try:
-            combination_value(_combination_for(kind, arg), digits=args.digits, store=store)
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        except RuntimeError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
+        combination_value(ZetaCombination.term(kind, arg), digits=args.digits, store=store)
         computed += 1
     print(
         "store %s holds %d constants (%d computed at %d digits)"
@@ -428,9 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """Run one subcommand; every error it raises becomes one line and an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

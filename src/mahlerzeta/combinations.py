@@ -21,7 +21,10 @@ transcendental basis constants:
     ``scriptL_{r,s}`` is the signed double-polylogarithm combination defined
     in :func:`mahlerzeta.values.script_l_double`.
 
-The combination type keeps itself in a *normal form*: zeta at even argument
+The table :data:`KINDS` is the one place that says what a kind is: the
+arguments its normal form keeps, its intrinsic weight, its text symbol and,
+for ``zeta`` and ``lchi4``, the exact fold of the other arguments.  The
+combination type keeps itself in that *normal form*: zeta at even argument
 and ``L(chi_-4, s)`` at odd argument are rational multiples of powers of pi
 (via Bernoulli and Euler numbers) and are folded into ``one`` terms on
 construction, so two combinations are equal as real numbers if and only if
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .exact import Rational, bernoulli, euler_number
 
@@ -47,19 +50,56 @@ __all__ = [
     "KINDS",
 ]
 
-KINDS = ("one", "log2", "zeta", "lchi4", "l3_ii")
+
+def _zeta_even(s: int) -> Fraction:
+    """zeta(s) / pi^s for even s = 2k: (-1)^(k+1) B_{2k} 2^{2k} / (2 (2k)!).
+
+    The pole at s = 1 is rejected.
+    """
+    if s < 2:
+        raise ValueError(f"zeta argument must be >= 2 (got {s})")
+    k = s // 2
+    sign = 1 if k % 2 == 1 else -1
+    return sign * bernoulli(2 * k) * Fraction(2 ** (2 * k), 2 * factorial(2 * k))
+
+
+def _lchi4_odd(s: int) -> Fraction:
+    """L(chi_-4, s) / pi^s for odd s = 2k+1: (-1)^k E_{2k} / (2^{2k+2} (2k)!)."""
+    if s < 1:
+        raise ValueError(f"L-function argument must be >= 1 (got {s})")
+    k = (s - 1) // 2
+    sign = 1 if k % 2 == 0 else -1
+    return sign * Fraction(euler_number(2 * k), 2 ** (2 * k + 2) * factorial(2 * k))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What the normal form knows about the basis constants ``K(kind, arg)``."""
+
+    rule: str  # the arguments the normal form keeps, in words
+    keeps: Callable[[int], bool]  # the same rule as a predicate
+    weight: Callable[[int], int]  # intrinsic weight; pi carries 1 per power
+    symbol: Callable[[int], str]  # text of the constant, empty for ``one``
+    # K(kind, arg) / pi^arg at every argument that is not kept, if those fold
+    fold: Optional[Callable[[int], Fraction]] = None
+
+
+def _from(least: int) -> Callable[[int], bool]:
+    """The rule "every argument >= least of the same parity as least"."""
+    return lambda arg: arg >= least and arg % 2 == least % 2
+
+
+# The one table of basis kinds; its order is the order of terms in every
+# rendering and record list.
+KINDS: Dict[str, Kind] = {
+    "one": Kind("argument 0", lambda arg: arg == 0, lambda arg: 0, lambda arg: ""),
+    "log2": Kind("argument 0", lambda arg: arg == 0, lambda arg: 1, lambda arg: "log(2)"),
+    "zeta": Kind("odd s >= 3", _from(3), lambda s: s, "zeta({})".format, _zeta_even),
+    "lchi4": Kind("even s >= 2", _from(2), lambda s: s, "L(chi_-4,{})".format, _lchi4_odd),
+    "l3_ii": Kind("odd b >= 1", _from(1), lambda b: 3 + b, "i*scriptL(3,{};i,i)".format),
+}
 
 _KIND_ORDER = {kind: j for j, kind in enumerate(KINDS)}
-
-# Intrinsic weights under which every closed-form result is homogeneous
-# (pi carries weight 1 per power).
-_INTRINSIC_WEIGHT = {
-    "one": lambda arg: 0,
-    "log2": lambda arg: 1,
-    "zeta": lambda arg: arg,
-    "lchi4": lambda arg: arg,
-    "l3_ii": lambda arg: 3 + arg,
-}
 
 
 @dataclass(frozen=True)
@@ -72,7 +112,7 @@ class ConstantBasisElement:
 
     def weight(self) -> int:
         """Transcendence weight: pi power plus the intrinsic weight of K."""
-        return self.pi_power + _INTRINSIC_WEIGHT[self.kind](self.arg)
+        return self.pi_power + KINDS[self.kind].weight(self.arg)
 
     def shifted(self, pi_shift: int) -> "ConstantBasisElement":
         return ConstantBasisElement(self.kind, self.arg, self.pi_power + pi_shift)
@@ -86,36 +126,18 @@ class ConstantBasisElement:
             parts.append("pi")
         elif self.pi_power != 0:
             parts.append(f"pi^{self.pi_power}")
-        if self.kind == "log2":
-            parts.append("log(2)")
-        elif self.kind == "zeta":
-            parts.append(f"zeta({self.arg})")
-        elif self.kind == "lchi4":
-            parts.append(f"L(chi_-4,{self.arg})")
-        elif self.kind == "l3_ii":
-            parts.append(f"i*scriptL(3,{self.arg};i,i)")
+        symbol = KINDS[self.kind].symbol(self.arg)
+        if symbol:
+            parts.append(symbol)
         return "*".join(parts)
 
 
 def _validate(kind: str, arg: int) -> None:
-    if kind not in KINDS:
+    entry = KINDS.get(kind)
+    if entry is None:
         raise ValueError(f"unknown constant kind {kind!r}")
-    if kind in ("one", "log2"):
-        if arg != 0:
-            raise ValueError(f"{kind} takes no argument (got {arg})")
-    elif kind == "zeta":
-        if arg < 3 or arg % 2 == 0:
-            raise ValueError(
-                f"normal form keeps zeta only at odd arguments >= 3 (got {arg})"
-            )
-    elif kind == "lchi4":
-        if arg < 2 or arg % 2 == 1:
-            raise ValueError(
-                f"normal form keeps L(chi_-4, s) only at even s >= 2 (got {arg})"
-            )
-    elif kind == "l3_ii":
-        if arg < 1 or arg % 2 == 0:
-            raise ValueError(f"l3_ii requires an odd argument >= 1 (got {arg})")
+    if not entry.keeps(arg):
+        raise ValueError(f"normal form keeps {kind} only at {entry.rule} (got {arg})")
 
 
 class ZetaCombination:
@@ -148,54 +170,42 @@ class ZetaCombination:
         return ZetaCombination()
 
     @staticmethod
+    def term(
+        kind: str, arg: int = 0, pi_power: int = 0, coeff: Rational = 1
+    ) -> "ZetaCombination":
+        """``coeff * pi^pi_power * K(kind, arg)``, through the kind table.
+
+        An argument the kind does not keep is folded into a pi power where
+        the kind has a fold, and rejected otherwise.
+        """
+        entry = KINDS.get(kind)
+        if entry is not None and entry.fold is not None and not entry.keeps(arg):
+            return ZetaCombination.pi_rational(Fraction(coeff) * entry.fold(arg), pi_power + arg)
+        return ZetaCombination({ConstantBasisElement(kind, arg, pi_power): Fraction(coeff)})
+
+    @staticmethod
     def pi_rational(coeff: Rational, pi_power: int = 0) -> "ZetaCombination":
         """The pi-rational number ``coeff * pi^pi_power``."""
-        elem = ConstantBasisElement("one", 0, pi_power)
-        return ZetaCombination({elem: Fraction(coeff)})
+        return ZetaCombination.term("one", 0, pi_power, coeff)
 
     @staticmethod
     def zeta(s: int, pi_power: int = 0, coeff: Rational = 1) -> "ZetaCombination":
-        """``coeff * pi^pi_power * zeta(s)``, folding even ``s`` into pi powers.
-
-        Even arguments use zeta(2k) = (-1)^(k+1) B_{2k} (2 pi)^{2k} / (2 (2k)!).
-        The pole at s = 1 is rejected.
-        """
-        if s < 2:
-            raise ValueError(f"zeta argument must be >= 2 (got {s})")
-        if s % 2 == 1:
-            elem = ConstantBasisElement("zeta", s, pi_power)
-            return ZetaCombination({elem: Fraction(coeff)})
-        k = s // 2
-        sign = 1 if k % 2 == 1 else -1
-        rational = sign * bernoulli(2 * k) * Fraction(2 ** (2 * k), 2 * factorial(2 * k))
-        return ZetaCombination.pi_rational(Fraction(coeff) * rational, pi_power + s)
+        """``coeff * pi^pi_power * zeta(s)``; even ``s`` folds into a pi power."""
+        return ZetaCombination.term("zeta", s, pi_power, coeff)
 
     @staticmethod
     def lchi4(s: int, pi_power: int = 0, coeff: Rational = 1) -> "ZetaCombination":
-        """``coeff * pi^pi_power * L(chi_-4, s)``, folding odd ``s``.
-
-        Odd arguments use L(chi_-4, 2k+1) = (-1)^k E_{2k} (pi/2)^{2k+1} / (2 (2k)!).
-        """
-        if s < 1:
-            raise ValueError(f"L-function argument must be >= 1 (got {s})")
-        if s % 2 == 0:
-            elem = ConstantBasisElement("lchi4", s, pi_power)
-            return ZetaCombination({elem: Fraction(coeff)})
-        k = (s - 1) // 2
-        sign = 1 if k % 2 == 0 else -1
-        rational = sign * Fraction(euler_number(2 * k), 2 ** (2 * k + 2) * factorial(2 * k))
-        return ZetaCombination.pi_rational(Fraction(coeff) * rational, pi_power + s)
+        """``coeff * pi^pi_power * L(chi_-4, s)``; odd ``s`` folds into a pi power."""
+        return ZetaCombination.term("lchi4", s, pi_power, coeff)
 
     @staticmethod
     def log2(pi_power: int = 0, coeff: Rational = 1) -> "ZetaCombination":
-        elem = ConstantBasisElement("log2", 0, pi_power)
-        return ZetaCombination({elem: Fraction(coeff)})
+        return ZetaCombination.term("log2", 0, pi_power, coeff)
 
     @staticmethod
     def l3_ii(b: int, pi_power: int = 0, coeff: Rational = 1) -> "ZetaCombination":
         """``coeff * pi^pi_power * (i * scriptL_{3,b}(i, i))`` for odd ``b``."""
-        elem = ConstantBasisElement("l3_ii", b, pi_power)
-        return ZetaCombination({elem: Fraction(coeff)})
+        return ZetaCombination.term("l3_ii", b, pi_power, coeff)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -317,28 +327,17 @@ class ZetaCombination:
     def from_records(records: Iterable[Mapping[str, Union[str, int]]]) -> "ZetaCombination":
         """Rebuild a combination from :meth:`to_records` output.
 
-        Records are routed through the constructors, so non-normal inputs
-        (for example zeta at an even argument) are folded on the way in.
+        Records are routed through :meth:`term`, so non-normal inputs (for
+        example zeta at an even argument) are folded on the way in.
         """
         total = ZetaCombination.zero()
         for rec in records:
-            kind = str(rec["kind"])
-            arg = int(rec.get("arg", 0))
-            pi_power = int(rec.get("pi_power", 0))
-            coeff = Fraction(str(rec["coeff"]))
-            if kind == "one":
-                part = ZetaCombination.pi_rational(coeff, pi_power)
-            elif kind == "log2":
-                part = ZetaCombination.log2(pi_power, coeff)
-            elif kind == "zeta":
-                part = ZetaCombination.zeta(arg, pi_power, coeff)
-            elif kind == "lchi4":
-                part = ZetaCombination.lchi4(arg, pi_power, coeff)
-            elif kind == "l3_ii":
-                part = ZetaCombination.l3_ii(arg, pi_power, coeff)
-            else:
-                raise ValueError(f"unknown constant kind {kind!r}")
-            total = total + part
+            total = total + ZetaCombination.term(
+                str(rec["kind"]),
+                int(rec.get("arg", 0)),
+                int(rec.get("pi_power", 0)),
+                Fraction(str(rec["coeff"])),
+            )
         return total
 
     def format_text(self) -> str:

@@ -1,10 +1,12 @@
 """Exact rational arithmetic: Bernoulli/Euler numbers, elementary symmetric
-polynomials, dense rational polynomials, Gaussian rationals, and the family of
-log-moment kernel polynomials.
+polynomials, dense rational polynomials, and the family of log-moment kernel
+polynomials.
 
 Everything in this module is computed over arbitrary-precision rationals
 (``fractions.Fraction``, or plain ``int`` where every input is an integer);
-no floating point is ever involved, so equality checks are exact.
+no floating point is ever involved, so equality checks are exact.  A
+polynomial's value at ``i`` comes as its exact real and imaginary parts
+(:meth:`PolyQ.at_i`).
 
 Elementary symmetric polynomials come as whole ladders: ``symmetric_ladder``
 returns every ``s_0, ..., s_k`` of its arguments from one DP over the
@@ -25,7 +27,6 @@ measure formulas in :mod:`mahlerzeta.formulas`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -38,7 +39,6 @@ __all__ = [
     "elementary_symmetric",
     "even_squares",
     "odd_squares",
-    "GaussianRational",
     "PolyQ",
     "log_moment_poly",
     "log_moment_poly_closed",
@@ -142,75 +142,6 @@ def odd_squares(count: int) -> List[int]:
     return [(2 * j - 1) ** 2 for j in range(1, count + 1)]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts (i^2 = -1)."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
-    @staticmethod
-    def unit_i() -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(1))
-
-    def __add__(self, other: object) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other: object) -> "GaussianRational":
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self + (-other if isinstance(other, GaussianRational) else GaussianRational.of(-other))
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "GaussianRational":
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational.of(other) - self
-        return NotImplemented
-
-    def __mul__(self, other: object) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        result = GaussianRational.of(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
 class PolyQ:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -305,14 +236,23 @@ class PolyQ:
     def __call__(self, x):
         """Evaluate by Horner's rule.
 
-        Works for exact arguments (``Fraction``, ``GaussianRational``) as well
-        as floats and mpmath numbers; the accumulator takes the type of ``x``.
+        Works for exact arguments (``int``, ``Fraction``) as well as floats
+        and mpmath numbers; the accumulator takes the type of ``x``.
         """
         acc = 0 * x
-        exact = isinstance(acc, (int, Fraction, GaussianRational))
+        exact = isinstance(acc, (int, Fraction))
         for c in reversed(self.coeffs):
             acc = acc * x + (c if exact else _lift(c, x))
         return acc
+
+    def at_i(self) -> Tuple[Fraction, Fraction]:
+        """The exact value at ``x = i`` as ``(real part, imaginary part)``.
+
+        The coefficient of ``x^j`` lands on ``i^j``, which cycles through
+        ``1, i, -1, -i`` with ``j mod 4``.
+        """
+        parts = [sum(self.coeffs[r::4], Fraction(0)) for r in range(4)]
+        return parts[0] - parts[2], parts[1] - parts[3]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.coeffs:

@@ -32,10 +32,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .combinations import ZetaCombination
-from .exact import bernoulli, even_squares, odd_squares, symmetric_ladder
+from .exact import Rational, bernoulli, even_squares, odd_squares, symmetric_ladder
 
 __all__ = [
     "Family",
@@ -177,6 +177,24 @@ def _square_ladder(parity: int, count: int) -> Tuple[int, ...]:
     return symmetric_ladder(odd_squares(count) if parity else even_squares(count))
 
 
+def _bernoulli_ladder_sum(n: int, h: int, weight: Callable[[int], Rational]) -> Fraction:
+    """``sum_{l=0}^{n-h} s_{n-h-l} C(2(l+h), 2h) weight(l) B_{2l} / (l+h)``.
+
+    ``s_j`` is the even-square ladder of ``coeff_a(n, .)``; the Bernoulli-
+    weighted sums of ``family_two`` and ``family_three`` differ only in
+    ``weight``.
+    """
+    evens = _square_ladder(0, n - 1)
+    return sum(
+        (
+            Fraction(evens[n - h - l] * comb(2 * (l + h), 2 * h) * weight(l), l + h)
+            * bernoulli(2 * l)
+            for l in range(n - h + 1)
+        ),
+        Fraction(0),
+    )
+
+
 def coeff_a(n: int, h: int) -> Fraction:
     """Rational weight ``a(n, h)`` for the even-count reduction.
 
@@ -296,16 +314,8 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     combo = ZetaCombination.zero()
     if transforms % 2 == 0:
         n = transforms // 2
-        evens = _square_ladder(0, n - 1)
         for h in range(1, n + 1):
-            inner = Fraction(0)
-            for l in range(n - h + 1):
-                inner += (
-                    evens[n - h - l]
-                    * comb(2 * (l + h), 2 * h)
-                    * Fraction((-1) ** l * 2 ** (2 * l), l + h)
-                    * bernoulli(2 * l)
-                )
+            inner = _bernoulli_ladder_sum(n, h, lambda l: (-4) ** l)
             coeff = (
                 Fraction(factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), 8)
                 * inner
@@ -334,21 +344,11 @@ def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
     against this one.
     """
     combo = ZetaCombination.zero()
-    if n == 0:
-        return combo
-    evens = _square_ladder(0, n - 1)
     for h in range(1, n + 1):
-        inner = Fraction(0)
-        for l in range(n - h + 1):
-            inner += (
-                evens[n - h - l]
-                * comb(2 * (l + h), 2 * h)
-                * (-1) ** (l + 1)
-                * Fraction(2) ** (2 * l)
-                * (Fraction(2) ** (2 * l - 1) - 1)
-                / (l + h)
-                * bernoulli(2 * l)
-            )
+        # weight (-1)^(l+1) 2^(2l) (2^(2l-1) - 1), a half-integer only at l = 0
+        inner = _bernoulli_ladder_sum(
+            n, h, lambda l: Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2)
+        )
         coeff = (
             Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 4)
             * inner

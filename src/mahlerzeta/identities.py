@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 
 from .combinations import ZetaCombination
 from .exact import (
-    GaussianRational,
     PolyQ,
     bernoulli,
     euler_number,
@@ -480,12 +479,12 @@ def check_log_moment_poly_properties(k: int) -> bool:
         ladder = ladder.drop_constant()
     if ladder != (k + 1) * p:
         return False
-    value = p(GaussianRational.unit_i())
+    re, im = p.at_i()
     if k == 0:
-        return value == GaussianRational.unit_i()
+        return (re, im) == (0, 1)
     if k % 2 == 0:
-        return value.is_zero()
-    return value.im == 0 and value.re == log_moment_poly_at_i((k + 1) // 2)
+        return re == 0 and im == 0
+    return im == 0 and re == log_moment_poly_at_i((k + 1) // 2)
 
 
 def monomial_from_log_moment_polys(degree: int) -> List[Tuple[int, int]]:
@@ -520,24 +519,24 @@ def log_moment_poly_bernoulli_form(k: int) -> PolyQ:
         P_k(x) = (2 i^{k+1}/(k+1)) (B_{k+1}(x/i) - 2^k B_{k+1}(x/(2i)))
                  + ((2^{k+1} - 2) i^{k+1}/(k+1)) B_{k+1},
 
-    where ``B_m(y) = sum_j C(m, j) B_{m-j} y^j`` is the Bernoulli polynomial,
-    expanding exactly over Gaussian rationals.  All imaginary parts cancel;
-    a violation would indicate a transcription error and raises.
+    where ``B_m(y) = sum_j C(m, j) B_{m-j} y^j`` is the Bernoulli polynomial.
+    The coefficient of ``x^j`` is a rational times ``i^(k+1) (-i)^j``, a power
+    of ``i`` tracked by its exponent mod 4.  Every odd power must meet a zero
+    rational (the imaginary parts cancel); a violation would indicate a
+    transcription error and raises.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    i = GaussianRational.unit_i()
-    i_pow = i ** (k + 1)
-    minus_i = -i
     m = k + 1
     coeffs: List[Fraction] = []
     for j in range(m + 1):
         # [x^j] of 2 i^{k+1}/(k+1) * (B_m(-i x) - 2^k B_m(-i x / 2))
         scale = comb(m, j) * bernoulli(m - j) * (1 - Fraction(2) ** (k - j))
-        coeff = i_pow * (minus_i**j) * (Fraction(2, m) * scale)
+        rational = Fraction(2, m) * scale
         if j == 0:
-            coeff = coeff + i_pow * (Fraction(2**m - 2, m) * bernoulli(m))
-        if coeff.im != 0:
+            rational += Fraction(2**m - 2, m) * bernoulli(m)
+        turns = (m + 3 * j) % 4  # i^{k+1} (-i)^j = i^(m + 3j)
+        if turns % 2 and rational != 0:
             raise ValueError("imaginary part failed to cancel; transcription bug")
-        coeffs.append(coeff.re)
+        coeffs.append(rational if turns == 0 else -rational)
     return PolyQ(coeffs)

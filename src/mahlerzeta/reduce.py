@@ -48,13 +48,6 @@ def _li_pm_one(m: int, base: int) -> ZetaCombination:
     raise ValueError(f"base must be +-1 (got {base})")
 
 
-def _eta(m: int) -> ZetaCombination:
-    """The alternating zeta value eta(m) = (1 - 2^{1-m}) zeta(m), eta(1) = log 2."""
-    if m == 1:
-        return ZetaCombination.log2()
-    return ZetaCombination.zeta(m, coeff=Fraction(2 ** (m - 1) - 1, 2 ** (m - 1)))
-
-
 def double_polylog_reduce(r: int, s: int, rho: int, sigma: int) -> ZetaCombination:
     """Reduce ``Li_{r,s}(rho, sigma)`` (odd weight, arguments +-1) exactly.
 
@@ -106,14 +99,16 @@ def li_one_leading_alternating(s: int) -> ZetaCombination:
     """``Li_{1,s}(-1, 1)`` for even ``s >= 2``, as an exact combination:
 
         Li_{1,s}(-1, 1) = -log2 zeta(s) + (s/2) zeta(s+1)
-                          - sum_{k=1}^{s/2} eta(2k) eta(s+1-2k).
+                          - sum_{k=1}^{s/2} eta(2k) eta(s+1-2k),
+
+    where eta(m) = -Li_m(-1) is the alternating zeta value.
     """
     if s < 2 or s % 2 == 1:
         raise ValueError(f"requires even s >= 2 (got {s})")
     total = ZetaCombination.log2(coeff=-1) * ZetaCombination.zeta(s)
     total = total + ZetaCombination.zeta(s + 1, coeff=Fraction(s, 2))
     for k in range(1, s // 2 + 1):
-        total = total - _eta(2 * k) * _eta(s + 1 - 2 * k)
+        total = total - (-_li_pm_one(2 * k, -1)) * (-_li_pm_one(s + 1 - 2 * k, -1))
     return total
 
 
@@ -121,77 +116,43 @@ def li_one_second_alternating(s: int) -> ZetaCombination:
     """``Li_{1,s}(1, -1)`` for even ``s >= 2``, as an exact combination:
 
         Li_{1,s}(1, -1) = (1/2) zeta(s+1) + ((1-s)/2) eta(s+1)
-                          + sum_{k=1}^{s/2-1} eta(2k) zeta(s+1-2k).
+                          + sum_{k=1}^{s/2-1} eta(2k) zeta(s+1-2k),
+
+    where eta(m) = -Li_m(-1) is the alternating zeta value.
     """
     if s < 2 or s % 2 == 1:
         raise ValueError(f"requires even s >= 2 (got {s})")
     total = ZetaCombination.zeta(s + 1, coeff=Fraction(1, 2))
-    total = total + _eta(s + 1) * Fraction(1 - s, 2)
+    total = total + (-_li_pm_one(s + 1, -1)) * Fraction(1 - s, 2)
     for k in range(1, s // 2):
-        total = total + _eta(2 * k) * ZetaCombination.zeta(s + 1 - 2 * k)
+        total = total + (-_li_pm_one(2 * k, -1)) * ZetaCombination.zeta(s + 1 - 2 * k)
     return total
 
 
-def alternating_double_zeta_difference(h: int, form: str = "zeta") -> ZetaCombination:
-    """The difference ``D(h) = Li_{1,2h}(-1, 1) - Li_{1,2h}(1, -1)`` for h >= 1.
-
-    Two independently transcribed closed forms are provided; both normalize
-    to the same combination (their difference is a Bernoulli-number
-    rearrangement of the even zeta values):
-
-    ``form="zeta"``:
+def alternating_double_zeta_difference(h: int) -> ZetaCombination:
+    """The difference ``D(h) = Li_{1,2h}(-1, 1) - Li_{1,2h}(1, -1)`` for h >= 1:
 
         D(h) = (2h-1) (2^{2h+1}-1)/2^{2h+1} zeta(2h+1)
                - log2 (2^{2h}-1)/2^{2h-1} zeta(2h)
                - sum_{k=1}^{h-1} (2^{2h+1-2k}-1)(2^{2k-1}-1)/2^{2h-1}
                      zeta(2k) zeta(2h+1-2k)
-
-    ``form="bernoulli"`` expands the even zeta values through Bernoulli
-    numbers and pi powers before assembling.
     """
     if h < 1:
         raise ValueError("requires h >= 1")
-    if form == "zeta":
-        total = ZetaCombination.zeta(
-            2 * h + 1, coeff=Fraction((2 * h - 1) * (2 ** (2 * h + 1) - 1), 2 ** (2 * h + 1))
+    total = ZetaCombination.zeta(
+        2 * h + 1, coeff=Fraction((2 * h - 1) * (2 ** (2 * h + 1) - 1), 2 ** (2 * h + 1))
+    )
+    total = total - ZetaCombination.log2(
+        coeff=Fraction(2 ** (2 * h) - 1, 2 ** (2 * h - 1))
+    ) * ZetaCombination.zeta(2 * h)
+    for k in range(1, h):
+        c = Fraction(
+            (2 ** (2 * h + 1 - 2 * k) - 1) * (2 ** (2 * k - 1) - 1), 2 ** (2 * h - 1)
         )
-        total = total - ZetaCombination.log2(
-            coeff=Fraction(2 ** (2 * h) - 1, 2 ** (2 * h - 1))
-        ) * ZetaCombination.zeta(2 * h)
-        for k in range(1, h):
-            c = Fraction(
-                (2 ** (2 * h + 1 - 2 * k) - 1) * (2 ** (2 * k - 1) - 1), 2 ** (2 * h - 1)
-            )
-            total = total - (ZetaCombination.zeta(2 * k, coeff=c)) * ZetaCombination.zeta(
-                2 * h + 1 - 2 * k
-            )
-        return total
-    if form == "bernoulli":
-        # Same value with zeta(2k) pre-expanded: zeta(2k) = (-1)^{k+1} B_{2k}
-        # (2 pi)^{2k} / (2 (2k)!), assembled term by term from Bernoulli numbers.
-        total = ZetaCombination.zeta(
-            2 * h + 1, coeff=Fraction((2 * h - 1) * (2 ** (2 * h + 1) - 1), 2 ** (2 * h + 1))
+        total = total - (ZetaCombination.zeta(2 * k, coeff=c)) * ZetaCombination.zeta(
+            2 * h + 1 - 2 * k
         )
-        log2_coeff = (
-            Fraction((-1) ** h, factorial(2 * h))
-            * bernoulli(2 * h)
-            * (2 ** (2 * h) - 1)
-        )
-        total = total + ZetaCombination.log2(pi_power=2 * h, coeff=log2_coeff)
-        for k in range(1, h):
-            c = (
-                Fraction(
-                    (2 ** (2 * h + 1 - 2 * k) - 1) * (2 ** (2 * k - 1) - 1),
-                    2 ** (2 * h - 2 * k),
-                )
-                * Fraction((-1) ** k, factorial(2 * k))
-                * bernoulli(2 * k)
-            )
-            total = total + ZetaCombination.zeta(
-                2 * h + 1 - 2 * k, pi_power=2 * k, coeff=c
-            )
-        return total
-    raise ValueError(f"unknown form {form!r}")
+    return total
 
 
 def log1p_moment_closed(h: int) -> ZetaCombination:

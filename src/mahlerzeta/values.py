@@ -1,9 +1,12 @@
 """Arbitrary-precision numerical values of the constants in closed forms.
 
-Single constants are assembled from exact Bernoulli/Euler rationals computed
-in :mod:`mahlerzeta.exact` (:func:`li_single`, :func:`combination_value`),
-with accelerated alternating series for the odd zeta values and the even
-L-values.  Independent series cross-checks of these routes live with the
+Only normal-form arguments are evaluated here, the ones that
+:data:`mahlerzeta.combinations.KINDS` keeps: zeta at odd ``s >= 3``,
+``L(chi_-4, s)`` at even ``s >= 2`` (both by accelerated alternating
+series), ``log 2`` and the ``l3_ii`` constants.  The other zeta and L
+arguments are rational multiples of powers of pi, folded exactly in
+:mod:`mahlerzeta.combinations`; :func:`combination_value` evaluates any
+combination.  Independent series cross-checks of these routes live with the
 tests.
 
 All functions take a ``digits`` argument (decimal digits of target accuracy)
@@ -23,23 +26,19 @@ leaves is a true bound.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, factorial, log2
+from math import ceil, log2
 from typing import Callable, List, Optional
 
 import mpmath as mp
 
-from .combinations import ZetaCombination
-from .exact import bernoulli, euler_number
+from .combinations import KINDS, ZetaCombination
 from .store import ConstantStore
 
 __all__ = [
     "alternating_sum",
     "zeta",
     "dirichlet_l_chi4",
-    "li_single",
     "multiple_polylog",
-    "script_l_single",
     "script_l_double",
     "l3_ii_value",
     "combination_value",
@@ -49,6 +48,12 @@ __all__ = [
 def _require_digits(digits: int) -> None:
     if digits < 1:
         raise ValueError("digits must be a positive integer")
+
+
+def _require_normal(kind: str, arg: int) -> None:
+    entry = KINDS[kind]
+    if not entry.keeps(arg):
+        raise ValueError(f"{kind} is evaluated only at {entry.rule} (got {arg})")
 
 
 def _as_unit(x) -> complex:
@@ -85,69 +90,28 @@ def alternating_sum(term: Callable[[int], "mp.mpf"], digits: int) -> "mp.mpf":
 
 
 def zeta(s: int, digits: int = 30) -> "mp.mpf":
-    """Riemann zeta at an integer ``s >= 2``.
+    """Riemann zeta at an odd integer ``s >= 3``.
 
-    Even arguments are exact rational multiples of pi^s (via Bernoulli
-    numbers); odd arguments are computed from the accelerated alternating
-    series eta(s) = sum (-1)^{j-1}/j^s through zeta = eta/(1 - 2^{1-s}).
+    Computed from the accelerated alternating series
+    eta(s) = sum (-1)^{j-1}/j^s through zeta = eta/(1 - 2^{1-s}).
     """
-    if s < 2:
-        raise ValueError("zeta argument must be an integer >= 2 (pole at 1)")
+    _require_normal("zeta", s)
     _require_digits(digits)
     with mp.workdps(digits + 10):
-        if s % 2 == 0:
-            k = s // 2
-            c = Fraction((-1) ** (k + 1) * 2**s, 2 * factorial(s)) * bernoulli(s)
-            return +(mp.mpf(c.numerator) / c.denominator * mp.pi**s)
         eta = alternating_sum(lambda j: mp.mpf(1) / mp.mpf((j + 1) ** s), digits)
         return +(eta / (1 - mp.mpf(2) ** (1 - s)))
 
 
 def dirichlet_l_chi4(s: int, digits: int = 30) -> "mp.mpf":
-    """Dirichlet L-value L(chi_-4, s) = sum_{j>=0} (-1)^j/(2j+1)^s for s >= 1.
+    """Dirichlet L-value L(chi_-4, s) = sum_{j>=0} (-1)^j/(2j+1)^s at even ``s >= 2``.
 
-    Odd arguments are exact rational multiples of pi^s (via Euler numbers);
-    even arguments are computed from the accelerated defining series.
-    ``s = 2`` is Catalan's constant.
+    Computed from the accelerated defining series; ``s = 2`` is Catalan's
+    constant.
     """
-    if s < 1:
-        raise ValueError("L-function argument must be an integer >= 1")
+    _require_normal("lchi4", s)
     _require_digits(digits)
     with mp.workdps(digits + 10):
-        if s % 2 == 1:
-            k = (s - 1) // 2
-            c = Fraction(
-                (-1) ** k * euler_number(2 * k), 2 ** (2 * k + 2) * factorial(2 * k)
-            )
-            return +(mp.mpf(c.numerator) / c.denominator * mp.pi**s)
         return +alternating_sum(lambda j: mp.mpf(1) / mp.mpf((2 * j + 1) ** s), digits)
-
-
-def li_single(s: int, base, digits: int = 30):
-    """Polylogarithm Li_s at a fourth root of unity, assembled exactly.
-
-    Uses Li_s(-1) = -(1 - 2^{1-s}) zeta(s) (with the s = 1 limit -log 2) and
-    Li_s(+-i) = 2^{-s} Li_s(-1) +- i L(chi_-4, s).  ``Li_1(1)`` diverges.
-    Returns an mpf for real base, an mpc for imaginary base.
-    """
-    if s < 1:
-        raise ValueError("polylogarithm index must be an integer >= 1")
-    _require_digits(digits)
-    u = _as_unit(base)
-    with mp.workdps(digits + 10):
-        if u == 1:
-            if s == 1:
-                raise ValueError("Li_1(1) diverges")
-            return zeta(s, digits)
-        if s == 1:
-            at_minus_one = -mp.log(2)
-        else:
-            at_minus_one = -(1 - mp.mpf(2) ** (1 - s)) * zeta(s, digits)
-        if u == -1:
-            return +at_minus_one
-        imag = dirichlet_l_chi4(s, digits)
-        sign = 1 if u == 1j else -1
-        return +mp.mpc(at_minus_one * mp.mpf(2) ** (-s), sign * imag)
 
 
 def _values_at_half(letters: List[complex], terms: int) -> List["mp.mpc"]:
@@ -211,13 +175,6 @@ def multiple_polylog(r: int, s: int, x1, x2, digits: int = 30):
         if u1.imag == 0 and u2.imag == 0:
             return +total.real
         return +total
-
-
-def script_l_single(r: int, alpha, digits: int = 30):
-    """The signed combination scriptL_r(alpha) = Li_r(alpha) - Li_r(-alpha)."""
-    u = _as_unit(alpha)
-    with mp.workdps(digits + 10):
-        return +(li_single(r, u, digits) - li_single(r, -u, digits))
 
 
 def script_l_double(r: int, s: int, alpha, beta, digits: int = 30):
@@ -291,16 +248,15 @@ def _base_constant(
         cached = store.get(kind, arg, digits)
         if cached is not None:
             return mp.mpf(cached)
-    if kind == "log2":
-        value = +mp.log(2)
-    elif kind == "zeta":
-        value = zeta(arg, digits + 5)
-    elif kind == "lchi4":
-        value = dirichlet_l_chi4(arg, digits + 5)
-    elif kind == "l3_ii":
-        value = l3_ii_value(arg, digits + 5)
-    else:
-        raise ValueError(f"unknown constant kind {kind!r}")
+    # Built per call, so that a wrapper installed on a module attribute (a
+    # tracer, a test's monkeypatch) sees every evaluation.
+    evaluate = {
+        "log2": lambda arg, digits: +mp.log(2),
+        "zeta": zeta,
+        "lchi4": dirichlet_l_chi4,
+        "l3_ii": l3_ii_value,
+    }[kind]
+    value = evaluate(arg, digits + 5)
     if store is not None:
         store.put(kind, arg, digits, mp.nstr(value, digits + 5))
         store.save()

@@ -1,7 +1,12 @@
-"""Direct-summation oracle for the polylogarithms, used only by the tests.
+"""Polylogarithm routes used only by the tests.
 
-These routes share no algorithm with :mod:`mahlerzeta.values`, which makes
-them independent cross-checks of it:
+* :func:`li_single` and :func:`script_l_single` assemble ``Li_s`` and
+  ``scriptL_r`` at fourth roots of unity from exact combinations, evaluated
+  by :func:`mahlerzeta.values.combination_value`.  They are what the
+  stuffle and ``scriptL`` tests compare against.
+
+The series routes below share no algorithm with :mod:`mahlerzeta.values`,
+which makes them independent cross-checks of it:
 
 * :func:`li_single_series` sums the defining series of ``Li_s`` at a fourth
   root of unity, rearranged into alternating series and accelerated, with
@@ -19,11 +24,49 @@ them independent cross-checks of it:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from mahlerzeta.values import _as_unit, alternating_sum
+from mahlerzeta.combinations import ZetaCombination
+from mahlerzeta.values import _as_unit, alternating_sum, combination_value
+
+
+def li_single(s: int, base, digits: int = 30):
+    """Polylogarithm Li_s at a fourth root of unity, assembled exactly.
+
+    Uses Li_s(1) = zeta(s), Li_s(-1) = -(1 - 2^{1-s}) zeta(s) (with the
+    s = 1 limit -log 2) and Li_s(+-i) = 2^{-s} Li_s(-1) +- i L(chi_-4, s).
+    Each part is a combination, so even zeta and odd L arguments fold
+    exactly.  ``Li_1(1)`` diverges.  Returns an mpf for real base, an mpc
+    for imaginary base.
+    """
+    if s < 1:
+        raise ValueError("polylogarithm index must be an integer >= 1")
+    u = _as_unit(base)
+    if u == 1:
+        if s == 1:
+            raise ValueError("Li_1(1) diverges")
+        return combination_value(ZetaCombination.zeta(s), digits)
+    if s == 1:
+        at_minus_one = ZetaCombination.log2(coeff=-1)
+    else:
+        at_minus_one = ZetaCombination.zeta(s, coeff=Fraction(1 - 2 ** (s - 1), 2 ** (s - 1)))
+    if u == -1:
+        return combination_value(at_minus_one, digits)
+    sign = 1 if u == 1j else -1
+    return mp.mpc(
+        combination_value(at_minus_one * Fraction(1, 2**s), digits),
+        combination_value(ZetaCombination.lchi4(s, coeff=sign), digits),
+    )
+
+
+def script_l_single(r: int, alpha, digits: int = 30):
+    """The signed combination scriptL_r(alpha) = Li_r(alpha) - Li_r(-alpha)."""
+    u = _as_unit(alpha)
+    with mp.workdps(digits + 10):
+        return +(li_single(r, u, digits) - li_single(r, -u, digits))
 
 
 def li_single_series(s: int, base, digits: int = 30):

@@ -7,7 +7,25 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from mahlerzeta.combinations import ConstantBasisElement, ZetaCombination
+from mahlerzeta.combinations import KINDS, ConstantBasisElement, ZetaCombination
+from mahlerzeta.values import combination_value
+from test_values import L3_II_MELLIN
+
+# Per kind: the arguments in -3..12 that the normal form keeps, the
+# intrinsic weight and the text symbol at the first of them, and a reference
+# value K(kind, arg) that shares no code with the package.
+EXPECTED_KINDS = {
+    "one": ([0], 0, "", lambda arg: mp.mpf(1)),
+    "log2": ([0], 1, "log(2)", lambda arg: mp.log(2)),
+    "zeta": ([3, 5, 7, 9, 11], 3, "zeta(3)", mp.zeta),
+    "lchi4": (
+        [2, 4, 6, 8, 10, 12],
+        2,
+        "L(chi_-4,2)",
+        lambda s: mp.dirichlet(s, [0, 1, 0, -1]),
+    ),
+    "l3_ii": ([1, 3, 5, 7, 9, 11], 4, "i*scriptL(3,1;i,i)", lambda b: mp.mpf(L3_II_MELLIN[b])),
+}
 
 
 def test_even_zeta_folds_to_pi_powers() -> None:
@@ -38,6 +56,43 @@ def test_surviving_basis_elements_are_kept() -> None:
     assert ZetaCombination.l3_ii(3).terms() == [
         (ConstantBasisElement("l3_ii", 3, 0), Fraction(1))
     ]
+
+
+def _kept_as_is(build, element: ConstantBasisElement) -> bool:
+    """Whether ``build()`` returns exactly ``element`` (not folded, not rejected)."""
+    try:
+        return build().terms() == [(element, 1)]
+    except ValueError:
+        return False
+
+
+def test_every_kind_follows_its_table_entry() -> None:
+    assert list(KINDS) == list(EXPECTED_KINDS)
+    named = {
+        "zeta": ZetaCombination.zeta,
+        "lchi4": ZetaCombination.lchi4,
+        "l3_ii": ZetaCombination.l3_ii,
+    }
+    for kind, (kept, weight, symbol, reference) in EXPECTED_KINDS.items():
+        for arg in range(-3, 13):
+            element = ConstantBasisElement(kind, arg, 0)
+            assert KINDS[kind].keeps(arg) == (arg in kept), (kind, arg)
+            built = _kept_as_is(lambda: ZetaCombination.term(kind, arg), element)
+            assert built == (arg in kept), (kind, arg)
+            if kind in named:
+                built = _kept_as_is(lambda: named[kind](arg), element)
+                assert built == (arg in kept), (kind, arg)
+        first = ConstantBasisElement(kind, kept[0], 0)
+        assert first.format_text() == symbol
+        assert first.weight() == weight
+        assert first.shifted(2).weight() == weight + 2
+        assert ConstantBasisElement(kind, kept[0], 1).format_text() == "*".join(
+            part for part in ("pi", symbol) if part
+        )
+        with mp.workdps(40):
+            for arg in kept[:3]:
+                value = combination_value(ZetaCombination.term(kind, arg), 25)
+                assert abs(value - reference(arg)) < mp.mpf(10) ** -24, (kind, arg)
 
 
 def test_invalid_constructions_raise() -> None:

@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from mahlerzeta.exact import (
-    GaussianRational,
     PolyQ,
     bernoulli,
     elementary_symmetric,
@@ -203,36 +202,6 @@ def test_symmetric_ladder_of_nothing_is_one() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
-
-def test_gaussian_rational_arithmetic() -> None:
-    i = GaussianRational.unit_i()
-    assert i * i == GaussianRational.of(-1)
-    z = GaussianRational.of(1, 2) * GaussianRational.of(3, -1)
-    assert z == GaussianRational.of(5, 5)
-    assert 1 + i == GaussianRational.of(1, 1)
-    assert 1 - i == GaussianRational.of(1, -1)
-    assert (GaussianRational.of(2, 1) - GaussianRational.of(1, 1)) == GaussianRational.of(1)
-    assert 3 * i == GaussianRational.of(0, 3)
-    assert (i ** 4) == GaussianRational.of(1)
-    assert (i ** 0) == GaussianRational.of(1)
-    assert GaussianRational.of(0, 0).is_zero()
-    assert not i.is_zero()
-
-
-def test_gaussian_rational_power_matches_repeated_product() -> None:
-    z = GaussianRational.of(Fraction(2, 3), Fraction(-1, 5))
-    acc = GaussianRational.of(1)
-    for e in range(8):
-        assert z ** e == acc
-        acc = acc * z
-    with pytest.raises(ValueError):
-        z ** -1
-
-
-# ---------------------------------------------------------------------------
 # Rational polynomials
 # ---------------------------------------------------------------------------
 
@@ -277,12 +246,36 @@ def test_polyq_evaluation_type_dispatch() -> None:
     assert p(2) == Fraction(3)
     assert p(0.5) == pytest.approx(1.125)
     assert p(1j) == pytest.approx(0.5)
-    z = p(GaussianRational.unit_i())
-    assert z == GaussianRational.of(Fraction(1, 2))
+    assert p.at_i() == (Fraction(1, 2), 0)
     with mp.workdps(30):
         val = p(mp.mpf(2))
         assert mp.almosteq(val, mp.mpf(3))
     assert PolyQ.zero()(Fraction(7)) == 0
+
+
+def test_polyq_at_i_cycles_through_powers_of_i() -> None:
+    powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for j in range(12):
+        assert PolyQ.monomial(j).at_i() == powers[j % 4]
+        assert PolyQ.monomial(j, Fraction(-2, 3)).at_i() == tuple(
+            Fraction(-2, 3) * part for part in powers[j % 4]
+        )
+    assert PolyQ([1, 2, 3, 4, 5]).at_i() == (3, -2)
+    assert PolyQ.zero().at_i() == (0, 0)
+    re, im = PolyQ([Fraction(1, 3), 1]).at_i()
+    assert isinstance(re, Fraction) and isinstance(im, Fraction)
+
+
+def test_polyq_at_i_matches_gaussian_horner() -> None:
+    # Horner's rule on exact (re, im) pairs, with multiplication by i as the
+    # quarter turn (re, im) -> (-im, re).
+    rng = random.Random(11)
+    for _ in range(40):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 15))]
+        re, im = Fraction(0), Fraction(0)
+        for c in reversed(coeffs):
+            re, im = -im + c, re
+        assert PolyQ(coeffs).at_i() == (re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +323,9 @@ def test_log_moment_poly_derivative_ladder() -> None:
 
 
 def test_log_moment_poly_values_at_i() -> None:
-    i = GaussianRational.unit_i()
     for l in range(1, 21):
-        assert log_moment_poly(2 * l)(i).is_zero()
-        value = log_moment_poly(2 * l - 1)(i)
-        assert value.im == 0
-        assert value.re == log_moment_poly_at_i(l)
+        assert log_moment_poly(2 * l).at_i() == (0, 0)
+        assert log_moment_poly(2 * l - 1).at_i() == (log_moment_poly_at_i(l), 0)
     assert log_moment_poly_at_i(1) == Fraction(-1, 2)
     assert log_moment_poly_at_i(2) == Fraction(-1, 4)
     assert log_moment_poly_at_i(3) == Fraction(-1, 2)

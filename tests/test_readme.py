@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+from mahlerzeta.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -18,3 +20,17 @@ def test_readme_python_blocks_run() -> None:
         with contextlib.redirect_stdout(printed):
             exec(compile(block, str(README), "exec"), {})
         assert printed.getvalue()
+
+
+def test_readme_eval_transcript_matches_the_cli(tmp_path) -> None:
+    transcript = re.search(
+        r"^\$ mahlerzeta (eval --family i --n 2)\n((?:[^$\n].*\n){3})",
+        README.read_text(),
+        re.M,
+    )
+    assert transcript
+    printed = io.StringIO()
+    argv = transcript.group(1).split() + ["--store", str(tmp_path / "store.txt")]
+    with contextlib.redirect_stdout(printed):
+        assert main(argv) == 0
+    assert printed.getvalue() == transcript.group(2)

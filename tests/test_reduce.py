@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from mahlerzeta.combinations import ZetaCombination
+from mahlerzeta.exact import bernoulli
 from mahlerzeta.reduce import (
     alternating_double_zeta_difference,
     arctangent_moment_closed,
@@ -93,15 +94,34 @@ def test_li_one_limits_weight_two_literals() -> None:
     assert second == ZetaCombination.zeta(3, coeff=Fraction(1, 8))
 
 
+def _alternating_difference_bernoulli_form(h: int) -> ZetaCombination:
+    """D(h) transcribed with zeta(2k) pre-expanded, zeta(2k) = (-1)^{k+1}
+    B_{2k} (2 pi)^{2k} / (2 (2k)!), and assembled term by term."""
+    total = ZetaCombination.zeta(
+        2 * h + 1, coeff=Fraction((2 * h - 1) * (2 ** (2 * h + 1) - 1), 2 ** (2 * h + 1))
+    )
+    log2_coeff = Fraction((-1) ** h, factorial(2 * h)) * bernoulli(2 * h) * (2 ** (2 * h) - 1)
+    total = total + ZetaCombination.log2(pi_power=2 * h, coeff=log2_coeff)
+    for k in range(1, h):
+        c = (
+            Fraction(
+                (2 ** (2 * h + 1 - 2 * k) - 1) * (2 ** (2 * k - 1) - 1),
+                2 ** (2 * h - 2 * k),
+            )
+            * Fraction((-1) ** k, factorial(2 * k))
+            * bernoulli(2 * k)
+        )
+        total = total + ZetaCombination.zeta(2 * h + 1 - 2 * k, pi_power=2 * k, coeff=c)
+    return total
+
+
 def test_alternating_difference_forms_agree_exactly() -> None:
     for h in range(1, 11):
-        assert alternating_double_zeta_difference(h, "zeta") == (
-            alternating_double_zeta_difference(h, "bernoulli")
+        assert alternating_double_zeta_difference(h) == (
+            _alternating_difference_bernoulli_form(h)
         )
     with pytest.raises(ValueError):
         alternating_double_zeta_difference(0)
-    with pytest.raises(ValueError):
-        alternating_double_zeta_difference(2, "euler")
 
 
 def test_alternating_difference_is_li_one_difference() -> None:

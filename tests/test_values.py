@@ -14,13 +14,16 @@ from mahlerzeta.values import (
     combination_value,
     dirichlet_l_chi4,
     l3_ii_value,
-    li_single,
     multiple_polylog,
     script_l_double,
-    script_l_single,
     zeta,
 )
-from series_oracle import li_single_series, multiple_polylog_series
+from series_oracle import (
+    li_single,
+    li_single_series,
+    multiple_polylog_series,
+    script_l_single,
+)
 
 UNITS = (1, -1, 1j, -1j)
 
@@ -40,11 +43,17 @@ def test_alternating_sum_classics() -> None:
 
 
 def test_zeta_matches_mpmath() -> None:
+    # Even arguments fold exactly in the combination, so they are checked
+    # through combination_value; values.zeta takes only the odd ones.
     with mp.workdps(50):
         for s in (2, 3, 4, 5, 7, 9, 12, 21):
-            assert _close(zeta(s, 40), mp.zeta(s), 38)
-    with pytest.raises(ValueError):
-        zeta(1)
+            if s % 2:
+                assert _close(zeta(s, 40), mp.zeta(s), 38)
+            folded = combination_value(ZetaCombination.zeta(s), 40)
+            assert _close(folded, mp.zeta(s), 38)
+    for s in (1, 2, 4, 12, -3):
+        with pytest.raises(ValueError):
+            zeta(s)
     with pytest.raises(ValueError):
         zeta(3, digits=0)
 
@@ -52,14 +61,20 @@ def test_zeta_matches_mpmath() -> None:
 def test_dirichlet_l_chi4_matches_hurwitz_oracle() -> None:
     # L(chi_-4, s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)); s = 1 would hit
     # the Hurwitz pole, so it is checked against its elementary value below.
+    # Odd arguments fold exactly, so they are checked through
+    # combination_value; dirichlet_l_chi4 takes only the even ones.
     with mp.workdps(50):
         for s in (2, 3, 4, 5, 8, 11):
             oracle = (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4)) / 4**s
-            assert _close(dirichlet_l_chi4(s, 40), oracle, 38)
+            if s % 2 == 0:
+                assert _close(dirichlet_l_chi4(s, 40), oracle, 38)
+            folded = combination_value(ZetaCombination.lchi4(s), 40)
+            assert _close(folded, oracle, 38)
         assert _close(dirichlet_l_chi4(2, 40), mp.catalan, 38)
-        assert _close(dirichlet_l_chi4(1, 40), mp.pi / 4, 38)
-    with pytest.raises(ValueError):
-        dirichlet_l_chi4(0)
+        assert _close(combination_value(ZetaCombination.lchi4(1), 40), mp.pi / 4, 38)
+    for s in (0, 1, 3, 11, -2):
+        with pytest.raises(ValueError):
+            dirichlet_l_chi4(s)
 
 
 def test_li_single_matches_mpmath_polylog() -> None:
@@ -241,6 +256,38 @@ def test_combination_value_basic() -> None:
             mp.pi * mp.log(2),
             28,
         )
+
+
+def test_combination_value_reaches_evaluators_through_module_attributes(monkeypatch) -> None:
+    # Wrappers installed on the module's names (the benchmark's spans are
+    # such wrappers) must see every evaluation of a base constant.
+    import mahlerzeta.values as values
+
+    calls = []
+    for name in ("zeta", "dirichlet_l_chi4", "l3_ii_value"):
+        def spy(arg, digits, _name=name, _original=getattr(values, name)):
+            calls.append((_name, arg))
+            return _original(arg, digits)
+
+        monkeypatch.setattr(values, name, spy)
+    combo = (
+        ZetaCombination.zeta(3)
+        + ZetaCombination.lchi4(2, pi_power=1)
+        + ZetaCombination.l3_ii(1)
+        + ZetaCombination.log2()
+        + ZetaCombination.zeta(4)
+    )
+    with mp.workdps(30):
+        value = combination_value(combo, 15)
+        expected = (
+            mp.zeta(3)
+            + mp.pi * mp.catalan
+            + mp.mpf(L3_II_MELLIN[1])
+            + mp.log(2)
+            + mp.pi**4 / 90
+        )
+        assert _close(value, expected, 14)
+    assert calls == [("zeta", 3), ("dirichlet_l_chi4", 2), ("l3_ii_value", 1)]
 
 
 def test_combination_value_uses_store(tmp_path) -> None:
