@@ -32,7 +32,8 @@ from .oracle import (
     CheckResult,
     IntegralEstimate,
     base_measure_one,
-    base_measure_three,
+    base_measure_three_imaginary,
+    base_measure_three_real,
     base_measure_two,
     closed_form_measure,
     imaginary_measure_qmc,
@@ -59,7 +60,8 @@ __all__ = [
     "ZetaCombination",
     "__version__",
     "base_measure_one",
-    "base_measure_three",
+    "base_measure_three_imaginary",
+    "base_measure_three_real",
     "base_measure_two",
     "bernoulli",
     "closed_form_measure",

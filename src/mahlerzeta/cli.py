@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -33,27 +32,35 @@ from .exact import PolyQ, log_moment_poly
 from .formulas import Family, FamilySpec, family_three, mahler_measure
 from .identities import (
     check_bernoulli_euler_transfer,
+    check_bernoulli_factorial_sum,
     check_bernoulli_halving,
     check_bernoulli_recurrence,
-    check_bernoulli_transfer,
+    check_bernoulli_transfer_first,
+    check_bernoulli_transfer_second,
+    check_bernoulli_transfer_third,
+    check_euler_factorial_sum,
+    check_euler_shifted_factorial_sum,
     check_log_moment_poly_properties,
-    check_symmetric_transfer,
-    check_weighted_factorial_sum,
+    check_symmetric_transfer_first,
+    check_symmetric_transfer_second,
     family_three_rewriting,
     log_moment_poly_bernoulli_form,
     monomial_from_log_moment_polys,
-    reduction_identity,
-    reduction_induction_identity,
+    reduction_ab,
+    reduction_ba,
+    reduction_induction_ab,
+    reduction_induction_ba,
 )
 from .oracle import (
     arctangent_moment_check,
     closed_form_measure,
     kernel_integral_check,
+    lchi4_log_moment_check,
     log1p_moment_check,
     log_square_moment_check,
     reduced_integral,
     torus_qmc,
-    unit_log_moment_check,
+    zeta_log_moment_check,
 )
 from .store import ConstantStore
 from .tables import TableRow, errata_rows, reproduce_tables
@@ -198,44 +205,23 @@ def _checks() -> List[Check]:
     ``verify`` arguments.
     """
     checks: List[Check] = [
-        ("identities/reduction-ab", _each_n(1, partial(reduction_identity, variant="ab"))),
-        ("identities/reduction-ba", _each_n(0, partial(reduction_identity, variant="ba"))),
-        (
-            "identities/reduction-induction-ab",
-            _each_n(1, partial(reduction_induction_identity, variant="ab")),
-        ),
-        (
-            "identities/reduction-induction-ba",
-            _each_n(0, partial(reduction_induction_identity, variant="ba")),
-        ),
-        (
-            "identities/symmetric-transfer-first",
-            _each_pair(1, partial(check_symmetric_transfer, variant="first")),
-        ),
-        (
-            "identities/symmetric-transfer-second",
-            _each_pair(0, partial(check_symmetric_transfer, variant="second")),
-        ),
-        (
-            "identities/bernoulli-transfer-first",
-            _each_pair(1, partial(check_bernoulli_transfer, variant="first")),
-        ),
-        (
-            "identities/bernoulli-transfer-second",
-            _each_n(1, partial(check_bernoulli_transfer, variant="second")),
-        ),
-        (
-            "identities/bernoulli-transfer-third",
-            _each_pair(0, partial(check_bernoulli_transfer, variant="third")),
-        ),
+        ("identities/reduction-ab", _each_n(1, reduction_ab)),
+        ("identities/reduction-ba", _each_n(0, reduction_ba)),
+        ("identities/reduction-induction-ab", _each_n(1, reduction_induction_ab)),
+        ("identities/reduction-induction-ba", _each_n(0, reduction_induction_ba)),
+        ("identities/symmetric-transfer-first", _each_pair(1, check_symmetric_transfer_first)),
+        ("identities/symmetric-transfer-second", _each_pair(0, check_symmetric_transfer_second)),
+        ("identities/bernoulli-transfer-first", _each_pair(1, check_bernoulli_transfer_first)),
+        ("identities/bernoulli-transfer-second", _each_n(1, check_bernoulli_transfer_second)),
+        ("identities/bernoulli-transfer-third", _each_pair(0, check_bernoulli_transfer_third)),
         ("identities/bernoulli-euler-transfer", _each_pair(1, check_bernoulli_euler_transfer)),
         (
             "identities/weighted-factorial-sums",
             _each_n(
                 0,
-                lambda n: check_weighted_factorial_sum(n, "euler")
-                and check_weighted_factorial_sum(n, "euler_shifted")
-                and (n == 0 or check_weighted_factorial_sum(n, "bernoulli")),
+                lambda n: check_euler_factorial_sum(n)
+                and check_euler_shifted_factorial_sum(n)
+                and (n == 0 or check_bernoulli_factorial_sum(n)),
             ),
         ),
         ("identities/bernoulli-recurrence", _each_degree(1, check_bernoulli_recurrence)),
@@ -270,8 +256,8 @@ def _checks() -> List[Check]:
         ("oracle/kernel-integral-seeded-cases", _kernel_cases),
         (
             "oracle/unit-log-moments",
-            lambda args: all(unit_log_moment_check(j, "minus").agree for j in range(1, 7))
-            and all(unit_log_moment_check(j, "plus").agree for j in range(7)),
+            lambda args: all(zeta_log_moment_check(j).agree for j in range(1, 7))
+            and all(lchi4_log_moment_check(j).agree for j in range(7)),
         ),
         (
             "oracle/defining-integrals",

@@ -21,7 +21,7 @@ one-dimensional log moments.  Every coefficient indexes one integer
 once per ``(parity, count)`` and cached.
 
 Each quantity has one route here.  The identities that link the two ladders
-(``reduction_identity``) and the Euler-weighted rewriting of family
+(``reduction_ab``, ``reduction_ba``) and the Euler-weighted rewriting of family
 ``iii``'s third sum are checks, and live in :mod:`mahlerzeta.identities`.
 """
 
@@ -141,34 +141,28 @@ class MahlerResult:
     Attributes
     ----------
     spec : FamilySpec
-        The evaluated family member.
-    pi_normalization : int
-        Power of pi multiplying the measure on the left side.
+        The evaluated family member; it fixes ``pi_normalization``, the
+        power of pi multiplying the measure on the left side.
     combination : ZetaCombination
         The exact right side.  It is validated to be homogeneous of total
         weight ``pi_normalization + 1`` (the measure itself carries weight 1).
     """
 
     spec: FamilySpec
-    pi_normalization: int
     combination: ZetaCombination
 
+    @property
+    def pi_normalization(self) -> int:
+        """Power of pi multiplying the measure: ``spec.pi_normalization``."""
+        return self.spec.pi_normalization
+
     def __post_init__(self) -> None:
-        if self.pi_normalization != self.spec.pi_normalization:
-            raise ValueError(
-                "pi_normalization %d does not match the spec value %d"
-                % (self.pi_normalization, self.spec.pi_normalization)
-            )
         weight = self.combination.homogeneous_weight()
         if weight != self.pi_normalization + 1:
             raise ValueError(
                 "combination weight %r does not equal pi_normalization + 1 = %d"
                 % (weight, self.pi_normalization + 1)
             )
-
-    def total_weight(self) -> int:
-        """Common weight of every term: ``pi_normalization + 1``."""
-        return self.pi_normalization + 1
 
 
 @lru_cache(maxsize=4)
@@ -282,7 +276,7 @@ def family_one(spec: FamilySpec) -> MahlerResult:
         for h in range(n + 1):
             coeff = coeff_b(n, h) * factorial(2 * h + 1) * 2 ** (2 * h + 1)
             combo = combo + ZetaCombination.lchi4(2 * h + 2, 2 * n - 2 * h, coeff)
-    return MahlerResult(spec, spec.pi_normalization, combo)
+    return MahlerResult(spec, combo)
 
 
 def family_two(spec: FamilySpec) -> MahlerResult:
@@ -310,7 +304,7 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     transforms = spec.n_transforms
     if transforms == 0:
         combo = ZetaCombination.zeta(3, 0, Fraction(7, 2))
-        return MahlerResult(spec, spec.pi_normalization, combo)
+        return MahlerResult(spec, combo)
     combo = ZetaCombination.zero()
     if transforms % 2 == 0:
         n = transforms // 2
@@ -332,7 +326,7 @@ def family_two(spec: FamilySpec) -> MahlerResult:
             combo = combo + ZetaCombination.lchi4(
                 2 * h + 2, 2 * n - 2 * h + 2, base * factorial(2 * h + 1)
             )
-    return MahlerResult(spec, spec.pi_normalization, combo)
+    return MahlerResult(spec, combo)
 
 
 def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
@@ -396,7 +390,7 @@ def family_three(spec: FamilySpec) -> MahlerResult:
             )
             combo = combo + ZetaCombination.zeta(2 * h + 3, 2 * n - 2 * h, coeff)
         combo = combo + _family_three_tail(n, 2)
-    return MahlerResult(spec, pi_norm, combo)
+    return MahlerResult(spec, combo)
 
 
 def mahler_measure(spec: FamilySpec) -> MahlerResult:

@@ -5,11 +5,14 @@ and reports whether they agree.  These identities move coefficients between
 the two elementary-symmetric ladders built on odd squares ``(1^2, 3^2, ...)``
 and even squares ``(2^2, 4^2, ...)``, with Bernoulli and Euler numbers acting
 as the transfer kernels; they are what make the dimension-reduction recursion
-in :mod:`mahlerzeta.formulas` telescope into finite closed forms.
+in :mod:`mahlerzeta.formulas` telescope into finite closed forms.  Each
+identity has its own function, named after it, with its formula in the
+docstring and its range check in the body.
 
 The module also holds the routes that only cross-check production: the
-ladder identities ``reduction_identity`` and ``reduction_induction_identity``,
-and the three other exact rewritings of family ``iii``'s third sum
+ladder identities ``reduction_ab``/``reduction_ba``, their raw symmetric-sum
+forms ``reduction_induction_ab``/``reduction_induction_ba``, and the three
+other exact rewritings of family ``iii``'s third sum
 (:func:`family_three_rewriting`).  :mod:`mahlerzeta.formulas` keeps one route
 per quantity.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .combinations import ZetaCombination
 from .exact import (
@@ -45,13 +48,20 @@ from .formulas import (
 )
 
 __all__ = [
-    "reduction_identity",
-    "reduction_induction_identity",
+    "reduction_ab",
+    "reduction_ba",
+    "reduction_induction_ab",
+    "reduction_induction_ba",
     "family_three_rewriting",
-    "check_symmetric_transfer",
-    "check_bernoulli_transfer",
+    "check_symmetric_transfer_first",
+    "check_symmetric_transfer_second",
+    "check_bernoulli_transfer_first",
+    "check_bernoulli_transfer_second",
+    "check_bernoulli_transfer_third",
     "check_bernoulli_euler_transfer",
-    "check_weighted_factorial_sum",
+    "check_euler_factorial_sum",
+    "check_euler_shifted_factorial_sum",
+    "check_bernoulli_factorial_sum",
     "check_bernoulli_recurrence",
     "check_bernoulli_halving",
     "check_log_moment_poly_properties",
@@ -60,98 +70,80 @@ __all__ = [
 ]
 
 
-def reduction_identity(n: int, variant: str = "ab") -> bool:
-    """Check the exact polynomial identities linking the two coefficient ladders.
-
-    Variant ``"ab"`` (``n >= 1``) checks::
+def reduction_ab(n: int) -> bool:
+    """Check a polynomial identity linking the coefficient ladders, for ``n >= 1``::
 
         sum_h b(n, h) x^(2h) == sum_h a(n, h-1) (P_(2h-1)(x) - P_(2h-1)(i))
 
-    and variant ``"ba"`` (``n >= 0``) checks::
-
-        sum_h a(n+1, h-1) x^(2h-1) == sum_h b(n, h) P_(2h)(x)
-
     where ``a``, ``b`` are :func:`~mahlerzeta.formulas.coeff_a` and
     :func:`~mahlerzeta.formulas.coeff_b` and ``P_k`` the log-moment
-    polynomials.  Both are exact ``PolyQ`` comparisons over the rationals.
-
-    Parameters
-    ----------
-    n : int
-        Ladder index.
-    variant : {"ab", "ba"}
-        Which identity to check.
-
-    Returns
-    -------
-    bool
-        True when the identity holds exactly.
+    polynomials.  This is an exact ``PolyQ`` comparison over the rationals.
     """
-    if variant == "ab":
-        if n < 1:
-            raise ValueError("variant 'ab' requires n >= 1")
-        lhs = PolyQ.zero()
-        for h in range(n + 1):
-            lhs = lhs + PolyQ.monomial(2 * h, coeff_b(n, h))
-        rhs = PolyQ.zero()
-        for h in range(1, n + 1):
-            shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-            rhs = rhs + shifted * coeff_a(n, h - 1)
-        return lhs == rhs
-    if variant == "ba":
-        if n < 0:
-            raise ValueError("variant 'ba' requires n >= 0")
-        lhs = PolyQ.zero()
-        for h in range(1, n + 2):
-            lhs = lhs + PolyQ.monomial(2 * h - 1, coeff_a(n + 1, h - 1))
-        rhs = PolyQ.zero()
-        for h in range(n + 1):
-            rhs = rhs + log_moment_poly(2 * h) * coeff_b(n, h)
-        return lhs == rhs
-    raise ValueError("variant must be 'ab' or 'ba'")
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    lhs = PolyQ.zero()
+    for h in range(n + 1):
+        lhs = lhs + PolyQ.monomial(2 * h, coeff_b(n, h))
+    rhs = PolyQ.zero()
+    for h in range(1, n + 1):
+        shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
+        rhs = rhs + shifted * coeff_a(n, h - 1)
+    return lhs == rhs
 
 
-def reduction_induction_identity(n: int, variant: str = "ab") -> bool:
-    """Check the raw symmetric-sum identities behind :func:`reduction_identity`.
+def reduction_ba(n: int) -> bool:
+    """Check ``sum_h a(n+1, h-1) x^(2h-1) == sum_h b(n, h) P_(2h)(x)``, for ``n >= 0``.
 
-    These are the same identities, with the same ``n`` and ``variant``,
-    cleared of factorial denominators and written directly in elementary
-    symmetric polynomials.  Variant ``"ab"`` (``n >= 1``) checks::
+    ``a``, ``b`` and ``P_k`` are those of :func:`reduction_ab`.
+    """
+    if n < 0:
+        raise ValueError("requires n >= 0")
+    lhs = PolyQ.zero()
+    for h in range(1, n + 2):
+        lhs = lhs + PolyQ.monomial(2 * h - 1, coeff_a(n + 1, h - 1))
+    rhs = PolyQ.zero()
+    for h in range(n + 1):
+        rhs = rhs + log_moment_poly(2 * h) * coeff_b(n, h)
+    return lhs == rhs
+
+
+def reduction_induction_ab(n: int) -> bool:
+    """:func:`reduction_ab` cleared of factorials, in symmetric sums (``n >= 1``)::
 
         sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
             == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
+    """
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    odds = symmetric_ladder(odd_squares(n))
+    evens = symmetric_ladder(even_squares(n - 1))
+    lhs = PolyQ.zero()
+    for h in range(n + 1):
+        lhs = lhs + PolyQ.monomial(2 * h, odds[n - h])
+    rhs = PolyQ.zero()
+    for h in range(1, n + 1):
+        shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
+        rhs = rhs + shifted * evens[n - h]
+    return lhs == rhs * (2 * n)
 
-    and variant ``"ba"`` (``n >= 0``) checks::
+
+def reduction_induction_ba(n: int) -> bool:
+    """:func:`reduction_ba` cleared of factorials, in symmetric sums (``n >= 0``)::
 
         sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
             == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
     """
-    if variant == "ab":
-        if n < 1:
-            raise ValueError("variant 'ab' requires n >= 1")
-        odds = symmetric_ladder(odd_squares(n))
-        evens = symmetric_ladder(even_squares(n - 1))
-        lhs = PolyQ.zero()
-        for h in range(n + 1):
-            lhs = lhs + PolyQ.monomial(2 * h, odds[n - h])
-        rhs = PolyQ.zero()
-        for h in range(1, n + 1):
-            shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-            rhs = rhs + shifted * evens[n - h]
-        return lhs == rhs * (2 * n)
-    if variant == "ba":
-        if n < 0:
-            raise ValueError("variant 'ba' requires n >= 0")
-        evens = symmetric_ladder(even_squares(n))
-        odds = symmetric_ladder(odd_squares(n))
-        lhs = PolyQ.zero()
-        for h in range(n + 1):
-            lhs = lhs + PolyQ.monomial(2 * h + 1, evens[n - h])
-        rhs = PolyQ.zero()
-        for h in range(n + 1):
-            rhs = rhs + log_moment_poly(2 * h) * odds[n - h]
-        return lhs == rhs * (2 * n + 1)
-    raise ValueError("variant must be 'ab' or 'ba'")
+    if n < 0:
+        raise ValueError("requires n >= 0")
+    evens = symmetric_ladder(even_squares(n))
+    odds = symmetric_ladder(odd_squares(n))
+    lhs = PolyQ.zero()
+    for h in range(n + 1):
+        lhs = lhs + PolyQ.monomial(2 * h + 1, evens[n - h])
+    rhs = PolyQ.zero()
+    for h in range(n + 1):
+        rhs = rhs + log_moment_poly(2 * h) * odds[n - h]
+    return lhs == rhs * (2 * n + 1)
 
 
 def family_three_rewriting(
@@ -212,127 +204,113 @@ def family_three_rewriting(
         coeff = Fraction(factorial(2 * o) * (2 ** (2 * o + 1) - 1), 4 * scale) * inner
         tail = tail + ZetaCombination.zeta(2 * o + 1, 2 * n - 2 * o + pi_shift, coeff)
     combination = production.combination - _family_three_tail(n, pi_shift) + tail
-    return MahlerResult(spec, production.pi_normalization, combination)
+    return MahlerResult(spec, combination)
 
 
-def check_symmetric_transfer(n: int, l: int, variant: str = "first") -> bool:
-    """Alternating binomial transfer between the two symmetric ladders.
-
-    ``variant="first"`` (requires 1 <= l <= n):
+def check_symmetric_transfer_first(n: int, l: int) -> bool:
+    """Alternating binomial transfer, for ``n >= 1`` and ``1 <= l <= n``:
 
         2n (-1)^l s_{n-l}(2^2, ..., (2n-2)^2)
             = sum_{h=l}^{n} (-1)^h C(2h, 2l-1) s_{n-h}(1^2, ..., (2n-1)^2)
+    """
+    if n < 1 or not 1 <= l <= n:
+        raise ValueError("requires n >= 1 and 1 <= l <= n")
+    evens = symmetric_ladder(even_squares(n - 1))
+    odds = symmetric_ladder(odd_squares(n))
+    lhs = 2 * n * (-1) ** l * evens[n - l]
+    rhs = sum((-1) ** h * comb(2 * h, 2 * l - 1) * odds[n - h] for h in range(l, n + 1))
+    return lhs == rhs
 
-    ``variant="second"`` (requires 0 <= l <= n):
+
+def check_symmetric_transfer_second(n: int, l: int) -> bool:
+    """Alternating binomial transfer, for ``n >= 0`` and ``0 <= l <= n``:
 
         (2n+1) (-1)^l s_{n-l}(1^2, ..., (2n-1)^2)
             = sum_{h=l}^{n} (-1)^h C(2h+1, 2l) s_{n-h}(2^2, ..., (2n)^2)
     """
-    if variant == "first":
-        if n < 1 or not 1 <= l <= n:
-            raise ValueError("first variant requires n >= 1 and 1 <= l <= n")
-        evens = symmetric_ladder(even_squares(n - 1))
-        odds = symmetric_ladder(odd_squares(n))
-        lhs = 2 * n * (-1) ** l * evens[n - l]
-        rhs = sum(
-            (-1) ** h * comb(2 * h, 2 * l - 1) * odds[n - h] for h in range(l, n + 1)
-        )
-        return lhs == rhs
-    if variant == "second":
-        if n < 0 or not 0 <= l <= n:
-            raise ValueError("second variant requires n >= 0 and 0 <= l <= n")
-        odds = symmetric_ladder(odd_squares(n))
-        evens = symmetric_ladder(even_squares(n))
-        lhs = (2 * n + 1) * (-1) ** l * odds[n - l]
-        rhs = sum(
-            (-1) ** h * comb(2 * h + 1, 2 * l) * evens[n - h] for h in range(l, n + 1)
-        )
-        return lhs == rhs
-    raise ValueError(f"unknown variant {variant!r}")
+    if n < 0 or not 0 <= l <= n:
+        raise ValueError("requires n >= 0 and 0 <= l <= n")
+    odds = symmetric_ladder(odd_squares(n))
+    evens = symmetric_ladder(even_squares(n))
+    lhs = (2 * n + 1) * (-1) ** l * odds[n - l]
+    rhs = sum((-1) ** h * comb(2 * h + 1, 2 * l) * evens[n - h] for h in range(l, n + 1))
+    return lhs == rhs
 
 
-def check_bernoulli_transfer(
-    n: int, l: Optional[int] = None, *, variant: str = "first"
-) -> bool:
-    """Bernoulli-kernel transfer between the symmetric ladders.
-
-    ``variant="first"`` (requires 1 <= l <= n):
+def check_bernoulli_transfer_first(n: int, l: int) -> bool:
+    """Bernoulli-kernel transfer, for ``n >= 1`` and ``1 <= l <= n``:
 
         s_{n-l}(1^2, ..., (2n-1)^2)
             = n sum_{s=0}^{n-l} s_{n-l-s}(2^2, ..., (2n-2)^2)
                   (1/(l+s)) B_{2s} C(2(l+s), 2s) (2^{2s} - 2) (-1)^{s+1}
+    """
+    if n < 1 or not 1 <= l <= n:
+        raise ValueError("requires n >= 1 and 1 <= l <= n")
+    evens = symmetric_ladder(even_squares(n - 1))
+    lhs = symmetric_ladder(odd_squares(n))[n - l]
+    rhs = n * sum(
+        (
+            evens[n - l - s]
+            * Fraction(1, l + s)
+            * bernoulli(2 * s)
+            * comb(2 * (l + s), 2 * s)
+            * (2 ** (2 * s) - 2)
+            * (-1) ** (s + 1)
+            for s in range(n - l + 1)
+        ),
+        Fraction(0),
+    )
+    return lhs == rhs
 
-    ``variant="second"`` (requires n >= 1; takes no ``l``):
+
+def check_bernoulli_transfer_second(n: int) -> bool:
+    """Bernoulli-kernel transfer to a squared double factorial, for ``n >= 1``:
 
         ((2n)! / (2^n n!))^2
             = 2n sum_{s=1}^{n} s_{n-s}(2^2, ..., (2n-2)^2)
                   (1/s) B_{2s} (2^{2s} - 1) (-1)^{s+1}
+    """
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    evens = symmetric_ladder(even_squares(n - 1))
+    lhs = Fraction(factorial(2 * n), 2**n * factorial(n)) ** 2
+    rhs = 2 * n * sum(
+        (
+            evens[n - s]
+            * Fraction(1, s)
+            * bernoulli(2 * s)
+            * (2 ** (2 * s) - 1)
+            * (-1) ** (s + 1)
+            for s in range(1, n + 1)
+        ),
+        Fraction(0),
+    )
+    return lhs == rhs
 
-    ``variant="third"`` (requires 0 <= l <= n):
+
+def check_bernoulli_transfer_third(n: int, l: int) -> bool:
+    """Bernoulli-kernel transfer, for ``n >= 0`` and ``0 <= l <= n``:
 
         (2l+1) s_{n-l}(2^2, ..., (2n)^2)
             = (2n+1) sum_{s=0}^{n-l} s_{n-l-s}(1^2, ..., (2n-1)^2)
                   B_{2s} C(2(l+s), 2s) (2^{2s} - 2) (-1)^{s+1}
     """
-    if variant == "first":
-        if l is None:
-            raise ValueError("first variant requires l")
-        if n < 1 or not 1 <= l <= n:
-            raise ValueError("first variant requires n >= 1 and 1 <= l <= n")
-        evens = symmetric_ladder(even_squares(n - 1))
-        lhs = symmetric_ladder(odd_squares(n))[n - l]
-        rhs = n * sum(
-            (
-                evens[n - l - s]
-                * Fraction(1, l + s)
-                * bernoulli(2 * s)
-                * comb(2 * (l + s), 2 * s)
-                * (2 ** (2 * s) - 2)
-                * (-1) ** (s + 1)
-                for s in range(n - l + 1)
-            ),
-            Fraction(0),
-        )
-        return lhs == rhs
-    if variant == "second":
-        if l is not None:
-            raise ValueError("second variant takes no l")
-        if n < 1:
-            raise ValueError("second variant requires n >= 1")
-        evens = symmetric_ladder(even_squares(n - 1))
-        lhs = Fraction(factorial(2 * n), 2**n * factorial(n)) ** 2
-        rhs = 2 * n * sum(
-            (
-                evens[n - s]
-                * Fraction(1, s)
-                * bernoulli(2 * s)
-                * (2 ** (2 * s) - 1)
-                * (-1) ** (s + 1)
-                for s in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        return lhs == rhs
-    if variant == "third":
-        if l is None:
-            raise ValueError("third variant requires l")
-        if n < 0 or not 0 <= l <= n:
-            raise ValueError("third variant requires n >= 0 and 0 <= l <= n")
-        odds = symmetric_ladder(odd_squares(n))
-        lhs = (2 * l + 1) * symmetric_ladder(even_squares(n))[n - l]
-        rhs = (2 * n + 1) * sum(
-            (
-                odds[n - l - s]
-                * bernoulli(2 * s)
-                * comb(2 * (l + s), 2 * s)
-                * (2 ** (2 * s) - 2)
-                * (-1) ** (s + 1)
-                for s in range(n - l + 1)
-            ),
-            Fraction(0),
-        )
-        return lhs == rhs
-    raise ValueError(f"unknown variant {variant!r}")
+    if n < 0 or not 0 <= l <= n:
+        raise ValueError("requires n >= 0 and 0 <= l <= n")
+    odds = symmetric_ladder(odd_squares(n))
+    lhs = (2 * l + 1) * symmetric_ladder(even_squares(n))[n - l]
+    rhs = (2 * n + 1) * sum(
+        (
+            odds[n - l - s]
+            * bernoulli(2 * s)
+            * comb(2 * (l + s), 2 * s)
+            * (2 ** (2 * s) - 2)
+            * (-1) ** (s + 1)
+            for s in range(n - l + 1)
+        ),
+        Fraction(0),
+    )
+    return lhs == rhs
 
 
 def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
@@ -376,63 +354,50 @@ def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
     return lhs == rhs
 
 
-def check_weighted_factorial_sum(n: int, variant: str = "euler") -> bool:
-    """Weighted symmetric sums that collapse to factorials.
 
-    ``variant="euler"`` (n >= 0):
+def check_euler_factorial_sum(n: int) -> bool:
+    """``sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^h E_{2h} = (2n)!`` for ``n >= 0``."""
+    if n < 0:
+        raise ValueError("requires n >= 0")
+    odds = symmetric_ladder(odd_squares(n))
+    lhs = sum((odds[n - h] * (-1) ** h * euler_number(2 * h) for h in range(n + 1)), Fraction(0))
+    return lhs == factorial(2 * n)
 
-        sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^h E_{2h} = (2n)!
 
-    ``variant="euler_shifted"`` (n >= 0):
+def check_euler_shifted_factorial_sum(n: int) -> bool:
+    """The shifted Euler sum, for ``n >= 0``:
+    ``sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^{h+1} E_{2h+2} = (2n+1)!``.
+    """
+    if n < 0:
+        raise ValueError("requires n >= 0")
+    odds = symmetric_ladder(odd_squares(n))
+    lhs = sum(
+        (odds[n - h] * (-1) ** (h + 1) * euler_number(2 * h + 2) for h in range(n + 1)),
+        Fraction(0),
+    )
+    return lhs == factorial(2 * n + 1)
 
-        sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^{h+1} E_{2h+2} = (2n+1)!
 
-    ``variant="bernoulli"`` (n >= 1):
+def check_bernoulli_factorial_sum(n: int) -> bool:
+    """Bernoulli-weighted sum that collapses to a factorial, for ``n >= 1``:
 
         sum_{h=1}^{n} s_{n-h}(2^2, ..., (2n-2)^2)
             (-1)^{h+1} (2^{2h} (2^{2h} - 1) / h) B_{2h} = 2 (2n-1)!
     """
-    if variant in ("euler", "euler_shifted"):
-        if n < 0:
-            raise ValueError("requires n >= 0")
-        odds = symmetric_ladder(odd_squares(n))
-        if variant == "euler":
-            lhs = sum(
-                (
-                    odds[n - h]
-                    * (-1) ** h
-                    * euler_number(2 * h)
-                    for h in range(n + 1)
-                ),
-                Fraction(0),
-            )
-            return lhs == factorial(2 * n)
-        lhs = sum(
-            (
-                odds[n - h]
-                * (-1) ** (h + 1)
-                * euler_number(2 * h + 2)
-                for h in range(n + 1)
-            ),
-            Fraction(0),
-        )
-        return lhs == factorial(2 * n + 1)
-    if variant == "bernoulli":
-        if n < 1:
-            raise ValueError("bernoulli variant requires n >= 1")
-        evens = symmetric_ladder(even_squares(n - 1))
-        lhs = sum(
-            (
-                evens[n - h]
-                * (-1) ** (h + 1)
-                * Fraction(2 ** (2 * h) * (2 ** (2 * h) - 1), h)
-                * bernoulli(2 * h)
-                for h in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        return lhs == 2 * factorial(2 * n - 1)
-    raise ValueError(f"unknown variant {variant!r}")
+    if n < 1:
+        raise ValueError("requires n >= 1")
+    evens = symmetric_ladder(even_squares(n - 1))
+    lhs = sum(
+        (
+            evens[n - h]
+            * (-1) ** (h + 1)
+            * Fraction(2 ** (2 * h) * (2 ** (2 * h) - 1), h)
+            * bernoulli(2 * h)
+            for h in range(1, n + 1)
+        ),
+        Fraction(0),
+    )
+    return lhs == 2 * factorial(2 * n - 1)
 
 
 def check_bernoulli_recurrence(k: int) -> bool:

@@ -9,10 +9,11 @@ routines, so agreement between the two is evidence rather than tautology.
 Three kinds of oracles are provided:
 
 * pointwise base measures of the one-parameter polynomials that the
-  multi-variable families reduce to;
+  multi-variable families reduce to, one function per polynomial (family
+  ``iii`` has a real and an imaginary one);
 * adaptive quadrature of the reduced one-dimensional integral representation
   (:func:`reduced_integral`) and of the kernel/log-moment integrals behind
-  the closed forms;
+  the closed forms, one ``*_check`` function per integral;
 * direct quasi-Monte Carlo integration of ``log |P|`` over the torus
   (:func:`torus_qmc`).
 
@@ -35,9 +36,10 @@ from .exact import bernoulli, log_moment_poly
 from .formulas import Family, FamilySpec, coeff_a, coeff_b, mahler_measure
 from .reduce import (
     arctangent_moment_closed,
+    lchi4_log_moment_closed,
     log1p_moment_closed,
     log_square_moment_closed,
-    unit_log_moment_closed,
+    zeta_log_moment_closed,
 )
 from .values import combination_value
 
@@ -49,10 +51,12 @@ __all__ = [
     "CheckResult",
     "base_measure_one",
     "base_measure_two",
-    "base_measure_three",
+    "base_measure_three_real",
+    "base_measure_three_imaginary",
     "kernel_integral_check",
     "power_kernel_check",
-    "unit_log_moment_check",
+    "zeta_log_moment_check",
+    "lchi4_log_moment_check",
     "log1p_moment_check",
     "log_square_moment_check",
     "arctangent_moment_check",
@@ -328,37 +332,30 @@ def base_measure_two(alpha_abs: float) -> float:
     return _PI_SQUARED * math.log(alpha_abs) + 2.0 * _script_l3(1.0 / alpha_abs)
 
 
-def base_measure_three(alpha: float, mode: str = "real") -> float:
-    """Measure of the two-parameter linear form, by parameter mode.
+def base_measure_three_real(alpha: float) -> float:
+    """``m(1 + alpha x + (1 - alpha) y)`` for a real parameter ``alpha``.
 
-    Parameters
-    ----------
-    alpha : float
-        The parameter.  Real mode uses its sign; imaginary mode only ``|alpha|``.
-    mode : {"real", "imaginary"}
-        ``"real"`` returns ``m(1 + alpha x + (1 - alpha) y)``: ``log^+ alpha``
-        for positive ``alpha`` and ``log(1 - alpha)`` for negative.
-        ``"imaginary"`` returns ``pi * m(1 + i alpha x + (1 - i alpha) y)``,
-        which is ``(pi/4) log(alpha^2 + 1) + Ti_2(|alpha|)``.
-
-    Returns
-    -------
-    float
-        The (possibly pi-scaled) measure.
+    This is ``log^+ alpha`` for positive ``alpha``, ``log(1 - alpha)`` for
+    negative ``alpha`` and 0 at ``alpha = 0``.
     """
-    if mode == "real":
-        if alpha > 0:
-            return max(math.log(alpha), 0.0)
-        if alpha < 0:
-            return math.log1p(-alpha)
-        return 0.0
-    if mode == "imaginary":
-        magnitude = abs(alpha)
-        return (
-            0.25 * math.pi * math.log1p(magnitude * magnitude)
-            + _inverse_tangent_integral(magnitude)
-        )
-    raise ValueError("mode must be 'real' or 'imaginary'")
+    if alpha > 0:
+        return max(math.log(alpha), 0.0)
+    if alpha < 0:
+        return math.log1p(-alpha)
+    return 0.0
+
+
+def base_measure_three_imaginary(alpha: float) -> float:
+    """``pi * m(1 + i alpha x + (1 - i alpha) y)`` for a real parameter ``alpha``.
+
+    This is ``(pi/4) log(alpha^2 + 1) + Ti_2(|alpha|)``; it depends only on
+    ``|alpha|``.
+    """
+    magnitude = abs(alpha)
+    return (
+        0.25 * math.pi * math.log1p(magnitude * magnitude)
+        + _inverse_tangent_integral(magnitude)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +448,29 @@ def power_kernel_check(a: float, b: float, alpha: float) -> CheckResult:
     return _quadrature_check(closed, _KERNEL_TOLERANCE, lower, upper)
 
 
-def unit_log_moment_check(j: int, kernel: str = "minus") -> CheckResult:
-    """Quadrature check of ``int_0^1 log^j x / (x^2 -+ 1) dx`` closed forms, to 1e-10.
-
-    ``kernel`` picks the denominator: ``"minus"`` for ``x^2 - 1``, ``"plus"``
-    for ``x^2 + 1``.  The log power ``j`` is at most 8 here; the ``minus``
-    kernel needs ``j >= 1`` (the ``j = 0`` integral diverges and is rejected
-    by the closed form).
-    """
+def zeta_log_moment_check(j: int) -> CheckResult:
+    """Quadrature check of ``int_0^1 log^j x / (x^2 - 1) dx`` for ``1 <= j <= 8``, to 1e-10."""
     if j > 8:
         raise ValueError("j must be at most 8 for the quadrature check")
-    closed = _closed_float(unit_log_moment_closed(j, kernel=kernel))
-    if kernel == "minus":
+    closed = _closed_float(zeta_log_moment_closed(j))
 
-        def integrand(x: float, cx: float) -> float:
-            ratio = _log_ratio_minus(x, cx)
-            if j == 1:
-                return ratio
-            return ratio * _stable_log(x, cx) ** (j - 1)
+    def integrand(x: float, cx: float) -> float:
+        ratio = _log_ratio_minus(x, cx)
+        if j == 1:
+            return ratio
+        return ratio * _stable_log(x, cx) ** (j - 1)
 
-    else:
+    return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
-        def integrand(x: float, cx: float) -> float:
-            return _stable_log(x, cx) ** j / (x * x + 1.0)
+
+def lchi4_log_moment_check(j: int) -> CheckResult:
+    """Quadrature check of ``int_0^1 log^j x / (x^2 + 1) dx`` for ``0 <= j <= 8``, to 1e-10."""
+    if j > 8:
+        raise ValueError("j must be at most 8 for the quadrature check")
+    closed = _closed_float(lchi4_log_moment_closed(j))
+
+    def integrand(x: float, cx: float) -> float:
+        return _stable_log(x, cx) ** j / (x * x + 1.0)
 
     return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
@@ -851,11 +848,10 @@ def imaginary_measure_qmc(
 ) -> IntegralEstimate:
     """QMC estimate of ``m(1 + i alpha x + (1 - i alpha) y)`` on the 2-torus.
 
-    This is the polynomial behind the imaginary mode of
-    :func:`base_measure_three`; comparing estimates at ``alpha`` and
-    ``-alpha`` checks numerically that the measure depends only on
-    ``|alpha|`` (the sign-absorption property the odd reduced representation
-    relies on).
+    This is the polynomial behind :func:`base_measure_three_imaginary`;
+    comparing estimates at ``alpha`` and ``-alpha`` checks numerically that
+    the measure depends only on ``|alpha|`` (the sign-absorption property the
+    odd reduced representation relies on).
 
     Parameters
     ----------

@@ -12,6 +12,10 @@ representable in our algebra: every product that appears pairs an
 a product of two genuinely transcendental basis constants never arises.  The
 combination algebra raises on such a product, so any transcription error of
 that kind fails loudly instead of silently producing a wrong value.
+
+Each log-moment integral has its own closed-form function, such as
+:func:`zeta_log_moment_closed` (``x^2 - 1``) and
+:func:`lchi4_log_moment_closed` (``x^2 + 1``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ __all__ = [
     "script_l_double_even_closed",
     "log_square_moment_closed",
     "arctangent_moment_closed",
-    "unit_log_moment_closed",
+    "zeta_log_moment_closed",
+    "lchi4_log_moment_closed",
 ]
 
 
@@ -258,25 +263,20 @@ def arctangent_moment_closed(h: int) -> ZetaCombination:
     return total
 
 
-def unit_log_moment_closed(j: int, kernel: str) -> ZetaCombination:
-    """Closed form of ``integral_0^1 log^j(x) / (x^2 +- 1) dx``.
-
-    ``kernel="minus"`` (requires j >= 1; j = 0 diverges):
+def zeta_log_moment_closed(j: int) -> ZetaCombination:
+    """Closed form of the ``x^2 - 1`` log moment, for ``j >= 1`` (j = 0 diverges):
 
         integral_0^1 log^j x / (x^2 - 1) dx
             = (-1)^{j+1} j! (1 - 2^{-(j+1)}) zeta(j+1)
-
-    ``kernel="plus"`` (j >= 0):
-
-        integral_0^1 log^j x / (x^2 + 1) dx = (-1)^j j! L(chi_-4, j+1)
     """
-    if kernel == "minus":
-        if j < 1:
-            raise ValueError("integral diverges for j = 0 with the x^2-1 kernel")
-        c = Fraction((-1) ** (j + 1) * factorial(j)) * (1 - Fraction(1, 2 ** (j + 1)))
-        return ZetaCombination.zeta(j + 1, coeff=c)
-    if kernel == "plus":
-        if j < 0:
-            raise ValueError("requires j >= 0")
-        return ZetaCombination.lchi4(j + 1, coeff=Fraction((-1) ** j * factorial(j)))
-    raise ValueError(f"unknown kernel {kernel!r}")
+    if j < 1:
+        raise ValueError("integral diverges for j = 0 with the x^2-1 kernel")
+    c = Fraction((-1) ** (j + 1) * factorial(j)) * (1 - Fraction(1, 2 ** (j + 1)))
+    return ZetaCombination.zeta(j + 1, coeff=c)
+
+
+def lchi4_log_moment_closed(j: int) -> ZetaCombination:
+    """Closed form ``integral_0^1 log^j x / (x^2 + 1) dx = (-1)^j j! L(chi_-4, j+1)``, j >= 0."""
+    if j < 0:
+        raise ValueError("requires j >= 0")
+    return ZetaCombination.lchi4(j + 1, coeff=Fraction((-1) ** j * factorial(j)))

@@ -32,14 +32,21 @@ from mahlerzeta.identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_halving,
     check_bernoulli_recurrence,
-    check_bernoulli_transfer,
+    check_bernoulli_factorial_sum,
+    check_bernoulli_transfer_first,
+    check_bernoulli_transfer_second,
+    check_bernoulli_transfer_third,
+    check_euler_factorial_sum,
+    check_euler_shifted_factorial_sum,
     check_log_moment_poly_properties,
-    check_symmetric_transfer,
-    check_weighted_factorial_sum,
+    check_symmetric_transfer_first,
+    check_symmetric_transfer_second,
     log_moment_poly_bernoulli_form,
     monomial_from_log_moment_polys,
-    reduction_identity,
-    reduction_induction_identity,
+    reduction_ab,
+    reduction_ba,
+    reduction_induction_ab,
+    reduction_induction_ba,
 )
 from mahlerzeta.oracle import (
     arctangent_moment_check,
@@ -92,21 +99,21 @@ def test_criterion_2_identity_suites_exact() -> None:
     start = time.perf_counter()
     for n in range(1, 21):
         for l in range(1, n + 1):
-            assert check_symmetric_transfer(n, l, "first")
-            assert check_bernoulli_transfer(n, l, variant="first")
+            assert check_symmetric_transfer_first(n, l)
+            assert check_bernoulli_transfer_first(n, l)
             assert check_bernoulli_euler_transfer(n, l)
-        assert check_bernoulli_transfer(n, variant="second")
-        assert check_weighted_factorial_sum(n, "bernoulli")
-        assert reduction_identity(n, "ab")
-        assert reduction_induction_identity(n, "ab")
+        assert check_bernoulli_transfer_second(n)
+        assert check_bernoulli_factorial_sum(n)
+        assert reduction_ab(n)
+        assert reduction_induction_ab(n)
     for n in range(0, 21):
         for l in range(0, n + 1):
-            assert check_symmetric_transfer(n, l, "second")
-            assert check_bernoulli_transfer(n, l, variant="third")
-        assert check_weighted_factorial_sum(n, "euler")
-        assert check_weighted_factorial_sum(n, "euler_shifted")
-        assert reduction_identity(n, "ba")
-        assert reduction_induction_identity(n, "ba")
+            assert check_symmetric_transfer_second(n, l)
+            assert check_bernoulli_transfer_third(n, l)
+        assert check_euler_factorial_sum(n)
+        assert check_euler_shifted_factorial_sum(n)
+        assert reduction_ba(n)
+        assert reduction_induction_ba(n)
     for k in range(0, 41):
         assert check_log_moment_poly_properties(k)
         assert log_moment_poly(k) == log_moment_poly_closed(k)

@@ -22,8 +22,10 @@ from mahlerzeta.formulas import (
 )
 from mahlerzeta.identities import (
     family_three_rewriting,
-    reduction_identity,
-    reduction_induction_identity,
+    reduction_ab,
+    reduction_ba,
+    reduction_induction_ab,
+    reduction_induction_ba,
 )
 from mahlerzeta.values import combination_value
 
@@ -69,16 +71,14 @@ def test_family_spec_derived_quantities() -> None:
 def test_mahler_result_validates_weight() -> None:
     spec = FamilySpec(Family.ONE, 2)
     good = ZetaCombination.zeta(3, 0, 7)
-    result = MahlerResult(spec, 2, good)
-    assert result.total_weight() == 3
-    with pytest.raises(ValueError):
-        MahlerResult(spec, 3, good)  # contradicts the spec's normalization
+    result = MahlerResult(spec, good)
+    assert result.pi_normalization == spec.pi_normalization == 2
     with pytest.raises(ValueError):
         # weight-inhomogeneous right side
-        MahlerResult(spec, 2, good + ZetaCombination.zeta(5, 0, 1))
+        MahlerResult(spec, good + ZetaCombination.zeta(5, 0, 1))
     with pytest.raises(ValueError):
         # homogeneous but of the wrong total weight
-        MahlerResult(spec, 2, ZetaCombination.zeta(5, 0, 1))
+        MahlerResult(spec, ZetaCombination.zeta(5, 0, 1))
 
 
 def test_coeff_a_values() -> None:
@@ -104,30 +104,28 @@ def test_coeff_b_values() -> None:
 
 
 def test_reduction_identity() -> None:
-    assert reduction_identity(1, "ab")
-    assert reduction_identity(0, "ba")
-    assert reduction_identity(6, "ab")
+    assert reduction_ab(1)
+    assert reduction_ba(0)
+    assert reduction_ab(6)
     for n in range(1, 16):
-        assert reduction_identity(n, "ab")
+        assert reduction_ab(n)
     for n in range(0, 16):
-        assert reduction_identity(n, "ba")
+        assert reduction_ba(n)
     with pytest.raises(ValueError):
-        reduction_identity(0, "ab")
+        reduction_ab(0)
     with pytest.raises(ValueError):
-        reduction_identity(-1, "ba")
-    with pytest.raises(ValueError):
-        reduction_identity(2, "xy")
+        reduction_ba(-1)
 
 
 def test_reduction_induction_identity() -> None:
     for n in range(1, 16):
-        assert reduction_induction_identity(n, "ab")
+        assert reduction_induction_ab(n)
     for n in range(0, 16):
-        assert reduction_induction_identity(n, "ba")
+        assert reduction_induction_ba(n)
     with pytest.raises(ValueError):
-        reduction_induction_identity(0, "ab")
+        reduction_induction_ab(0)
     with pytest.raises(ValueError):
-        reduction_induction_identity(1, "other")
+        reduction_induction_ba(-1)
 
 
 # SHA-256 of the canonical JSON of ``to_records()``, as computed by the

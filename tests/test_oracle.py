@@ -15,7 +15,8 @@ from mahlerzeta.oracle import (
     arctangent_moment_check,
     base_measure_one,
     base_measure_two,
-    base_measure_three,
+    base_measure_three_imaginary,
+    base_measure_three_real,
     closed_form_measure,
     imaginary_measure_qmc,
     kernel_integral_check,
@@ -23,8 +24,9 @@ from mahlerzeta.oracle import (
     log_square_moment_check,
     power_kernel_check,
     reduced_integral,
+    lchi4_log_moment_check,
     torus_qmc,
-    unit_log_moment_check,
+    zeta_log_moment_check,
 )
 from mahlerzeta.oracle import (
     _inverse_tangent_integral,
@@ -131,18 +133,16 @@ def test_base_measure_two_examples() -> None:
 
 
 def test_base_measure_three_examples() -> None:
-    assert base_measure_three(-1.0, "real") == pytest.approx(math.log(2.0), abs=1e-15)
-    assert base_measure_three(0.5, "real") == 0.0
-    assert base_measure_three(3.0, "real") == pytest.approx(math.log(3.0), abs=1e-15)
-    assert base_measure_three(0.0, "real") == 0.0
-    assert base_measure_three(0.0, "imaginary") == 0.0
+    assert base_measure_three_real(-1.0) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert base_measure_three_real(0.5) == 0.0
+    assert base_measure_three_real(3.0) == pytest.approx(math.log(3.0), abs=1e-15)
+    assert base_measure_three_real(0.0) == 0.0
+    assert base_measure_three_imaginary(0.0) == 0.0
     with mp.workdps(30):
         at_one = float(mp.pi / 4 * mp.log(2) + mp.catalan)
-    assert base_measure_three(1.0, "imaginary") == pytest.approx(at_one, abs=1e-14)
-    # imaginary mode depends only on |alpha|
-    assert base_measure_three(-2.5, "imaginary") == base_measure_three(2.5, "imaginary")
-    with pytest.raises(ValueError):
-        base_measure_three(1.0, "complex")
+    assert base_measure_three_imaginary(1.0) == pytest.approx(at_one, abs=1e-14)
+    # the imaginary parameter's measure depends only on |alpha|
+    assert base_measure_three_imaginary(-2.5) == base_measure_three_imaginary(2.5)
 
 
 def test_kernel_integral_check_example() -> None:
@@ -184,13 +184,13 @@ def test_power_kernel_check() -> None:
 
 def test_unit_log_moment_check() -> None:
     for j in range(1, 9):
-        assert unit_log_moment_check(j, "minus").agree, j
+        assert zeta_log_moment_check(j).agree, j
     for j in range(0, 9):
-        assert unit_log_moment_check(j, "plus").agree, j
+        assert lchi4_log_moment_check(j).agree, j
     with pytest.raises(ValueError):
-        unit_log_moment_check(0, "minus")
+        zeta_log_moment_check(0)
     with pytest.raises(ValueError):
-        unit_log_moment_check(9, "plus")
+        lchi4_log_moment_check(9)
 
 
 def test_defining_integral_checks() -> None:
@@ -220,16 +220,14 @@ def test_symmetrized_measure_matches_base_measures() -> None:
             return base_measure_two(x) + base_measure_two(1.0 / x)
         if spec.parity == 0:
             average_inside = 0.5 * (
-                base_measure_three(x, "real") + base_measure_three(-x, "real")
+                base_measure_three_real(x) + base_measure_three_real(-x)
             )
             average_outside = 0.5 * (
-                base_measure_three(1.0 / x, "real")
-                + base_measure_three(-1.0 / x, "real")
+                base_measure_three_real(1.0 / x)
+                + base_measure_three_real(-1.0 / x)
             )
             return average_inside + average_outside
-        return base_measure_three(x, "imaginary") + base_measure_three(
-            1.0 / x, "imaginary"
-        )
+        return base_measure_three_imaginary(x) + base_measure_three_imaginary(1.0 / x)
 
     for spec in (
         FamilySpec(Family.ONE, 2),
@@ -342,7 +340,7 @@ def test_imaginary_measure_sign_symmetry() -> None:
     negative = imaginary_measure_qmc(-0.7, samples=1 << 19, seed=6)
     spread = positive.error_estimate + negative.error_estimate
     assert abs(positive.value - negative.value) <= 5 * spread + 1e-6
-    formula = base_measure_three(0.7, "imaginary") / math.pi
+    formula = base_measure_three_imaginary(0.7) / math.pi
     assert abs(positive.value - formula) <= 5 * positive.error_estimate + 1e-6
     with pytest.raises(ValueError):
         imaginary_measure_qmc(0.7, replicates=1)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from mahlerzeta.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run() -> None:
@@ -34,3 +35,17 @@ def test_readme_eval_transcript_matches_the_cli(tmp_path) -> None:
     with contextlib.redirect_stdout(printed):
         assert main(argv) == 0
     assert printed.getvalue() == transcript.group(2)
+
+
+def test_readme_names_exist_in_the_package() -> None:
+    """Every backticked snake_case name in the README occurs in the package source."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    source = "\n".join(p.read_text() for p in (ROOT / "src" / "mahlerzeta").glob("*.py"))
+    missing = [
+        name
+        for span in re.findall(r"`([^`\n]+)`", prose)
+        if "/" not in span  # paths and fractions, not names
+        for name in re.findall(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b", span)
+        if not re.search(r"\b%s\b" % name, source)
+    ]
+    assert missing == []

@@ -16,10 +16,11 @@ from mahlerzeta.reduce import (
     double_polylog_reduce,
     li_one_leading_alternating,
     li_one_second_alternating,
+    lchi4_log_moment_closed,
     log1p_moment_closed,
     log_square_moment_closed,
     script_l_double_even_closed,
-    unit_log_moment_closed,
+    zeta_log_moment_closed,
 )
 from mahlerzeta.values import combination_value, multiple_polylog, script_l_double
 
@@ -202,17 +203,17 @@ def test_arctangent_moment_closed_small() -> None:
 
 def test_unit_log_moment_closed() -> None:
     # j = 1, x^2-1 kernel: integral = pi^2/12... via (+1) 1! (3/4) zeta(2).
-    assert unit_log_moment_closed(1, "minus") == ZetaCombination.pi_rational(
+    assert zeta_log_moment_closed(1) == ZetaCombination.pi_rational(
         Fraction(1, 8), 2
     )
-    assert unit_log_moment_closed(2, "minus") == ZetaCombination.zeta(
+    assert zeta_log_moment_closed(2) == ZetaCombination.zeta(
         3, coeff=Fraction(-7, 4)
     )
-    assert unit_log_moment_closed(0, "plus") == ZetaCombination.pi_rational(
+    assert lchi4_log_moment_closed(0) == ZetaCombination.pi_rational(
         Fraction(1, 4), 1
     )
-    assert unit_log_moment_closed(1, "plus") == ZetaCombination.lchi4(2, coeff=-1)
+    assert lchi4_log_moment_closed(1) == ZetaCombination.lchi4(2, coeff=-1)
     with pytest.raises(ValueError):
-        unit_log_moment_closed(0, "minus")
+        zeta_log_moment_closed(0)
     with pytest.raises(ValueError):
-        unit_log_moment_closed(1, "times")
+        lchi4_log_moment_closed(-1)
