@@ -238,7 +238,7 @@ def _checks() -> List[Check]:
         ("identities/family-three-rewritings", _each_n(1, _family_three_rewritings_agree)),
         (
             "tables/all-rows-match-canonical",
-            lambda args: all(matches for _, _, matches in reproduce_tables()),
+            lambda args: all(matches for _, matches in reproduce_tables()),
         ),
     ]
     checks += [

@@ -20,6 +20,25 @@ Three kinds of oracles are provided:
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
 nodes of ``Ti_2``, so importing this module (and with it the package) does
 not load it.
+
+The QMC kernel is held to a bit-identity contract: every estimate, error
+bar and evaluation count equals, in ``float.hex``, that of the plain
+complex kernel (roots from ``np.exp(1j * angles)``, products from
+``np.prod``), which the tests keep as an independent oracle.  The fast
+kernel takes cosines and sines into reused buffers, which glibc's ``cexp``
+at real part 0 computes the same way, and it avoids two numpy rounding
+traps:
+
+* ``np.prod`` along a contiguous axis multiplies complex numbers in a
+  scalar loop that rounds each product of parts, while the elementwise
+  complex multiply fuses them and differs in the last bit; the products of
+  ``1 +- root`` are therefore built from real operations.
+* numpy's elementwise complex multiply is not commutative bit for bit, and
+  once a fresh temporary reaches 256 KB (16,384 complex points) numpy
+  writes the result into it, computing ``named * temporary`` as
+  ``temporary * named``; the family combinations therefore keep the plain
+  kernel's expressions, with the same operands named and in the same order
+  (a row of the roots buffer is a view, not a temporary).
 """
 
 from __future__ import annotations
@@ -677,36 +696,69 @@ def closed_form_measure(spec: FamilySpec) -> float:
 # direct torus integration
 # ---------------------------------------------------------------------------
 
-def _torus_polynomial_values(spec: FamilySpec, points: np.ndarray) -> np.ndarray:
-    """``|P|`` at torus points parameterized by uniform ``[0, 1)`` rows.
+def _torus_polynomial_values(
+    spec: FamilySpec, count: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``|P|`` at ``count`` torus points, as a function of their unit roots.
 
-    The rational families are cleared of denominators first (multiplying by
+    The returned function takes the ``(dim, count)`` block of roots
+    ``exp(2 pi i u)`` and reuses its own buffers on every call.  The rational
+    families are cleared of denominators first (multiplying by
     ``prod (1 + x_i)`` changes the measure by ``m(prod (1 + x_i)) = 0``), so
     the integrand is a genuine polynomial with no poles on the torus.
     """
     import numpy as np
 
-    angles = (2.0 * math.pi) * points
     n = spec.n_transforms
-    count = points.shape[0]
-    if n:
-        roots = np.exp(1j * angles[:, :n])
-        plus = np.prod(1.0 + roots, axis=1)
-        minus = np.prod(1.0 - roots, axis=1)
-    else:
-        plus = np.ones(count, dtype=complex)
-        minus = np.ones(count, dtype=complex)
-    if spec.family is Family.ONE:
-        z = np.exp(1j * angles[:, n])
-        return np.abs(plus + minus * z)
-    if spec.family is Family.TWO:
-        x = np.exp(1j * angles[:, n])
-        y = np.exp(1j * angles[:, n + 1])
-        z = np.exp(1j * angles[:, n + 2])
-        return np.abs((1.0 + x) * plus + (1.0 + y) * z * minus)
-    x = np.exp(1j * angles[:, n])
-    y = np.exp(1j * angles[:, n + 1])
-    return np.abs(plus + minus * x + (plus - minus) * y)
+    plus = np.ones(count, dtype=complex)
+    minus = np.ones(count, dtype=complex)
+    scratch = np.empty((6, count))
+
+    def values(roots: np.ndarray) -> np.ndarray:
+        if n:
+            _unit_factor_product(roots[:n], 1.0, plus, scratch)
+            _unit_factor_product(roots[:n], -1.0, minus, scratch)
+        # the plain kernel's expressions, with the same operands named
+        if spec.family is Family.ONE:
+            z = roots[n]
+            return np.abs(plus + minus * z)
+        if spec.family is Family.TWO:
+            x, y, z = roots[n], roots[n + 1], roots[n + 2]
+            return np.abs((1.0 + x) * plus + (1.0 + y) * z * minus)
+        x, y = roots[n], roots[n + 1]
+        return np.abs(plus + minus * x + (plus - minus) * y)
+
+    return values
+
+
+def _unit_factor_product(
+    roots: np.ndarray, sign: float, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``out = prod_k (1 + sign * roots[k])``, rounded as ``np.prod`` rounds.
+
+    Reducing along a contiguous axis, ``np.prod`` multiplies in a scalar
+    loop that rounds ``(a c - b d, a d + b c)`` term by term.  numpy's
+    elementwise complex multiply fuses those terms and differs in the last
+    bit, so the product is built here from real operations.
+    """
+    import numpy as np
+
+    real, imag, c, d, cross, twisted = scratch
+    np.multiply(roots[0].real, sign, out=real)
+    np.add(real, 1.0, out=real)
+    np.multiply(roots[0].imag, sign, out=imag)
+    for root in roots[1:]:
+        np.multiply(root.real, sign, out=c)
+        np.add(c, 1.0, out=c)
+        np.multiply(root.imag, sign, out=d)
+        np.multiply(real, d, out=cross)
+        np.multiply(real, c, out=real)
+        np.multiply(imag, d, out=twisted)
+        np.subtract(real, twisted, out=real)
+        np.multiply(imag, c, out=imag)
+        np.add(imag, cross, out=imag)
+    out.real = real
+    out.imag = imag
 
 
 # Joe-Kuo (s, a, m) triples for Sobol dimensions 2..4; dimension 1 is the
@@ -748,37 +800,58 @@ def _sobol_base2(dim: int, exponent: int) -> np.ndarray:
 
 
 def _replicated_mean_log(
-    values: Callable[[np.ndarray], np.ndarray], dim: int, samples: int, seed: int,
-    replicates: int, sobol: bool,
+    kernel: Callable[[int], Callable[[np.ndarray], np.ndarray]], dim: int,
+    samples: int, seed: int, replicates: int, sobol: bool,
 ) -> IntegralEstimate:
-    """Mean of ``log values(points)`` over randomized point sets in ``[0, 1)^dim``.
+    """Mean of ``log values(roots)`` over randomized point sets in ``[0, 1)^dim``.
 
     Sobol replicates shift one fixed Sobol point set, of ``samples /
     replicates`` points rounded up to a power of two, by a seeded uniform
-    vector modulo 1; pseudo replicates draw fresh uniform points.  Samples on
-    zeros of ``values`` are skipped.  The error estimate is the standard
-    error of the replicate means.
+    vector modulo 1; pseudo replicates draw fresh uniform points.
+    ``kernel(count)`` gives the ``values`` function for ``count`` points,
+    which maps the ``(dim, count)`` block of unit roots ``exp(2 pi i u)`` to
+    ``|P|``.  The points, angles and roots live in buffers allocated once
+    per call.  Samples on zeros of ``values`` are skipped.  The error
+    estimate is the standard error of the replicate means.
     """
     import numpy as np
 
     per_replicate = max(1, -(-samples // replicates))
     rng = np.random.default_rng(seed)
     if sobol:
-        base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length()))
+        base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length())).T.copy()
+        count = base.shape[1]
+        wrapped = np.empty((dim, count), dtype=bool)
+    else:
+        count = per_replicate
+        drawn = np.empty((count, dim))
+    angles = np.empty((dim, count))
+    roots = np.empty((dim, count), dtype=complex)
+    finite = np.empty(count, dtype=bool)
+    values = kernel(count)
     means = []
     total_used = 0
     for _ in range(replicates):
         if sobol:
-            points = (base + rng.random(dim)) % 1.0
+            # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
+            np.add(base, rng.random(dim)[:, None], out=angles)
+            np.greater_equal(angles, 1.0, out=wrapped)
+            np.subtract(angles, wrapped, out=angles)
         else:
-            points = rng.random((per_replicate, dim))
+            rng.random(out=drawn)
+            angles[...] = drawn.T
+        angles *= 2.0 * math.pi
+        # np.exp(1j * angles) bit for bit, without its complex temporaries
+        np.cos(angles, out=roots.real)
+        np.sin(angles, out=roots.imag)
+        logs = values(roots)  # a fresh |P| array, logged in place
         with np.errstate(divide="ignore"):
-            logs = np.log(values(points))
-        finite = np.isfinite(logs)
+            np.log(logs, out=logs)
+        np.isfinite(logs, out=finite)
         used = int(np.count_nonzero(finite))
         if used == 0:
             raise ValueError("all samples fell on zeros of the polynomial")
-        means.append(float(np.mean(logs[finite])))
+        means.append(float(np.mean(logs if used == count else logs[finite])))
         total_used += used
     value = float(np.mean(means))
     sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
@@ -834,7 +907,7 @@ def torus_qmc(
     if mode not in ("sobol", "pseudo"):
         raise ValueError("mode must be 'sobol' or 'pseudo'")
     return _replicated_mean_log(
-        lambda points: _torus_polynomial_values(spec, points),
+        lambda count: _torus_polynomial_values(spec, count),
         dim, samples, seed, replicates, mode == "sobol",
     )
 
@@ -873,10 +946,8 @@ def imaginary_measure_qmc(
         raise ValueError("at least 2 replicates are needed for an error estimate")
     import numpy as np
 
-    def values(points: np.ndarray) -> np.ndarray:
-        angles = (2.0 * math.pi) * points
-        x = np.exp(1j * angles[:, 0])
-        y = np.exp(1j * angles[:, 1])
+    def values(roots: np.ndarray) -> np.ndarray:
+        x, y = roots
         return np.abs(1.0 + 1j * alpha * x + (1.0 - 1j * alpha) * y)
 
-    return _replicated_mean_log(values, 2, samples, seed, replicates, True)
+    return _replicated_mean_log(lambda count: values, 2, samples, seed, replicates, True)

@@ -134,18 +134,19 @@ def errata_rows() -> List[TableRow]:
     return [row for row in _TABLE_ROWS if row.has_erratum]
 
 
-def reproduce_tables() -> List[Tuple[FamilySpec, MahlerResult, bool]]:
+def reproduce_tables() -> List[Tuple[MahlerResult, bool]]:
     """Evaluate the closed forms for every reference row and compare exactly.
 
     Returns
     -------
-    list of (FamilySpec, MahlerResult, bool)
-        One triple per row; the flag is True when the evaluated combination
+    list of (MahlerResult, bool)
+        One pair per row, in table order (the row's spec is
+        ``result.spec``); the flag is True when the evaluated combination
         equals the row's canonical combination exactly (corrected form for
         the two errata rows, transcribed form otherwise).
     """
-    results: List[Tuple[FamilySpec, MahlerResult, bool]] = []
+    results: List[Tuple[MahlerResult, bool]] = []
     for row in _TABLE_ROWS:
         result = mahler_measure(row.spec)
-        results.append((row.spec, result, result.combination == row.canonical))
+        results.append((result, result.combination == row.canonical))
     return results

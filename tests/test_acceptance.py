@@ -67,8 +67,8 @@ def test_criterion_1_tables_reproduced_exactly() -> None:
     start = time.perf_counter()
     rows = reproduce_tables()
     assert len(rows) == 18
-    for spec, result, matches in rows:
-        assert matches, f"closed form disagrees with the table for {spec}"
+    for result, matches in rows:
+        assert matches, f"closed form disagrees with the table for {result.spec}"
 
     # Two rows pinned term by term as exact combinations.
     four = mahler_measure(FamilySpec(Family.ONE, 4)).combination

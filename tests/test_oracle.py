@@ -429,6 +429,39 @@ def test_reduced_integral_is_pinned(family, n, value, error, evaluations) -> Non
             "0x1.ed3311f6d06f9p-13",
             16384,
         ),
+    ]
+    # At the shape of the benchmark's crosscheck requests (2**21 samples in
+    # 128 replicates, so 16,384 points per replicate), taken with the
+    # np.exp/np.prod kernel.  At this size a complex temporary reaches numpy's
+    # 256 KB elision threshold, where ``named * temporary`` is computed as
+    # ``temporary * named`` and can differ in the last bit, so these pins also
+    # hold the operand order of the family combinations fixed.
+    + [
+        (
+            lambda family=family, n=n, seed=seed: torus_qmc(
+                FamilySpec(family, n), samples=2**21, seed=seed, replicates=128
+            ),
+            value,
+            error,
+            2**21,
+        )
+        for family, n, seed, value, error in (
+            (Family.ONE, 1, 1, "0x1.2a8f7066118dcp-1", "0x1.a191f1585a7f1p-18"),
+            (Family.ONE, 2, 2, "0x1.b47c8ae892316p-1", "0x1.c16da522b5983p-15"),
+            (Family.ONE, 3, 3, "0x1.0e9c6bb021f00p+0", "0x1.39e491f47fb59p-13"),
+            (Family.TWO, 0, 4, "0x1.b46d94525ea94p-2", "0x1.97d16cc14d635p-15"),
+            (Family.TWO, 1, 5, "0x1.87e05c5b82c57p-1", "0x1.cfff1353a6b08p-14"),
+            (Family.THREE, 1, 6, "0x1.8bbef6375f28dp-1", "0x1.566367fb71a8dp-15"),
+            (Family.THREE, 2, 7, "0x1.f8beec2235408p-1", "0x1.8570cd23ebcb6p-14"),
+        )
+    ]
+    + [
+        (
+            lambda: imaginary_measure_qmc(0.7, samples=2**21, seed=8, replicates=128),
+            "0x1.3f966d5efb4b2p-2",
+            "0x1.59de3e5e1bb7fp-18",
+            2**21,
+        ),
     ],
 )
 def test_qmc_estimates_are_pinned(run, value, error, used) -> None:
@@ -436,3 +469,95 @@ def test_qmc_estimates_are_pinned(run, value, error, used) -> None:
     assert estimate.value.hex() == value
     assert estimate.error_estimate.hex() == error
     assert estimate.evaluations == used
+
+
+# The straightforward complex kernel: roots of unity from np.exp, products
+# from np.prod.  It shares no code with the oracle's kernel, which must agree
+# with it bit for bit.
+def _reference_polynomial_values(spec: FamilySpec, points: np.ndarray) -> np.ndarray:
+    angles = (2.0 * math.pi) * points
+    n = spec.n_transforms
+    count = points.shape[0]
+    if n:
+        roots = np.exp(1j * angles[:, :n])
+        plus = np.prod(1.0 + roots, axis=1)
+        minus = np.prod(1.0 - roots, axis=1)
+    else:
+        plus = np.ones(count, dtype=complex)
+        minus = np.ones(count, dtype=complex)
+    if spec.family is Family.ONE:
+        z = np.exp(1j * angles[:, n])
+        return np.abs(plus + minus * z)
+    if spec.family is Family.TWO:
+        x = np.exp(1j * angles[:, n])
+        y = np.exp(1j * angles[:, n + 1])
+        z = np.exp(1j * angles[:, n + 2])
+        return np.abs((1.0 + x) * plus + (1.0 + y) * z * minus)
+    x = np.exp(1j * angles[:, n])
+    y = np.exp(1j * angles[:, n + 1])
+    return np.abs(plus + minus * x + (plus - minus) * y)
+
+
+def _reference_imaginary_values(alpha: float, points: np.ndarray) -> np.ndarray:
+    angles = (2.0 * math.pi) * points
+    x = np.exp(1j * angles[:, 0])
+    y = np.exp(1j * angles[:, 1])
+    return np.abs(1.0 + 1j * alpha * x + (1.0 - 1j * alpha) * y)
+
+
+def _reference_mean_log(values, dim, samples, seed, replicates, sobol):
+    """Value, error bar and evaluation count, one full point set per replicate."""
+    per_replicate = -(-samples // replicates)
+    rng = np.random.default_rng(seed)
+    if sobol:
+        base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length()))
+    means = []
+    used = 0
+    for _ in range(replicates):
+        if sobol:
+            points = (base + rng.random(dim)) % 1.0
+        else:
+            points = rng.random((per_replicate, dim))
+        with np.errstate(divide="ignore"):
+            logs = np.log(values(points))
+        finite = np.isfinite(logs)
+        used += int(np.count_nonzero(finite))
+        means.append(float(np.mean(logs[finite])))
+    sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
+    return float(np.mean(means)).hex(), max(sigma, 5e-17).hex(), used
+
+
+_QMC_SPECS = [
+    FamilySpec(Family.ONE, 1),
+    FamilySpec(Family.ONE, 2),
+    FamilySpec(Family.ONE, 3),
+    FamilySpec(Family.TWO, 0),
+    FamilySpec(Family.TWO, 1),
+    FamilySpec(Family.THREE, 1),
+    FamilySpec(Family.THREE, 2),
+]
+
+
+@pytest.mark.parametrize("mode", ["sobol", "pseudo"])
+@pytest.mark.parametrize("points", [8192, 16384, 32768])
+@pytest.mark.parametrize("spec", _QMC_SPECS, ids=lambda spec: "%s-%d" % (spec.family.value, spec.n_transforms))
+def test_torus_qmc_matches_reference_kernel(spec, points, mode) -> None:
+    seed = 1000 * points + spec.torus_dimension
+    estimate = torus_qmc(spec, samples=3 * points, seed=seed, replicates=3, mode=mode)
+    expected = _reference_mean_log(
+        lambda p: _reference_polynomial_values(spec, p),
+        spec.torus_dimension, 3 * points, seed, 3, mode == "sobol",
+    )
+    actual = (estimate.value.hex(), estimate.error_estimate.hex(), estimate.evaluations)
+    assert actual == expected
+
+
+@pytest.mark.parametrize("points", [8192, 16384, 32768])
+@pytest.mark.parametrize("alpha", [0.7, -2.5])
+def test_imaginary_measure_matches_reference_kernel(alpha, points) -> None:
+    estimate = imaginary_measure_qmc(alpha, samples=3 * points, seed=points, replicates=3)
+    expected = _reference_mean_log(
+        lambda p: _reference_imaginary_values(alpha, p), 2, 3 * points, points, 3, True
+    )
+    actual = (estimate.value.hex(), estimate.error_estimate.hex(), estimate.evaluations)
+    assert actual == expected

@@ -1,4 +1,4 @@
-"""Property tests for the wire format and the constant store."""
+"""Property tests for the exact algebra, the wire format and the constant store."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerzeta.combinations import ZetaCombination
+from mahlerzeta.exact import PolyQ
 from mahlerzeta.store import ConstantStore
 
 _COEFFS = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
@@ -30,6 +31,55 @@ _PARTS = st.one_of(
 _COMBINATIONS = st.lists(_PARTS, max_size=8).map(
     lambda parts: sum(parts, ZetaCombination.zero())
 )
+_SMALL_COEFFS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+_POLYS = st.lists(_SMALL_COEFFS, max_size=6).map(PolyQ)
+
+
+@given(_COMBINATIONS, _COMBINATIONS, _COMBINATIONS)
+def test_combination_addition_is_commutative_and_associative(a, b, c) -> None:
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + ZetaCombination.zero() == a
+
+
+@given(_COMBINATIONS)
+def test_combination_minus_itself_is_zero(a) -> None:
+    difference = a - a
+    assert difference.is_zero()
+    assert difference == ZetaCombination.zero()
+    assert a + (-a) == difference
+
+
+@given(_COEFFS, _COEFFS, _COMBINATIONS, _COMBINATIONS)
+def test_rational_scaling_distributes(q, r, a, b) -> None:
+    assert q * (a + b) == q * a + q * b
+    assert (q + r) * a == q * a + r * a
+    assert q * (r * a) == (q * r) * a
+    assert 1 * a == a
+
+
+@given(_COMBINATIONS, _PI_POWERS, _PI_POWERS)
+def test_scale_pi_composes(a, s, t) -> None:
+    assert a.scale_pi(s).scale_pi(t) == a.scale_pi(s + t)
+    assert a.scale_pi(s).scale_pi(-s) == a
+    assert a.scale_pi(0) == a
+    assert ZetaCombination.pi_rational(1, s) * a == a.scale_pi(s)
+
+
+@given(_POLYS, _POLYS, _POLYS)
+def test_polynomial_ring_laws(p, q, r) -> None:
+    zero, one = PolyQ.zero(), PolyQ([1])
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+    assert p + zero == p
+    assert p * one == p
+    assert p * zero == zero
+    assert p + (-p) == zero
+    assert p - q == p + (-q)
 
 
 @given(_COMBINATIONS)
