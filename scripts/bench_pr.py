@@ -3,10 +3,11 @@
 Run from the repository root::
 
     python3 scripts/bench_pr.py --pr 10 --workloads crosscheck --seeds 1-10 \\
-        [--seconds 20] [--baseline ../parent-checkout] [--trace 1]
+        [--baseline ../parent-checkout] [--trace 1]
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace X`` started in a checkout's root.  The script reads the run's
+--trace X`` started in a checkout's root, where ``T`` is the ``run_seconds``
+of ``BENCHMARK.json``, the same on every run and both sides.  The script reads the run's
 ``machine:`` line and its last stdout line, the JSON result, and writes per
 metric the median and quartiles of the runs, together with the machine and
 every run's ``correct`` flag (a run is correct when every output it checked
@@ -14,8 +15,7 @@ was right).  With ``--baseline``, every seed runs once in that checkout
 too, the two sides alternating which goes first, and the file also counts
 for each metric the pairs in which this checkout was better; ``BENCHMARK.json``
 says which direction is better.  Results of other workloads or trace
-settings already in the file are kept.  ``--seconds`` defaults to the
-``run_seconds`` of ``BENCHMARK.json``.
+settings already in the file are kept.
 """
 
 from __future__ import annotations
@@ -95,14 +95,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, help="for example 1-10 or 1,4,7")
-    parser.add_argument("--seconds", type=float, default=declared["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--baseline", type=Path, help="a checkout of the parent commit to pair with")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    seconds = declared["run_seconds"]
     output = ROOT / ("BENCH_%s.json" % args.pr)
 
-    command = "python3 perfbench/run.py --workload %%s --seed S --seconds %g --trace %d" % (args.seconds, args.trace)
+    command = "python3 perfbench/run.py --workload %%s --seed S --seconds %g --trace %d" % (seconds, args.trace)
     machines = set()
     entries = {}
     for workload in args.workloads.split(","):
@@ -114,7 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if index % 2:
                     sides.reverse()
             for checkout, runs in sides:
-                run = run_once(checkout, workload, seed, args.seconds, args.trace)
+                run = run_once(checkout, workload, seed, seconds, args.trace)
                 machines.add(run["machine"])
                 runs.append(run)
                 print("%s seed %d in %s: correct %s" % (workload, seed, checkout, run["correct"]), file=sys.stderr)

@@ -39,6 +39,12 @@ traps:
   ``temporary * named``; the family combinations therefore keep the plain
   kernel's expressions, with the same operands named and in the same order
   (a row of the roots buffer is a view, not a temporary).
+
+The contract was verified with numpy 2.4.6 on glibc 2.36, x86-64 with
+AVX-512, Python 3.11.7.  It rests on numpy and libm internals (the scalar
+``np.prod`` reduction, the 256 KB elision threshold, ``cos``/``sin`` equal
+to ``cexp``), so a pin that fails after an upgrade of either, with this
+module unchanged, points to a changed library loop rather than a kernel bug.
 """
 
 from __future__ import annotations
