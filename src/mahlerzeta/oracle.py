@@ -40,6 +40,18 @@ traps:
   kernel's expressions, with the same operands named and in the same order
   (a row of the roots buffer is a view, not a temporary).
 
+The contract also holds across the kernel's split of the work.  Each
+replicate is worked through in column chunks of 16,384 points, the last
+chunk taking the remainder, so every chunk of a block that reaches the
+elision size reaches it too, and a smaller block is one chunk.  The logs of
+a replicate are written into one row and averaged by one ``np.mean``, which
+keeps its pairwise summation tree.  The replicates run in contiguous
+shares, one per CPU in the process's affinity set; each share draws from
+its own PCG64 generator at the seed, moved with ``advance`` past the draws
+of the replicates before it, so it draws what the single loop drew for
+them.  The replicate means are reduced in replicate order.  The thread
+count therefore changes no bit.
+
 The contract was verified with numpy 2.4.6 on glibc 2.36, x86-64 with
 AVX-512, Python 3.11.7.  It rests on numpy and libm internals (the scalar
 ``np.prod`` reduction, the 256 KB elision threshold, ``cos``/``sin`` equal
@@ -50,6 +62,7 @@ module unchanged, points to a changed library loop rather than a kernel bug.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Tuple
@@ -703,25 +716,29 @@ def closed_form_measure(spec: FamilySpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _torus_polynomial_values(
-    spec: FamilySpec, count: int
+    spec: FamilySpec, width: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``|P|`` at ``count`` torus points, as a function of their unit roots.
+    """``|P|`` at up to ``width`` torus points, as a function of their unit roots.
 
-    The returned function takes the ``(dim, count)`` block of roots
-    ``exp(2 pi i u)`` and reuses its own buffers on every call.  The rational
-    families are cleared of denominators first (multiplying by
-    ``prod (1 + x_i)`` changes the measure by ``m(prod (1 + x_i)) = 0``), so
-    the integrand is a genuine polynomial with no poles on the torus.
+    The returned function takes a ``(dim, count)`` block of roots
+    ``exp(2 pi i u)`` with ``count <= width`` and reuses its own buffers on
+    every call.  The rational families are cleared of denominators first
+    (multiplying by ``prod (1 + x_i)`` changes the measure by
+    ``m(prod (1 + x_i)) = 0``), so the integrand is a genuine polynomial
+    with no poles on the torus.
     """
     import numpy as np
 
     n = spec.n_transforms
-    plus = np.ones(count, dtype=complex)
-    minus = np.ones(count, dtype=complex)
-    scratch = np.empty((6, count))
+    plus_buffer = np.ones(width, dtype=complex)
+    minus_buffer = np.ones(width, dtype=complex)
+    scratch_buffer = np.empty((6, width))
 
     def values(roots: np.ndarray) -> np.ndarray:
+        count = roots.shape[1]
+        plus, minus = plus_buffer[:count], minus_buffer[:count]
         if n:
+            scratch = scratch_buffer[:, :count]
             _unit_factor_product(roots[:n], 1.0, plus, scratch)
             _unit_factor_product(roots[:n], -1.0, minus, scratch)
         # the plain kernel's expressions, with the same operands named
@@ -766,6 +783,11 @@ def _unit_factor_product(
     out.real = real
     out.imag = imag
 
+
+# Points per column chunk of a replicate: 256 KB of complex128, numpy's
+# temporary elision size, so a chunk's temporaries are elided exactly when
+# the whole block's would be (see the module docstring).
+_CHUNK = 16_384
 
 # Joe-Kuo (s, a, m) triples for Sobol dimensions 2..4; dimension 1 is the
 # van der Corput sequence.
@@ -814,54 +836,87 @@ def _replicated_mean_log(
     Sobol replicates shift one fixed Sobol point set, of ``samples /
     replicates`` points rounded up to a power of two, by a seeded uniform
     vector modulo 1; pseudo replicates draw fresh uniform points.
-    ``kernel(count)`` gives the ``values`` function for ``count`` points,
-    which maps the ``(dim, count)`` block of unit roots ``exp(2 pi i u)`` to
-    ``|P|``.  The points, angles and roots live in buffers allocated once
-    per call.  Samples on zeros of ``values`` are skipped.  The error
-    estimate is the standard error of the replicate means.
+    ``kernel(width)`` gives a ``values`` function with its own buffers,
+    which maps a ``(dim, count)`` block of unit roots ``exp(2 pi i u)``,
+    ``count <= width``, to ``|P|``.  Samples on zeros of ``values`` are
+    skipped.  The error estimate is the standard error of the replicate
+    means.
+
+    The replicates run in contiguous shares, one per CPU this process may
+    use: the calling thread runs the first, worker threads the rest (numpy
+    releases the GIL inside its loops).  Each share starts its own PCG64
+    stream at the seed, advanced past the draws of the replicates before
+    it, and works through each replicate in column chunks of ``_CHUNK``
+    points, the last chunk taking the remainder, in buffers allocated once
+    per call.
     """
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
     per_replicate = max(1, -(-samples // replicates))
-    rng = np.random.default_rng(seed)
     if sobol:
         base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length())).T.copy()
         count = base.shape[1]
-        wrapped = np.empty((dim, count), dtype=bool)
+        draws = dim
     else:
         count = per_replicate
-        drawn = np.empty((count, dim))
-    angles = np.empty((dim, count))
-    roots = np.empty((dim, count), dtype=complex)
-    finite = np.empty(count, dtype=bool)
-    values = kernel(count)
-    means = []
-    total_used = 0
-    for _ in range(replicates):
+        draws = count * dim
+    starts = range(0, max(1, count // _CHUNK) * _CHUNK, _CHUNK)
+    chunks = list(zip(starts, [*starts[1:], count]))
+    width = chunks[-1][1] - chunks[-1][0]
+    means = [0.0] * replicates
+    used = [0] * replicates
+
+    def run_share(first: int, stop: int) -> None:
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(first * draws)
+        values = kernel(width)
+        angles = np.empty((dim, width))
+        roots = np.empty((dim, width), dtype=complex)
         if sobol:
-            # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
-            np.add(base, rng.random(dim)[:, None], out=angles)
-            np.greater_equal(angles, 1.0, out=wrapped)
-            np.subtract(angles, wrapped, out=angles)
+            wrapped = np.empty((dim, width), dtype=bool)
         else:
-            rng.random(out=drawn)
-            angles[...] = drawn.T
-        angles *= 2.0 * math.pi
-        # np.exp(1j * angles) bit for bit, without its complex temporaries
-        np.cos(angles, out=roots.real)
-        np.sin(angles, out=roots.imag)
-        logs = values(roots)  # a fresh |P| array, logged in place
-        with np.errstate(divide="ignore"):
-            np.log(logs, out=logs)
-        np.isfinite(logs, out=finite)
-        used = int(np.count_nonzero(finite))
-        if used == 0:
-            raise ValueError("all samples fell on zeros of the polynomial")
-        means.append(float(np.mean(logs if used == count else logs[finite])))
-        total_used += used
+            drawn = np.empty((width, dim))
+        logs = np.empty(count)
+        finite = np.empty(count, dtype=bool)
+        for replicate in range(first, stop):
+            if sobol:
+                shift = rng.random(dim)[:, None]
+            for lo, hi in chunks:
+                block, unit = angles[:, : hi - lo], roots[:, : hi - lo]
+                if sobol:
+                    # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
+                    carry = wrapped[:, : hi - lo]
+                    np.add(base[:, lo:hi], shift, out=block)
+                    np.greater_equal(block, 1.0, out=carry)
+                    np.subtract(block, carry, out=block)
+                else:
+                    rng.random(out=drawn[: hi - lo])
+                    block[...] = drawn[: hi - lo].T
+                block *= 2.0 * math.pi
+                # np.exp(1j * angles) bit for bit, without its complex temporaries
+                np.cos(block, out=unit.real)
+                np.sin(block, out=unit.imag)
+                with np.errstate(divide="ignore"):
+                    np.log(values(unit), out=logs[lo:hi])
+            np.isfinite(logs, out=finite)
+            kept = int(np.count_nonzero(finite))
+            if kept == 0:
+                raise ValueError("all samples fell on zeros of the polynomial")
+            means[replicate] = float(np.mean(logs if kept == count else logs[finite]))
+            used[replicate] = kept
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares = min(cpus or 1, replicates)
+    edges = [replicates * share // shares for share in range(shares + 1)]
+    with ThreadPoolExecutor(max(1, shares - 1)) as pool:
+        futures = [pool.submit(run_share, *edge) for edge in zip(edges[1:-1], edges[2:])]
+        run_share(edges[0], edges[1])
+        for future in futures:
+            future.result()
     value = float(np.mean(means))
     sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
-    return IntegralEstimate(value, max(sigma, 5e-17), "qmc", total_used)
+    return IntegralEstimate(value, max(sigma, 5e-17), "qmc", sum(used))
 
 
 def torus_qmc(

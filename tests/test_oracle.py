@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +38,7 @@ from mahlerzeta.oracle import (
     _li3,
     _log_ratio_minus,
     _measure_pi_scale,
+    _replicated_mean_log,
     _sobol_base2,
     _stable_log,
     _symmetrized_measure,
@@ -462,6 +468,33 @@ def test_reduced_integral_is_pinned(family, n, value, error, evaluations) -> Non
             "0x1.59de3e5e1bb7fp-18",
             2**21,
         ),
+    ]
+    # Taken with the whole-block, single-threaded kernel, at shapes that the
+    # chunked, threaded kernel splits: the default call (64 chunks per
+    # replicate), a pseudo call whose 40,001 points per replicate leave a
+    # remainder for the last chunk, and 5 Sobol replicates, which split
+    # unevenly across threads.
+    + [
+        (
+            lambda: torus_qmc(FamilySpec(Family.ONE, 3)),
+            "0x1.0e9c47969717fp+0",
+            "0x1.b6741a2d1c706p-16",
+            10 * 2**20,
+        ),
+        (
+            lambda: torus_qmc(
+                FamilySpec(Family.TWO, 1), samples=3 * 40_001, seed=11, replicates=3, mode="pseudo"
+            ),
+            "0x1.85bdc5b23d6bdp-1",
+            "0x1.ab69b0c215ee6p-9",
+            3 * 40_001,
+        ),
+        (
+            lambda: torus_qmc(FamilySpec(Family.THREE, 2), samples=5 * 2**15, seed=12, replicates=5),
+            "0x1.f8fac6dc11be5p-1",
+            "0x1.aa104e87147d0p-12",
+            5 * 2**15,
+        ),
     ],
 )
 def test_qmc_estimates_are_pinned(run, value, error, used) -> None:
@@ -538,8 +571,12 @@ _QMC_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["sobol", "pseudo"])
-@pytest.mark.parametrize("points", [8192, 16384, 32768])
+# 40,001 pseudo points per replicate end in a chunk of 16,384 + 7,233.
+@pytest.mark.parametrize(
+    "points, mode",
+    [(points, mode) for points in (8192, 16384, 32768) for mode in ("sobol", "pseudo")]
+    + [(40_001, "pseudo")],
+)
 @pytest.mark.parametrize("spec", _QMC_SPECS, ids=lambda spec: "%s-%d" % (spec.family.value, spec.n_transforms))
 def test_torus_qmc_matches_reference_kernel(spec, points, mode) -> None:
     seed = 1000 * points + spec.torus_dimension
@@ -561,3 +598,101 @@ def test_imaginary_measure_matches_reference_kernel(alpha, points) -> None:
     )
     actual = (estimate.value.hex(), estimate.error_estimate.hex(), estimate.evaluations)
     assert actual == expected
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: torus_qmc(FamilySpec(Family.TWO, 1), samples=5 * 2**15, seed=21, replicates=5),
+        lambda: torus_qmc(
+            FamilySpec(Family.ONE, 2), samples=5 * 40_001, seed=22, replicates=5, mode="pseudo"
+        ),
+        lambda: imaginary_measure_qmc(-1.5, samples=5 * 2**15, seed=23, replicates=5),
+    ],
+    ids=["sobol", "pseudo", "imaginary"],
+)
+def test_qmc_estimates_do_not_depend_on_the_thread_count(monkeypatch, run) -> None:
+    results = set()
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        estimate = run()
+        results.add((estimate.value.hex(), estimate.error_estimate.hex(), estimate.evaluations))
+    assert len(results) == 1
+
+
+def _recording_kernel(threads, caller=None):
+    """A ``kernel`` for ``_replicated_mean_log`` that notes the thread of each share.
+
+    Its values are 1 (log 0) on the ``caller`` thread and 0, a zero of the
+    polynomial, on every other thread.
+    """
+
+    def kernel(width):
+        threads.append(threading.get_ident())
+
+        def values(roots):
+            on_caller = caller is None or threading.get_ident() == caller
+            return np.full(roots.shape[1], 1.0 if on_caller else 0.0)
+
+        return values
+
+    return kernel
+
+
+@pytest.mark.parametrize("cpus, shares", [(1, 1), (2, 2), (3, 3), (8, 5)])
+def test_qmc_runs_one_share_per_cpu(monkeypatch, cpus, shares) -> None:
+    _cpus(monkeypatch, cpus)
+    threads = []
+    estimate = _replicated_mean_log(_recording_kernel(threads), 2, 5 * 2**15, 0, 5, True)
+    assert (estimate.value, estimate.evaluations) == (0.0, 5 * 2**15)
+    # an idle worker may take a second share, so count shares, not threads
+    assert len(threads) == shares
+    assert threads.count(threading.get_ident()) == 1
+
+
+def test_qmc_share_error_reaches_the_caller(monkeypatch) -> None:
+    _cpus(monkeypatch, 2)
+    before = set(threading.enumerate())
+    threads, errors = [], []
+
+    def call() -> None:
+        kernel = _recording_kernel(threads, caller=threading.get_ident())
+        try:
+            _replicated_mean_log(kernel, 2, 4 * 2**15, 0, 4, True)
+        except ValueError as error:
+            errors.append(str(error))
+
+    runner = threading.Thread(target=call)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert errors == ["all samples fell on zeros of the polynomial"]
+    assert len(set(threads)) == 2 and runner.ident in threads
+    assert set(threading.enumerate()) == before
+
+
+def test_default_torus_qmc_runs_in_bounded_memory() -> None:
+    # The peak resident set of a fresh process, VmHWM.  Its ru_maxrss would
+    # not do: a child started from a process as large as a test session
+    # inherits that process's peak through exec.  The whole-block kernel
+    # peaked at 284 MB here.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/<pid>/status")
+    script = (
+        "from mahlerzeta.formulas import Family, FamilySpec\n"
+        "from mahlerzeta.oracle import torus_qmc\n"
+        "torus_qmc(FamilySpec(Family.ONE, 3))\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmHWM:')[1].split()[0])\n"
+    )
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    environment = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=environment, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) / 1024 < 150
