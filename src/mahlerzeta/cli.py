@@ -64,7 +64,7 @@ from .oracle import (
 )
 from .store import ConstantStore
 from .tables import TableRow, errata_rows, reproduce_tables
-from .values import combination_value
+from .values import combination_value, l3_ii_value, multiple_polylog
 
 __all__ = ["build_parser", "main"]
 
@@ -198,6 +198,15 @@ def _torus_sample(args: argparse.Namespace) -> bool:
     return abs(estimate.value - truth) <= 4 * estimate.error_estimate + 1e-5
 
 
+def _l3_ii_fold_matches_engine(b: int) -> bool:
+    """``l3_ii_value(b)`` against ``i * scriptL_{3,b}(i, i)`` from ``multiple_polylog``."""
+    with mp.workdps(30):
+        engine = -2 * mp.fsum(
+            e * multiple_polylog(3, b, e * 1j, f * 1j, 20).imag for e in (1, -1) for f in (1, -1)
+        )
+        return abs(l3_ii_value(b, 20) - engine) <= mp.mpf(10) ** -18 * abs(engine)
+
+
 def _checks() -> List[Check]:
     """Every verification check in run order; a check's suite is its name's prefix.
 
@@ -266,6 +275,10 @@ def _checks() -> List[Check]:
             and all(arctangent_moment_check(h).agree for h in (0, 1, 2, 3)),
         ),
         ("oracle/torus-qmc-family-i", _torus_sample),
+        (
+            "oracle/l3-ii-fold",
+            lambda args: all(_l3_ii_fold_matches_engine(b) for b in range(1, args.max_n + 1, 2)),
+        ),
     ]
     return checks
 

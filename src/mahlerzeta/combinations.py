@@ -18,8 +18,8 @@ transcendental basis constants:
     The constant ``log 2``.
 ``l3_ii``
     The real constant ``i * scriptL_{3,b}(i, i)`` for odd ``b >= 1``, where
-    ``scriptL_{r,s}`` is the signed double-polylogarithm combination defined
-    in :func:`mahlerzeta.values.script_l_double`.
+    ``scriptL_{r,s}(a, c) = 2 sum_{e, f = +-1} e Li_{r,s}(e a, f c)`` and
+    ``Li_{r,s}(x, y) = sum_{0<k<l} x^k y^l / (k^r l^s)``.
 
 The table :data:`KINDS` is the one place that says what a kind is: the
 arguments its normal form keeps, its intrinsic weight, its text symbol and,

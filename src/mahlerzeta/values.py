@@ -6,26 +6,23 @@ Only normal-form arguments are evaluated here, the ones that
 series), ``log 2`` and the ``l3_ii`` constants.  The other zeta and L
 arguments are rational multiples of powers of pi, folded exactly in
 :mod:`mahlerzeta.combinations`; :func:`combination_value` evaluates any
-combination.  Independent series cross-checks of these routes live with the
-tests.
+combination, and :func:`l3_ii_value` each ``l3_ii`` constant through its
+fold to ``L(chi_-4, s)`` values.  Independent series cross-checks of these
+routes live with the tests.
 
 All functions take a ``digits`` argument (decimal digits of target accuracy)
 and run internally with guard digits; returned values are mpmath numbers.
 
 The alternating single series use the Cohen-Rodriguez Villegas-Zagier
 Chebyshev acceleration, whose error decays like (3 + sqrt(8))^(-n) for n
-terms.  The double polylogarithms behind the ``l3_ii`` constants are
-iterated integrals on the alphabet of fourth roots of unity, evaluated by
-the Hoelder convolution of Borwein, Bradley, Broadhurst and Lisonek
-("Special values of multiple polylogarithms", Trans. AMS 353, 2001): the
-path from 0 to 1 is split at 1/2, and each half is a power series that
-converges like 2^-N in its number N of terms.  The term count follows from
-the requested digits before any term is summed, and the truncation error it
-leaves is a true bound.
+terms.  :func:`multiple_polylog` (the Hoelder convolution of Borwein,
+Bradley, Broadhurst and Lisonek, Trans. AMS 353, 2001) evaluates no closed
+form: it is the reference that the tests and ``verify`` hold the fold to.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import ceil, log2
 from typing import Callable, List, Optional
 
@@ -39,7 +36,6 @@ __all__ = [
     "zeta",
     "dirichlet_l_chi4",
     "multiple_polylog",
-    "script_l_double",
     "l3_ii_value",
     "combination_value",
 ]
@@ -177,45 +173,32 @@ def multiple_polylog(r: int, s: int, x1, x2, digits: int = 30):
         return +total
 
 
-def script_l_double(r: int, s: int, alpha, beta, digits: int = 30):
-    """The four-term signed combination
+def _l3_ii_fold(b: int) -> ZetaCombination:
+    """``l3_ii(b)`` for odd ``b >= 1`` in values of ``beta = L(chi_-4, .)``:
 
-        scriptL_{r,s}(alpha, beta) = 2 ( Li_{r,s}(alpha, beta)
-                                       - Li_{r,s}(-alpha, beta)
-                                       + Li_{r,s}(alpha, -beta)
-                                       - Li_{r,s}(-alpha, -beta) ).
+        2 (b+1)(b+2) beta(b+3) - b pi^2 beta(b+1)
+        - sum_{j=1}^{(b-1)/2} 4^(1-j) (b-2j+2)(b-2j+1) zeta(2j) beta(b+3-2j).
 
-    Every constituent must converge individually (so ``s = 1`` requires
-    ``beta != +-1``).
+    The reduction exists by the parity theorem (E. Panzer, J. Number Theory
+    172, 2017); the formula matches the PSLQ relations for ``b <= 9``.
     """
-    u1 = _as_unit(alpha)
-    u2 = _as_unit(beta)
-    with mp.workdps(digits + 10):
-        total = (
-            multiple_polylog(r, s, u1, u2, digits)
-            - multiple_polylog(r, s, -u1, u2, digits)
-            + multiple_polylog(r, s, u1, -u2, digits)
-            - multiple_polylog(r, s, -u1, -u2, digits)
-        )
-        return +(2 * total)
+    fold = ZetaCombination.lchi4(b + 3, coeff=2 * (b + 1) * (b + 2))
+    fold -= ZetaCombination.lchi4(b + 1, pi_power=2, coeff=b)
+    for j in range(1, (b - 1) // 2 + 1):
+        weight = Fraction((b - 2 * j + 2) * (b - 2 * j + 1), 4 ** (j - 1))
+        fold -= ZetaCombination.zeta(2 * j) * ZetaCombination.lchi4(b + 3 - 2 * j, coeff=weight)
+    return fold
 
 
 def l3_ii_value(b: int, digits: int = 30) -> "mp.mpf":
-    """The real constant i * scriptL_{3,b}(i, i) for odd ``b >= 1``.
+    """The real constant i * scriptL_{3,b}(i, i) for odd ``b >= 1``, from its fold.
 
-    The imaginary part of i * scriptL_{3,b}(i, i) cancels identically; a
-    residual beyond series tolerance indicates an evaluation bug and raises.
+    The fold's terms reach ``2 (b+1)(b+2) beta(b+3)`` while the value is
+    about ``8 * 2^-b``: the fold is evaluated with that ratio's digits added.
     """
-    if b < 1 or b % 2 == 0:
-        raise ValueError(f"requires an odd index >= 1 (got {b})")
+    _require_normal("l3_ii", b)
     _require_digits(digits)
-    with mp.workdps(digits + 10):
-        value = mp.mpc(0, 1) * script_l_double(3, b, 1j, 1j, digits + 2)
-        if abs(value.imag) > mp.mpf(10) ** (-(digits - 3)):
-            raise RuntimeError(
-                "imaginary part failed to cancel in i*scriptL_{3,%d}(i,i)" % b
-            )
-        return +value.real
+    return combination_value(_l3_ii_fold(b), digits + len(str(2 * (b + 1) * (b + 2) << b)))
 
 
 def combination_value(

@@ -4,6 +4,10 @@
   ``scriptL_r`` at fourth roots of unity from exact combinations, evaluated
   by :func:`mahlerzeta.values.combination_value`.  They are what the
   stuffle and ``scriptL`` tests compare against.
+* :func:`script_l_double` assembles the signed combination
+  ``scriptL_{r,s}`` from :func:`mahlerzeta.values.multiple_polylog`; it is
+  the reference that the ``l3_ii`` fold and the closed forms of
+  :mod:`mahlerzeta.reduce` are held to.
 
 The series routes below share no algorithm with :mod:`mahlerzeta.values`,
 which makes them independent cross-checks of it:
@@ -19,7 +23,9 @@ which makes them independent cross-checks of it:
   Neville's scheme in the reciprocal checkpoint index; the stride between
   checkpoints doubles until the extrapolation stabilizes below the requested
   tolerance.  Its error estimate is a heuristic, and it is fast only at
-  ``digits <= 12``, where it starts from the narrow stride.
+  ``digits <= 12``, where it starts from the narrow stride.  With ``r = 1``
+  and ``x1 = 1`` the inner sum grows like ``log k``, which extrapolation in
+  ``1/k`` does not model, so it refuses those cases above 4 digits.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import List, Optional, Tuple
 import mpmath as mp
 
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.values import _as_unit, alternating_sum, combination_value
+from mahlerzeta.values import _as_unit, alternating_sum, combination_value, multiple_polylog
 
 
 def li_single(s: int, base, digits: int = 30):
@@ -67,6 +73,14 @@ def script_l_single(r: int, alpha, digits: int = 30):
     u = _as_unit(alpha)
     with mp.workdps(digits + 10):
         return +(li_single(r, u, digits) - li_single(r, -u, digits))
+
+
+def script_l_double(r: int, s: int, alpha, beta, digits: int = 30):
+    """scriptL_{r,s}(alpha, beta) = 2 sum_{e, f = +-1} e Li_{r,s}(e alpha, f beta)."""
+    with mp.workdps(digits + 10):
+        return 2 * mp.fsum(
+            e * multiple_polylog(r, s, e * alpha, f * beta, digits) for e in (1, -1) for f in (1, -1)
+        )
 
 
 def li_single_series(s: int, base, digits: int = 30):
@@ -164,13 +178,19 @@ def multiple_polylog_series(r: int, s: int, x1, x2, digits: int = 12):
     """Li_{r,s}(x1, x2) = sum_{0<k1<k2} x1^{k1} x2^{k2} / (k1^r k2^s), summed directly.
 
     Arguments must be fourth roots of unity, and the series must converge
-    (not ``s = 1`` with ``x2 = 1``).  Raises ``RuntimeError`` when eight
-    doublings of the stride do not meet the tolerance.
+    (not ``s = 1`` with ``x2 = 1``).  ``r = 1`` with ``x1 = 1`` is summed to
+    at most 4 digits: the ``log k`` growth of the inner sum leaves the
+    extrapolation up to 5e-6 off (against its own 1e-6 target), and above 4
+    digits it would double the stride eight times before giving up, so those
+    requests raise ``ValueError`` at once.  Raises ``RuntimeError`` when
+    eight doublings of the stride do not meet the tolerance.
     """
     u1 = _as_unit(x1)
     u2 = _as_unit(x2)
     if s == 1 and u2 == 1:
         raise ValueError("Li_{r,1}(x1, 1) diverges")
+    if r == 1 and u1 == 1 and digits > 4:
+        raise ValueError("Li_{1,s}(1, x2) is summed to at most 4 digits (got %d)" % digits)
     with mp.workdps(digits + 15):
         target = mp.mpf(10) ** (-(digits + 2))
         stride = 64 if digits <= 12 else 400

@@ -59,7 +59,8 @@ from mahlerzeta.oracle import (
 )
 from mahlerzeta.reduce import double_polylog_reduce, script_l_double_even_closed
 from mahlerzeta.tables import errata_rows, reproduce_tables
-from mahlerzeta.values import combination_value, multiple_polylog, script_l_double
+from mahlerzeta.values import combination_value, multiple_polylog
+from series_oracle import script_l_double
 
 
 def test_criterion_1_tables_reproduced_exactly() -> None:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Tuple
 
@@ -48,6 +49,7 @@ ALL_CHECKS = [
     "oracle/unit-log-moments",
     "oracle/defining-integrals",
     "oracle/torus-qmc-family-i",
+    "oracle/l3-ii-fold",
 ]
 
 
@@ -290,6 +292,42 @@ def test_eval_family_ii_odd_at_60_digits(tmp_path, capsys) -> None:
         l3_ii_1 = mp.mpf("2.82711656135535384798168130964810547987764443387222074341544")
         expected = 2 * mp.pi**2 * mp.catalan + 2 * l3_ii_1
         assert abs(mp.mpf(printed) - expected) < mp.mpf(10) ** -57
+
+
+def _engine_is_off_the_path(*args, **kwargs):
+    raise AssertionError("eval reached the double-polylogarithm engine")
+
+
+def test_eval_family_ii_odd_does_not_reach_the_engine(tmp_path, capsys, monkeypatch) -> None:
+    import mahlerzeta.values as values
+
+    monkeypatch.setattr(values, "multiple_polylog", _engine_is_off_the_path)
+    monkeypatch.setattr(values, "_values_at_half", _engine_is_off_the_path)
+    store = str(tmp_path / "store.txt")
+    code, out, err = run_cli(
+        ["eval", "--family", "ii", "--n", "19", "--digits", "30", "--store", store], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "pi^21 * m = 76241184106.66691403719311049 to 30 digits"
+
+
+def test_verify_l3_ii_fold_catches_a_perturbed_coefficient(monkeypatch) -> None:
+    import mahlerzeta.values as values
+
+    check = dict(mahlerzeta.cli._checks())["oracle/l3-ii-fold"]
+    args = mahlerzeta.cli.build_parser().parse_args(["verify", "--max-n", "7"])
+    assert check(args)
+    original = values._l3_ii_fold
+
+    def perturbed(b: int) -> ZetaCombination:
+        fold = original(b)
+        if b == 7:
+            # one part in 10^15 of the pi^6 L(chi_-4, 4) coefficient -1/2520
+            fold += ZetaCombination.lchi4(4, pi_power=6, coeff=Fraction(-1, 2520 * 10**15))
+        return fold
+
+    monkeypatch.setattr(values, "_l3_ii_fold", perturbed)
+    assert not check(args)
 
 
 def test_eval_unwritable_store_exits_2(tmp_path, capsys) -> None:

@@ -22,7 +22,8 @@ from mahlerzeta.reduce import (
     script_l_double_even_closed,
     zeta_log_moment_closed,
 )
-from mahlerzeta.values import combination_value, multiple_polylog, script_l_double
+from mahlerzeta.values import combination_value, multiple_polylog
+from series_oracle import script_l_double
 
 
 def _close(a, b, digits: int) -> bool:

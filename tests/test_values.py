@@ -10,18 +10,19 @@ import pytest
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.store import ConstantStore
 from mahlerzeta.values import (
+    _l3_ii_fold,
     alternating_sum,
     combination_value,
     dirichlet_l_chi4,
     l3_ii_value,
     multiple_polylog,
-    script_l_double,
     zeta,
 )
 from series_oracle import (
     li_single,
     li_single_series,
     multiple_polylog_series,
+    script_l_double,
     script_l_single,
 )
 
@@ -195,6 +196,57 @@ def test_l3_ii_values_at_100_digits() -> None:
             assert _close(value, mp.mpf(reference), 59)
 
 
+def _l3_ii_engine(b: int, digits: int) -> "mp.mpf":
+    """i * scriptL_{3,b}(i, i) from the double-polylogarithm engine."""
+    with mp.workdps(digits + 10):
+        return (1j * script_l_double(3, b, 1j, 1j, digits)).real
+
+
+def _beta(s: int, pi_power: int = 0, coeff=1) -> ZetaCombination:
+    return ZetaCombination.lchi4(s, pi_power=pi_power, coeff=coeff)
+
+
+def test_l3_ii_fold_matches_pslq_relations() -> None:
+    # The integer relations found by PSLQ for b <= 9.
+    F = Fraction
+    assert _l3_ii_fold(1) == _beta(4, 0, 12) - _beta(2, 2)
+    assert _l3_ii_fold(3) == _beta(6, 0, 40) - _beta(4, 2, 4)
+    assert _l3_ii_fold(5) == _beta(8, 0, 84) - _beta(6, 2, F(25, 3)) - _beta(4, 4, F(1, 60))
+    assert _l3_ii_fold(7) == (
+        _beta(10, 0, 144) - _beta(8, 2, 14) - _beta(6, 4, F(1, 18)) - _beta(4, 6, F(1, 2520))
+    )
+    assert _l3_ii_fold(9) == (
+        _beta(12, 0, 220)
+        - _beta(10, 2, 21)
+        - _beta(8, 4, F(7, 60))
+        - _beta(6, 6, F(1, 756))
+        - _beta(4, 8, F(1, 100800))
+    )
+    for b in range(1, 200, 2):
+        fold = _l3_ii_fold(b)
+        assert fold.homogeneous_weight() == b + 3, b
+        assert {elem.kind for elem, _ in fold.terms()} == {"lchi4"}, b
+
+
+def test_l3_ii_value_matches_the_engine() -> None:
+    with mp.workdps(80):
+        for b in range(1, 40, 2):
+            reference = _l3_ii_engine(b, 62)
+            assert abs(l3_ii_value(b, 60) - reference) <= mp.mpf(10) ** -60 * reference, b
+
+
+def test_l3_ii_value_keeps_its_digits_at_large_index() -> None:
+    # The fold's terms are about (b+1)(b+2) 2^b / 4 times the value.  With
+    # no guard digits for that ratio, b = 61 at 30 digits keeps 20 of them,
+    # and b = 101 at 11 digits and b = 199 at 11 and 30 digits come out 0.
+    with mp.workdps(110):
+        for b in (61, 101, 199):
+            reference = _l3_ii_engine(b, 100)
+            for digits in (11, 30):
+                error = abs(l3_ii_value(b, digits) - reference)
+                assert error <= mp.mpf(10) ** -digits * reference, (b, digits)
+
+
 def test_multiple_polylog_meets_its_term_count_bound() -> None:
     # The term count is set a priori from the digits asked for; 20 more
     # digits must not move the value beyond the first request.
@@ -233,6 +285,12 @@ def test_multiple_polylog_matches_direct_summation() -> None:
                     assert _close(
                         multiple_polylog(r, s, y1, y2, 20), mp.conj(reference), digits
                     ), (r, s, y1, y2)
+
+
+def test_direct_summation_refuses_the_log_growth_cases_above_4_digits() -> None:
+    for s, x2 in ((2, 1), (1, -1), (3, 1j)):
+        with pytest.raises(ValueError):
+            multiple_polylog_series(1, s, 1, x2, 6)
 
 
 def test_combination_value_basic() -> None:
@@ -287,7 +345,14 @@ def test_combination_value_reaches_evaluators_through_module_attributes(monkeypa
             + mp.pi**4 / 90
         )
         assert _close(value, expected, 14)
-    assert calls == [("zeta", 3), ("dirichlet_l_chi4", 2), ("l3_ii_value", 1)]
+    # l3_ii(1) = 12 L(chi_-4, 4) - pi^2 L(chi_-4, 2) evaluates its own terms.
+    assert calls == [
+        ("zeta", 3),
+        ("dirichlet_l_chi4", 2),
+        ("l3_ii_value", 1),
+        ("dirichlet_l_chi4", 2),
+        ("dirichlet_l_chi4", 4),
+    ]
 
 
 def test_combination_value_uses_store(tmp_path) -> None:
