@@ -18,7 +18,10 @@ The module also exposes the rational coefficient ladders ``coeff_a`` and
 ``coeff_b`` that convert the iterated arctangent-density integrals into
 one-dimensional log moments.  Every coefficient indexes one integer
 :func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares, built
-once per ``(parity, count)`` and cached.
+once per ``(parity, count)`` and cached.  The Bernoulli-weighted sums of
+families ``ii`` and ``iii`` run as one integer correlation over a common
+denominator for every ``h`` at once, and each evaluator builds its
+combination once from its list of terms.
 
 Each quantity has one route here.  The identities that link the two ladders
 (``reduction_ab``, ``reduction_ba``) and the Euler-weighted rewriting of family
@@ -31,10 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Callable, Tuple
+from math import factorial, lcm
+from operator import mul
+from typing import Callable, Iterable, List, Tuple
 
-from .combinations import ZetaCombination
+from .combinations import ConstantBasisElement, ZetaCombination
 from .exact import Rational, bernoulli, even_squares, odd_squares, symmetric_ladder
 
 __all__ = [
@@ -171,22 +175,42 @@ def _square_ladder(parity: int, count: int) -> Tuple[int, ...]:
     return symmetric_ladder(odd_squares(count) if parity else even_squares(count))
 
 
-def _bernoulli_ladder_sum(n: int, h: int, weight: Callable[[int], Rational]) -> Fraction:
-    """``sum_{l=0}^{n-h} s_{n-h-l} C(2(l+h), 2h) weight(l) B_{2l} / (l+h)``.
+def _two_weight(l: int) -> int:
+    """Family ``ii``'s Bernoulli weight ``(-4)^l``."""
+    return (-4) ** l
 
-    ``s_j`` is the even-square ladder of ``coeff_a(n, .)``; the Bernoulli-
-    weighted sums of ``family_two`` and ``family_three`` differ only in
-    ``weight``.
+
+def _three_weight(l: int) -> Fraction:
+    """Family ``iii``'s weight ``(-1)^(l+1) 2^(2l) (2^(2l-1) - 1)``, half-integral only at 0."""
+    return Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2)
+
+
+def _bernoulli_correlation(n: int, weight: Callable[[int], Rational]) -> List[Fraction]:
+    """``inner(h) = sum_{l=0}^{n-h} s_{n-h-l} C(2(l+h), 2h) weight(l) B_{2l} / (l+h)``.
+
+    Entry ``h - 1`` is ``inner(h)``, for ``h = 1..n``; ``s_j`` is the
+    even-square ladder of ``coeff_a(n, .)``.  With ``m = l + h``,
+    ``C(2m, 2h) / m = 2 (2m-1)! / ((2h)! (2l)!)``; with ``c_l / D = weight(l)
+    B_{2l} / (2l)!`` over one common denominator ``D``, ``inner(h) = 2 / ((2h)!
+    D) * sum_{m=h}^{n} s_{n-m} (2m-1)! c_{m-h}``: one integer correlation
+    serves every ``h``.
     """
+    if n == 0:
+        return []
     evens = _square_ladder(0, n - 1)
-    return sum(
-        (
-            Fraction(evens[n - h - l] * comb(2 * (l + h), 2 * h) * weight(l), l + h)
-            * bernoulli(2 * l)
-            for l in range(n - h + 1)
-        ),
-        Fraction(0),
-    )
+    scaled = [weight(l) * bernoulli(2 * l) / factorial(2 * l) for l in range(n)]
+    common = lcm(*(c.denominator for c in scaled))
+    numerators = [c.numerator * (common // c.denominator) for c in scaled]
+    ladder = [evens[n - m] * factorial(2 * m - 1) for m in range(1, n + 1)]
+    return [
+        Fraction(2 * sum(map(mul, ladder[h - 1 :], numerators)), factorial(2 * h) * common)
+        for h in range(1, n + 1)
+    ]
+
+
+def _combination(terms: Iterable[Tuple[str, int, int, Fraction]]) -> ZetaCombination:
+    """The combination of ``(kind, arg, pi_power, coeff)`` terms, no two with one key."""
+    return ZetaCombination({ConstantBasisElement(k, a, p): c for k, a, p, c in terms})
 
 
 def coeff_a(n: int, h: int) -> Fraction:
@@ -265,18 +289,23 @@ def family_one(spec: FamilySpec) -> MahlerResult:
     """
     _require_family(spec, Family.ONE)
     transforms = spec.n_transforms
-    combo = ZetaCombination.zero()
     if transforms % 2 == 0:
         n = transforms // 2
-        for h in range(1, n + 1):
-            coeff = coeff_a(n, h - 1) * Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 2)
-            combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h, coeff)
+        evens, scale = _square_ladder(0, n - 1), 2 * factorial(2 * n - 1)
+        terms = [
+            ("zeta", 2 * h + 1, 2 * n - 2 * h,
+             Fraction(evens[n - h] * factorial(2 * h) * (2 ** (2 * h + 1) - 1), scale))
+            for h in range(1, n + 1)
+        ]
     else:
         n = (transforms - 1) // 2
-        for h in range(n + 1):
-            coeff = coeff_b(n, h) * factorial(2 * h + 1) * 2 ** (2 * h + 1)
-            combo = combo + ZetaCombination.lchi4(2 * h + 2, 2 * n - 2 * h, coeff)
-    return MahlerResult(spec, combo)
+        odds, scale = _square_ladder(1, n), factorial(2 * n)
+        terms = [
+            ("lchi4", 2 * h + 2, 2 * n - 2 * h,
+             Fraction(odds[n - h] * factorial(2 * h + 1) * 2 ** (2 * h + 1), scale))
+            for h in range(n + 1)
+        ]
+    return MahlerResult(spec, _combination(terms))
 
 
 def family_two(spec: FamilySpec) -> MahlerResult:
@@ -305,28 +334,25 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     if transforms == 0:
         combo = ZetaCombination.zeta(3, 0, Fraction(7, 2))
         return MahlerResult(spec, combo)
-    combo = ZetaCombination.zero()
     if transforms % 2 == 0:
         n = transforms // 2
-        for h in range(1, n + 1):
-            inner = _bernoulli_ladder_sum(n, h, lambda l: (-4) ** l)
-            coeff = (
-                Fraction(factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), 8)
-                * inner
-                / factorial(2 * n - 1)
-            )
-            combo = combo + ZetaCombination.zeta(2 * h + 3, 2 * n - 2 * h, coeff)
+        scale = 8 * factorial(2 * n - 1)
+        terms = [
+            ("zeta", 2 * h + 3, 2 * n - 2 * h,
+             Fraction(factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), scale) * inner)
+            for h, inner in enumerate(_bernoulli_correlation(n, _two_weight), 1)
+        ]
     else:
         n = (transforms - 1) // 2
+        odds, scale = _square_ladder(1, n), factorial(2 * n)
+        terms = []
         for h in range(n + 1):
-            base = coeff_b(n, h) * 2 ** (2 * h + 1)
-            combo = combo + ZetaCombination.l3_ii(
-                2 * h + 1, 2 * n - 2 * h, base * factorial(2 * h)
-            )
-            combo = combo + ZetaCombination.lchi4(
-                2 * h + 2, 2 * n - 2 * h + 2, base * factorial(2 * h + 1)
-            )
-    return MahlerResult(spec, combo)
+            base = odds[n - h] * factorial(2 * h) * 2 ** (2 * h + 1)
+            terms += [
+                ("l3_ii", 2 * h + 1, 2 * n - 2 * h, Fraction(base, scale)),
+                ("lchi4", 2 * h + 2, 2 * n - 2 * h + 2, Fraction(base * (2 * h + 1), scale)),
+            ]
+    return MahlerResult(spec, _combination(terms))
 
 
 def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
@@ -337,19 +363,13 @@ def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
     :func:`mahlerzeta.identities.family_three_rewriting`, which checks it
     against this one.
     """
-    combo = ZetaCombination.zero()
-    for h in range(1, n + 1):
-        # weight (-1)^(l+1) 2^(2l) (2^(2l-1) - 1), a half-integer only at l = 0
-        inner = _bernoulli_ladder_sum(
-            n, h, lambda l: Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2)
-        )
-        coeff = (
-            Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 4)
-            * inner
-            / factorial(2 * n - 1)
-        )
-        combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h + pi_shift, coeff)
-    return combo
+    inners = _bernoulli_correlation(n, _three_weight)  # empty at one transform (n = 0)
+    scale = 4 * factorial(2 * n - 1) if inners else 1
+    return _combination(
+        ("zeta", 2 * h + 1, 2 * n - 2 * h + pi_shift,
+         Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), scale) * inner)
+        for h, inner in enumerate(inners, 1)
+    )
 
 
 def family_three(spec: FamilySpec) -> MahlerResult:
@@ -371,26 +391,24 @@ def family_three(spec: FamilySpec) -> MahlerResult:
     """
     _require_family(spec, Family.THREE)
     transforms = spec.n_transforms
-    pi_norm = spec.pi_normalization
-    combo = ZetaCombination.log2(pi_norm, Fraction(1, 2))
+    terms = [("log2", 0, spec.pi_normalization, Fraction(1, 2))]
     if transforms % 2 == 0:
         n = transforms // 2
-        for h in range(1, n + 1):
-            coeff = coeff_a(n, h - 1) * Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), 4)
-            combo = combo + ZetaCombination.zeta(2 * h + 1, 2 * n - 2 * h + 1, coeff)
-        combo = combo + _family_three_tail(n, 1)
+        evens, scale = _square_ladder(0, n - 1), 4 * factorial(2 * n - 1)
+        terms += (
+            ("zeta", 2 * h + 1, 2 * n - 2 * h + 1,
+             Fraction(evens[n - h] * factorial(2 * h) * (2 ** (2 * h + 1) - 1), scale))
+            for h in range(1, n + 1)
+        )
     else:
         n = (transforms - 1) // 2
-        evens = _square_ladder(0, n)
-        for h in range(n + 1):
-            coeff = (
-                evens[n - h]
-                * Fraction(factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), 4)
-                / factorial(2 * n + 1)
-            )
-            combo = combo + ZetaCombination.zeta(2 * h + 3, 2 * n - 2 * h, coeff)
-        combo = combo + _family_three_tail(n, 2)
-    return MahlerResult(spec, combo)
+        evens, scale = _square_ladder(0, n), 4 * factorial(2 * n + 1)
+        terms += (
+            ("zeta", 2 * h + 3, 2 * n - 2 * h,
+             Fraction(evens[n - h] * factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), scale))
+            for h in range(n + 1)
+        )
+    return MahlerResult(spec, _combination(terms) + _family_three_tail(n, 1 + transforms % 2))
 
 
 def mahler_measure(spec: FamilySpec) -> MahlerResult:

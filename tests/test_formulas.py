@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from mahlerzeta import formulas
 from mahlerzeta.combinations import ZetaCombination
+from mahlerzeta.exact import bernoulli, even_squares, symmetric_ladder
 from mahlerzeta.formulas import (
     Family,
     FamilySpec,
@@ -154,6 +157,53 @@ def test_large_n_results_are_pinned(label: str, transforms: int) -> None:
     if spec.family is Family.THREE:
         euler = family_three_rewriting(spec, variant="euler", binomial_reading="l")
         assert _records_digest(euler) == LARGE_N_DIGESTS[label, transforms]
+
+
+# SHA-256 over the canonical JSON of ``[family, n, to_records()]`` for every
+# member of the three families at n <= 100, in family order and then in n,
+# as computed by the evaluators that built each Bernoulli-weighted sum one
+# rational term at a time.
+MEMBERS_TO_100_DIGEST = "9ade965bbc998785825937a4dd1328e5d39c847829208b8902012f7ecb36e3b4"
+
+
+def test_every_member_up_to_n_100_is_pinned() -> None:
+    digest = hashlib.sha256()
+    for family in Family:
+        for transforms in range(0 if family is Family.TWO else 1, 101):
+            records = mahler_measure(FamilySpec(family, transforms)).combination.to_records()
+            member = [family.value, transforms, records]
+            digest.update(json.dumps(member, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == MEMBERS_TO_100_DIGEST
+
+
+# The per-term rational loop that built each Bernoulli-weighted sum, one h
+# at a time, before the integer correlation, with the two families' weights
+# as it wrote them.  The correlation must agree with it exactly.
+def _reference_ladder_sum(n: int, h: int, weight) -> Fraction:
+    evens = symmetric_ladder(even_squares(n - 1))
+    return sum(
+        (
+            Fraction(evens[n - h - l] * comb(2 * (l + h), 2 * h) * weight(l), l + h)
+            * bernoulli(2 * l)
+            for l in range(n - h + 1)
+        ),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "weight, reference_weight",
+    [
+        (formulas._two_weight, lambda l: (-4) ** l),
+        (formulas._three_weight, lambda l: Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2)),
+    ],
+    ids=["ii", "iii"],
+)
+def test_bernoulli_correlation_matches_the_per_term_loop(weight, reference_weight) -> None:
+    assert formulas._bernoulli_correlation(0, weight) == []
+    for n in range(1, 61):
+        expected = [_reference_ladder_sum(n, h, reference_weight) for h in range(1, n + 1)]
+        assert formulas._bernoulli_correlation(n, weight) == expected, n
 
 
 def test_family_one_small_cases() -> None:
