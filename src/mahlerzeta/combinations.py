@@ -32,13 +32,16 @@ their term dictionaries are equal.  (Equality of the surviving basis
 constants themselves is the standard conjecture that odd zeta values, L-values
 and friends are algebraically independent over ``Q(pi)``; within this package
 the normal form is used only as a canonical *representation*, and every
-closed form is additionally checked numerically.)
+closed form is additionally checked numerically.)  Every constructor and
+operation sums its terms through one merge rule: equal elements add, and a
+zero total is dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -132,12 +135,36 @@ class ConstantBasisElement:
         return "*".join(parts)
 
 
-def _validate(kind: str, arg: int) -> None:
-    entry = KINDS.get(kind)
+def _checked(elem: ConstantBasisElement) -> ConstantBasisElement:
+    """``elem`` itself, if the normal form keeps its kind at its argument."""
+    entry = KINDS.get(elem.kind)
     if entry is None:
-        raise ValueError(f"unknown constant kind {kind!r}")
-    if not entry.keeps(arg):
-        raise ValueError(f"normal form keeps {kind} only at {entry.rule} (got {arg})")
+        raise ValueError(f"unknown constant kind {elem.kind!r}")
+    if not entry.keeps(elem.arg):
+        raise ValueError(f"normal form keeps {elem.kind} only at {entry.rule} (got {elem.arg})")
+    return elem
+
+
+_Pair = Tuple[ConstantBasisElement, Fraction]
+
+
+def _normal(kind: str, arg: int, pi_power: int, coeff: Fraction) -> _Pair:
+    """The normal-form ``(element, coefficient)`` pair of :meth:`ZetaCombination.term`."""
+    entry = KINDS.get(kind)
+    if entry is not None and entry.fold is not None and not entry.keeps(arg):
+        return ConstantBasisElement("one", 0, pi_power + arg), coeff * entry.fold(arg)
+    return _checked(ConstantBasisElement(kind, arg, pi_power)), coeff
+
+
+def _merge(pairs: Iterable[_Pair]) -> Dict[ConstantBasisElement, Fraction]:
+    """The one merge rule: add the coefficients of equal elements, keep no zero."""
+    merged: Dict[ConstantBasisElement, Fraction] = {}
+    for elem, coeff in pairs:
+        if elem in merged:
+            coeff += merged.pop(elem)
+        if coeff:
+            merged[elem] = coeff
+    return merged
 
 
 class ZetaCombination:
@@ -145,21 +172,17 @@ class ZetaCombination:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ConstantBasisElement, Rational] | None = None):
-        normalized: Dict[ConstantBasisElement, Fraction] = {}
-        if terms:
-            for elem, coeff in terms.items():
-                _validate(elem.kind, elem.arg)
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                prev = normalized.get(elem)
-                total = c if prev is None else prev + c
-                if total == 0:
-                    normalized.pop(elem, None)
-                else:
-                    normalized[elem] = total
-        self._terms = normalized
+    def __init__(self, terms: Mapping[ConstantBasisElement, Rational] | Iterable | None = None):
+        """Merge a mapping, or ``(element, coefficient)`` pairs whose equal elements add."""
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._terms = _merge((_checked(elem), Fraction(coeff)) for elem, coeff in pairs)
+
+    @classmethod
+    def _of(cls, terms: Dict[ConstantBasisElement, Fraction]) -> "ZetaCombination":
+        """Wrap a term dict that is already in normal form."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     # ------------------------------------------------------------------
     # Constructors
@@ -178,10 +201,7 @@ class ZetaCombination:
         An argument the kind does not keep is folded into a pi power where
         the kind has a fold, and rejected otherwise.
         """
-        entry = KINDS.get(kind)
-        if entry is not None and entry.fold is not None and not entry.keeps(arg):
-            return ZetaCombination.pi_rational(Fraction(coeff) * entry.fold(arg), pi_power + arg)
-        return ZetaCombination({ConstantBasisElement(kind, arg, pi_power): Fraction(coeff)})
+        return ZetaCombination._of(_merge([_normal(kind, arg, pi_power, Fraction(coeff))]))
 
     @staticmethod
     def pi_rational(coeff: Rational, pi_power: int = 0) -> "ZetaCombination":
@@ -246,21 +266,10 @@ class ZetaCombination:
     def __add__(self, other: "ZetaCombination") -> "ZetaCombination":
         if not isinstance(other, ZetaCombination):
             return NotImplemented
-        merged = dict(self._terms)
-        for elem, coeff in other._terms.items():
-            total = merged.get(elem, Fraction(0)) + coeff
-            if total == 0:
-                merged.pop(elem, None)
-            else:
-                merged[elem] = total
-        out = ZetaCombination.zero()
-        out._terms = merged
-        return out
+        return ZetaCombination._of(_merge(chain(self._terms.items(), other._terms.items())))
 
     def __neg__(self) -> "ZetaCombination":
-        out = ZetaCombination.zero()
-        out._terms = {elem: -coeff for elem, coeff in self._terms.items()}
-        return out
+        return ZetaCombination._of({elem: -coeff for elem, coeff in self._terms.items()})
 
     def __sub__(self, other: "ZetaCombination") -> "ZetaCombination":
         if not isinstance(other, ZetaCombination):
@@ -269,11 +278,7 @@ class ZetaCombination:
 
     def __mul__(self, other: object) -> "ZetaCombination":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return ZetaCombination.zero()
-            out = ZetaCombination.zero()
-            out._terms = {elem: coeff * other for elem, coeff in self._terms.items()}
-            return out
+            return ZetaCombination._of(_merge((e, c * other) for e, c in self._terms.items()))
         if isinstance(other, ZetaCombination):
             if self.is_pi_rational():
                 scalar, product = self, other
@@ -284,29 +289,14 @@ class ZetaCombination:
                     "cannot multiply two combinations that both contain "
                     "transcendental basis constants"
                 )
-            acc: Dict[ConstantBasisElement, Fraction] = {}
-            for selem, scoeff in scalar._terms.items():
-                for pelem, pcoeff in product._terms.items():
-                    target = pelem.shifted(selem.pi_power)
-                    total = acc.get(target, Fraction(0)) + scoeff * pcoeff
-                    if total == 0:
-                        acc.pop(target, None)
-                    else:
-                        acc[target] = total
-            out = ZetaCombination.zero()
-            out._terms = acc
-            return out
+            return ZetaCombination._of(_merge(
+                (pelem.shifted(selem.pi_power), scoeff * pcoeff)
+                for selem, scoeff in scalar._terms.items()
+                for pelem, pcoeff in product._terms.items()
+            ))
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale_pi(self, pi_shift: int) -> "ZetaCombination":
-        """The combination multiplied by ``pi^pi_shift`` (negative shifts allowed)."""
-        out = ZetaCombination.zero()
-        out._terms = {
-            elem.shifted(pi_shift): coeff for elem, coeff in self._terms.items()
-        }
-        return out
 
     # ------------------------------------------------------------------
     # Serialization and formatting
@@ -327,18 +317,19 @@ class ZetaCombination:
     def from_records(records: Iterable[Mapping[str, Union[str, int]]]) -> "ZetaCombination":
         """Rebuild a combination from :meth:`to_records` output.
 
-        Records are routed through :meth:`term`, so non-normal inputs (for
-        example zeta at an even argument) are folded on the way in.
+        Each record is normalized like the arguments of :meth:`term`, so
+        non-normal inputs (for example zeta at an even argument) are folded
+        on the way in; all records merge in one pass.
         """
-        total = ZetaCombination.zero()
-        for rec in records:
-            total = total + ZetaCombination.term(
+        return ZetaCombination._of(_merge(
+            _normal(
                 str(rec["kind"]),
                 int(rec.get("arg", 0)),
                 int(rec.get("pi_power", 0)),
                 Fraction(str(rec["coeff"])),
             )
-        return total
+            for rec in records
+        ))
 
     def format_text(self) -> str:
         """Deterministic human-readable rendering, e.g. ``7*zeta(3) + ...``."""
@@ -357,13 +348,7 @@ class ZetaCombination:
                 coeff_text = str(coeff) if coeff.denominator == 1 else f"({coeff})"
                 piece = f"{coeff_text}*{symbol}"
             rendered.append(piece)
-        text = rendered[0]
-        for piece in rendered[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
+        return " + ".join(rendered).replace(" + -", " - ")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZetaCombination({self.format_text()})"

@@ -16,12 +16,16 @@ homogeneous of total weight ``pi_normalization + 1``.
 
 The module also exposes the rational coefficient ladders ``coeff_a`` and
 ``coeff_b`` that convert the iterated arctangent-density integrals into
-one-dimensional log moments.  Every coefficient indexes one integer
-:func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares, built
-once per ``(parity, count)`` and cached.  The Bernoulli-weighted sums of
-families ``ii`` and ``iii`` run as one integer correlation over a common
-denominator for every ``h`` at once, and each evaluator builds its
-combination once from its list of terms.
+one-dimensional log moments.  Family ``i``'s terms index one cached integer
+:func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares, and
+the other families are stated through them: family ``iii``'s first two sums
+are ``(1/2) pi`` times family ``i`` for even ``n`` and half of family ``i``
+at ``n + 1`` for odd ``n``; family ``ii`` at odd ``n`` is ``pi^2`` times
+family ``i`` plus ``l3_ii(2h+1)`` terms whose coefficients are family
+``i``'s ``L(chi_-4, 2h+2)`` coefficients over ``2h+1``.  One builder makes
+every zeta sum, of terms ``zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j /
+scale``; the Bernoulli-weighted ``w_j`` come from one integer correlation
+over a common denominator for every ``h`` at once.
 
 Each quantity has one route here.  The identities that link the two ladders
 (``reduction_ab``, ``reduction_ba``) and the Euler-weighted rewriting of family
@@ -78,11 +82,10 @@ class Family(Enum):
         ValueError
             If the label names no family.
         """
-        text = label.strip().lower()
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError("unknown family label %r; expected i, ii or iii" % (label,))
+        try:
+            return cls(label.strip().lower())
+        except ValueError:
+            raise ValueError("unknown family label %r; expected i, ii or iii" % (label,)) from None
 
 
 @dataclass(frozen=True)
@@ -130,12 +133,8 @@ class FamilySpec:
 
     @property
     def torus_dimension(self) -> int:
-        """Number of torus variables in the defining polynomial."""
-        if self.family is Family.ONE:
-            return self.n_transforms + 1
-        if self.family is Family.TWO:
-            return self.n_transforms + 3
-        return self.n_transforms + 2
+        """Number of torus variables in the defining polynomial: ``pi_normalization + 1``."""
+        return self.pi_normalization + 1
 
 
 @dataclass(frozen=True)
@@ -208,9 +207,39 @@ def _bernoulli_correlation(n: int, weight: Callable[[int], Rational]) -> List[Fr
     ]
 
 
-def _combination(terms: Iterable[Tuple[str, int, int, Fraction]]) -> ZetaCombination:
-    """The combination of ``(kind, arg, pi_power, coeff)`` terms, no two with one key."""
-    return ZetaCombination({ConstantBasisElement(k, a, p): c for k, a, p, c in terms})
+# A term ``(kind, arg, pi_power, numerator, denominator)``: every factor of
+# its coefficient lands in the one ``Fraction`` that ``_combination`` builds.
+_Term = Tuple[str, int, int, int, int]
+
+
+def _combination(terms: Iterable[_Term]) -> ZetaCombination:
+    """The combination of ``terms``; terms with one key add."""
+    return ZetaCombination(
+        (ConstantBasisElement(k, a, p), Fraction(num, den)) for k, a, p, num, den in terms
+    )
+
+
+def _zeta_sum(top: int, scale: int, weights: Iterable[Tuple[int, Rational]]) -> List[_Term]:
+    """``sum_j zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j / scale`` over ``(j, w_j)``."""
+    return [
+        ("zeta", 2 * j + 1, top - 2 * j,
+         factorial(2 * j) * (2 ** (2 * j + 1) - 1) * w.numerator, scale * w.denominator)
+        for j, w in weights
+    ]
+
+
+def _family_one_terms(transforms: int) -> List[_Term]:
+    """Family ``i``'s terms, which families ``ii`` and ``iii`` are built from."""
+    n = transforms // 2
+    if transforms % 2 == 0:
+        evens, scale = _square_ladder(0, n - 1), 2 * factorial(2 * n - 1)
+        return _zeta_sum(2 * n, scale, ((h, evens[n - h]) for h in range(1, n + 1)))
+    odds, scale = _square_ladder(1, n), factorial(2 * n)
+    return [
+        ("lchi4", 2 * h + 2, 2 * n - 2 * h,
+         odds[n - h] * factorial(2 * h + 1) * 2 ** (2 * h + 1), scale)
+        for h in range(n + 1)
+    ]
 
 
 def coeff_a(n: int, h: int) -> Fraction:
@@ -288,24 +317,7 @@ def family_one(spec: FamilySpec) -> MahlerResult:
         ``pi**n_transforms * m`` as an exact combination.
     """
     _require_family(spec, Family.ONE)
-    transforms = spec.n_transforms
-    if transforms % 2 == 0:
-        n = transforms // 2
-        evens, scale = _square_ladder(0, n - 1), 2 * factorial(2 * n - 1)
-        terms = [
-            ("zeta", 2 * h + 1, 2 * n - 2 * h,
-             Fraction(evens[n - h] * factorial(2 * h) * (2 ** (2 * h + 1) - 1), scale))
-            for h in range(1, n + 1)
-        ]
-    else:
-        n = (transforms - 1) // 2
-        odds, scale = _square_ladder(1, n), factorial(2 * n)
-        terms = [
-            ("lchi4", 2 * h + 2, 2 * n - 2 * h,
-             Fraction(odds[n - h] * factorial(2 * h + 1) * 2 ** (2 * h + 1), scale))
-            for h in range(n + 1)
-        ]
-    return MahlerResult(spec, _combination(terms))
+    return MahlerResult(spec, _combination(_family_one_terms(spec.n_transforms)))
 
 
 def family_two(spec: FamilySpec) -> MahlerResult:
@@ -318,6 +330,8 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     ``pi^(2k-2h+2) L(chi_-4, 2h+2)``; the purely imaginary double
     polylogarithm is folded into the real basis constant
     ``i * scriptL_{3,b}(i, i)`` so all stored coefficients are rational.
+    The odd form is ``pi^2`` times family ``i`` at ``n`` plus, on each
+    ``l3_ii(2h+1)``, family ``i``'s ``L(chi_-4, 2h+2)`` coefficient over ``2h+1``.
 
     Parameters
     ----------
@@ -332,30 +346,19 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     _require_family(spec, Family.TWO)
     transforms = spec.n_transforms
     if transforms == 0:
-        combo = ZetaCombination.zeta(3, 0, Fraction(7, 2))
-        return MahlerResult(spec, combo)
+        return MahlerResult(spec, ZetaCombination.zeta(3, 0, Fraction(7, 2)))
     if transforms % 2 == 0:
         n = transforms // 2
-        scale = 8 * factorial(2 * n - 1)
-        terms = [
-            ("zeta", 2 * h + 3, 2 * n - 2 * h,
-             Fraction(factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), scale) * inner)
-            for h, inner in enumerate(_bernoulli_correlation(n, _two_weight), 1)
-        ]
+        inners = _bernoulli_correlation(n, _two_weight)  # inner(h) weighs zeta(2h+3): j = h + 1
+        terms = _zeta_sum(2 * n + 2, 8 * factorial(2 * n - 1), enumerate(inners, 2))
     else:
-        n = (transforms - 1) // 2
-        odds, scale = _square_ladder(1, n), factorial(2 * n)
-        terms = []
-        for h in range(n + 1):
-            base = odds[n - h] * factorial(2 * h) * 2 ** (2 * h + 1)
-            terms += [
-                ("l3_ii", 2 * h + 1, 2 * n - 2 * h, Fraction(base, scale)),
-                ("lchi4", 2 * h + 2, 2 * n - 2 * h + 2, Fraction(base * (2 * h + 1), scale)),
-            ]
+        family_i = _family_one_terms(transforms)
+        terms = [("lchi4", arg, p + 2, num, den) for _, arg, p, num, den in family_i]
+        terms += (("l3_ii", arg - 1, p, num, den * (arg - 1)) for _, arg, p, num, den in family_i)
     return MahlerResult(spec, _combination(terms))
 
 
-def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
+def _family_three_tail(n: int, pi_shift: int) -> List[_Term]:
     """Third sum of both family-three closed forms, weighted by Bernoulli numbers.
 
     ``pi_shift`` is 1 for even transform counts and 2 for odd ones.  The
@@ -365,11 +368,7 @@ def _family_three_tail(n: int, pi_shift: int) -> ZetaCombination:
     """
     inners = _bernoulli_correlation(n, _three_weight)  # empty at one transform (n = 0)
     scale = 4 * factorial(2 * n - 1) if inners else 1
-    return _combination(
-        ("zeta", 2 * h + 1, 2 * n - 2 * h + pi_shift,
-         Fraction(factorial(2 * h) * (2 ** (2 * h + 1) - 1), scale) * inner)
-        for h, inner in enumerate(inners, 1)
-    )
+    return _zeta_sum(2 * n + pi_shift, scale, enumerate(inners, 1))
 
 
 def family_three(spec: FamilySpec) -> MahlerResult:
@@ -377,7 +376,8 @@ def family_three(spec: FamilySpec) -> MahlerResult:
 
     Every result carries the universal term ``(1/2) pi**(n+1) log 2`` plus two
     rational sums over ``zeta(odd)``; the third sum is weighted by Bernoulli
-    numbers.
+    numbers.  The first two sums are ``(1/2) pi`` times family ``i`` at ``n``
+    for even ``n``, and half of family ``i`` at ``n + 1`` for odd ``n``.
 
     Parameters
     ----------
@@ -390,25 +390,14 @@ def family_three(spec: FamilySpec) -> MahlerResult:
         ``pi**(n_transforms + 1) * m`` as an exact combination.
     """
     _require_family(spec, Family.THREE)
-    transforms = spec.n_transforms
-    terms = [("log2", 0, spec.pi_normalization, Fraction(1, 2))]
-    if transforms % 2 == 0:
-        n = transforms // 2
-        evens, scale = _square_ladder(0, n - 1), 4 * factorial(2 * n - 1)
-        terms += (
-            ("zeta", 2 * h + 1, 2 * n - 2 * h + 1,
-             Fraction(evens[n - h] * factorial(2 * h) * (2 ** (2 * h + 1) - 1), scale))
-            for h in range(1, n + 1)
-        )
-    else:
-        n = (transforms - 1) // 2
-        evens, scale = _square_ladder(0, n), 4 * factorial(2 * n + 1)
-        terms += (
-            ("zeta", 2 * h + 3, 2 * n - 2 * h,
-             Fraction(evens[n - h] * factorial(2 * h + 2) * (2 ** (2 * h + 3) - 1), scale))
-            for h in range(n + 1)
-        )
-    return MahlerResult(spec, _combination(terms) + _family_three_tail(n, 1 + transforms % 2))
+    transforms, parity = spec.n_transforms, spec.parity
+    terms = [("log2", 0, spec.pi_normalization, 1, 2)]
+    terms += (
+        (kind, arg, pi_power + 1 - parity, num, 2 * den)
+        for kind, arg, pi_power, num, den in _family_one_terms(transforms + parity)
+    )
+    terms += _family_three_tail(transforms // 2, 1 + parity)
+    return MahlerResult(spec, _combination(terms))
 
 
 def mahler_measure(spec: FamilySpec) -> MahlerResult:

@@ -41,6 +41,7 @@ from .exact import (
 from .formulas import (
     FamilySpec,
     MahlerResult,
+    _combination,
     _family_three_tail,
     coeff_a,
     coeff_b,
@@ -203,7 +204,7 @@ def family_three_rewriting(
         )
         coeff = Fraction(factorial(2 * o) * (2 ** (2 * o + 1) - 1), 4 * scale) * inner
         tail = tail + ZetaCombination.zeta(2 * o + 1, 2 * n - 2 * o + pi_shift, coeff)
-    combination = production.combination - _family_three_tail(n, pi_shift) + tail
+    combination = production.combination - _combination(_family_three_tail(n, pi_shift)) + tail
     return MahlerResult(spec, combination)
 
 

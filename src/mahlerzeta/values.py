@@ -208,7 +208,10 @@ def combination_value(
 
     If ``store`` is given, base constants are looked up there first (a hit
     requires at least the requested precision) and newly computed ones are
-    written back immediately.
+    written back immediately.  Constants at ``digits + 5`` digits suffice for
+    every closed form: each coefficient and each basis constant is positive,
+    so the sum never cancels; only the ``l3_ii`` fold cancels, and
+    :func:`l3_ii_value` adds its own guard digits for it.
     """
     _require_digits(digits)
     with mp.workdps(digits + 10):

@@ -132,8 +132,9 @@ def test_scalar_and_pi_rational_multiplication() -> None:
     assert prod.coefficient(ConstantBasisElement("zeta", 3, 2)) == 3
     assert prod.coefficient(ConstantBasisElement("log2", 0, 4)) == 3
     assert prod == a * pi2
-    assert a.scale_pi(2) == ZetaCombination.pi_rational(1, 2) * a
-    assert a.scale_pi(2).scale_pi(-2) == a
+    pi_squared = ZetaCombination.pi_rational(1, 2)
+    assert pi_squared * a == ZetaCombination.zeta(3, 2) + ZetaCombination.log2(pi_power=4)
+    assert ZetaCombination.pi_rational(1, -2) * (pi_squared * a) == a
 
 
 def test_product_of_two_transcendental_parts_is_rejected() -> None:

@@ -222,9 +222,12 @@ def test_family_one_small_cases() -> None:
 
 
 def test_family_one_even_coefficients_positive() -> None:
-    for transforms in range(2, 21, 2):
-        result = family_one(FamilySpec(Family.ONE, transforms))
-        assert all(coeff > 0 for _, coeff in result.combination.terms())
+    # Every family and parity up to n = 200, family i at even n among them: no
+    # closed form cancels, which combination_value's guard digits rely on.
+    for family in Family:
+        for transforms in range(0 if family is Family.TWO else 1, 201):
+            result = mahler_measure(FamilySpec(family, transforms))
+            assert all(coeff > 0 for _, coeff in result.combination.terms()), (family, transforms)
 
 
 def test_family_two_small_cases() -> None:

@@ -60,10 +60,11 @@ def test_rational_scaling_distributes(q, r, a, b) -> None:
 
 @given(_COMBINATIONS, _PI_POWERS, _PI_POWERS)
 def test_scale_pi_composes(a, s, t) -> None:
-    assert a.scale_pi(s).scale_pi(t) == a.scale_pi(s + t)
-    assert a.scale_pi(s).scale_pi(-s) == a
-    assert a.scale_pi(0) == a
-    assert ZetaCombination.pi_rational(1, s) * a == a.scale_pi(s)
+    pi = ZetaCombination.pi_rational
+    assert pi(1, t) * (pi(1, s) * a) == pi(1, s + t) * a
+    assert pi(1, -s) * (pi(1, s) * a) == a
+    assert pi(1, 0) * a == a
+    assert pi(1, s) * a == a * pi(1, s)
 
 
 @given(_POLYS, _POLYS, _POLYS)
