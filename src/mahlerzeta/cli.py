@@ -29,7 +29,7 @@ import mpmath as mp
 
 from .combinations import ZetaCombination
 from .exact import PolyQ, log_moment_poly
-from .formulas import Family, FamilySpec, family_three, mahler_measure
+from .formulas import Family, FamilySpec, family_three, family_two, mahler_measure
 from .identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_factorial_sum,
@@ -43,7 +43,8 @@ from .identities import (
     check_log_moment_poly_properties,
     check_symmetric_transfer_first,
     check_symmetric_transfer_second,
-    family_three_rewriting,
+    family_three_rewritings,
+    family_two_bernoulli_form,
     log_moment_poly_bernoulli_form,
     monomial_from_log_moment_polys,
     reduction_ab,
@@ -148,14 +149,15 @@ def _monomial_recombines(degree: int) -> bool:
     return rebuilt == PolyQ.monomial(degree)
 
 
+def _family_two_bernoulli_form_agrees(transforms: int) -> bool:
+    spec = FamilySpec(Family.TWO, transforms)
+    return transforms % 2 == 1 or family_two_bernoulli_form(spec) == family_two(spec)
+
+
 def _family_three_rewritings_agree(transforms: int) -> bool:
     spec = FamilySpec(Family.THREE, transforms)
     production = family_three(spec)
-    return all(
-        family_three_rewriting(spec, variant, reading) == production
-        for variant in ("bernoulli", "euler")
-        for reading in ("h", "l")
-    )
+    return all(rewriting == production for rewriting in family_three_rewritings(spec))
 
 
 def _erratum_pinned(row: TableRow) -> Callable:
@@ -244,6 +246,7 @@ def _checks() -> List[Check]:
             _each_degree(0, lambda k: log_moment_poly_bernoulli_form(k) == log_moment_poly(k)),
         ),
         ("identities/monomial-decomposition", _each_degree(1, _monomial_recombines)),
+        ("identities/family-two-bernoulli-form", _each_n(2, _family_two_bernoulli_form_agrees)),
         ("identities/family-three-rewritings", _each_n(1, _family_three_rewritings_agree)),
         (
             "tables/all-rows-match-canonical",

@@ -17,19 +17,27 @@ homogeneous of total weight ``pi_normalization + 1``.
 The module also exposes the rational coefficient ladders ``coeff_a`` and
 ``coeff_b`` that convert the iterated arctangent-density integrals into
 one-dimensional log moments.  Family ``i``'s terms index one cached integer
-:func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares, and
-the other families are stated through them: family ``iii``'s first two sums
-are ``(1/2) pi`` times family ``i`` for even ``n`` and half of family ``i``
-at ``n + 1`` for odd ``n``; family ``ii`` at odd ``n`` is ``pi^2`` times
-family ``i`` plus ``l3_ii(2h+1)`` terms whose coefficients are family
-``i``'s ``L(chi_-4, 2h+2)`` coefficients over ``2h+1``.  One builder makes
-every zeta sum, of terms ``zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j /
-scale``; the Bernoulli-weighted ``w_j`` come from one integer correlation
-over a common denominator for every ``h`` at once.
+:func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares; with
+``F(k) = pi^k m_i(k)``, the other families are built from those terms alone:
 
-Each quantity has one route here.  The identities that link the two ladders
-(``reduction_ab``, ``reduction_ba``) and the Euler-weighted rewriting of family
-``iii``'s third sum are checks, and live in :mod:`mahlerzeta.identities`.
+* A (family ``ii``, ``n >= 1``): ``c pi^p L_n(s)`` in ``F(n)`` gives
+  ``(2s(s+1)/n) c pi^p L_n(s+2)``; ``L_n`` is ``L(chi_-4, .)`` at odd ``n`` and
+  ``(1 - 2^-s) zeta(s)`` at even ``n``.  Closing both measures' Fourier
+  integrals over the poles ``s = -i(2k+1)`` (``S`` sums ``n`` i.i.d.
+  ``log|tan(t/2)|``) puts the two coefficients on ``[u^(-1-j)] csch^n u`` and
+  ``[u^(-2-j)] csch^n u coth u``, and ``d/du csch^n u = -n csch^n u coth u``
+  makes the second ``(j+1)/n`` times the first.
+* B (family ``iii``, ``p = n mod 2``): ``pi^(n+1) m_iii(n) = (1/2) pi^(n+1)
+  log 2 + (1/2) pi^(1-p) F(n+p) + sum_{k even <= n} pi^(n+1-k) F(k)/(2k)``.
+  At even ``n``, ``m_iii = m_i + (1/2) E[log(1 + e^-|S|)] = (1/2) (log 2 +
+  m_i + E[log cosh(S/2)])`` (``E|S| = 2 m_i``), and by Parseval ``E[log
+  cosh(S/2)] = (1/2) int_0^inf (sech w - sech^(n+1) w)/(w sinh w) dw``
+  telescopes through ``d/dw sech^k w = -k sech^k w tanh w`` into ``sum_{k
+  even <= n} m_i(k)/k``.  At odd ``n`` the paper's third sum is ``pi`` times
+  its value at ``n - 1``, since it sees ``n`` only via ``n // 2`` and a power of pi.
+
+The paper's Bernoulli forms and the ladder links (``reduction_ab``,
+``reduction_ba``) are checks in :mod:`mahlerzeta.identities`.
 """
 
 from __future__ import annotations
@@ -38,12 +46,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-from operator import mul
-from typing import Callable, Iterable, List, Tuple
+from math import factorial
+from typing import Iterable, List, Tuple
 
 from .combinations import ConstantBasisElement, ZetaCombination
-from .exact import Rational, bernoulli, even_squares, odd_squares, symmetric_ladder
+from .exact import even_squares, odd_squares, symmetric_ladder, symmetric_ladders
 
 __all__ = [
     "Family",
@@ -174,39 +181,6 @@ def _square_ladder(parity: int, count: int) -> Tuple[int, ...]:
     return symmetric_ladder(odd_squares(count) if parity else even_squares(count))
 
 
-def _two_weight(l: int) -> int:
-    """Family ``ii``'s Bernoulli weight ``(-4)^l``."""
-    return (-4) ** l
-
-
-def _three_weight(l: int) -> Fraction:
-    """Family ``iii``'s weight ``(-1)^(l+1) 2^(2l) (2^(2l-1) - 1)``, half-integral only at 0."""
-    return Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2)
-
-
-def _bernoulli_correlation(n: int, weight: Callable[[int], Rational]) -> List[Fraction]:
-    """``inner(h) = sum_{l=0}^{n-h} s_{n-h-l} C(2(l+h), 2h) weight(l) B_{2l} / (l+h)``.
-
-    Entry ``h - 1`` is ``inner(h)``, for ``h = 1..n``; ``s_j`` is the
-    even-square ladder of ``coeff_a(n, .)``.  With ``m = l + h``,
-    ``C(2m, 2h) / m = 2 (2m-1)! / ((2h)! (2l)!)``; with ``c_l / D = weight(l)
-    B_{2l} / (2l)!`` over one common denominator ``D``, ``inner(h) = 2 / ((2h)!
-    D) * sum_{m=h}^{n} s_{n-m} (2m-1)! c_{m-h}``: one integer correlation
-    serves every ``h``.
-    """
-    if n == 0:
-        return []
-    evens = _square_ladder(0, n - 1)
-    scaled = [weight(l) * bernoulli(2 * l) / factorial(2 * l) for l in range(n)]
-    common = lcm(*(c.denominator for c in scaled))
-    numerators = [c.numerator * (common // c.denominator) for c in scaled]
-    ladder = [evens[n - m] * factorial(2 * m - 1) for m in range(1, n + 1)]
-    return [
-        Fraction(2 * sum(map(mul, ladder[h - 1 :], numerators)), factorial(2 * h) * common)
-        for h in range(1, n + 1)
-    ]
-
-
 # A term ``(kind, arg, pi_power, numerator, denominator)``: every factor of
 # its coefficient lands in the one ``Fraction`` that ``_combination`` builds.
 _Term = Tuple[str, int, int, int, int]
@@ -219,11 +193,10 @@ def _combination(terms: Iterable[_Term]) -> ZetaCombination:
     )
 
 
-def _zeta_sum(top: int, scale: int, weights: Iterable[Tuple[int, Rational]]) -> List[_Term]:
-    """``sum_j zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j / scale`` over ``(j, w_j)``."""
+def _zeta_sum(top: int, scale: int, weights: Iterable[Tuple[int, int]]) -> List[_Term]:
+    """``sum_j zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j / scale``, integer ``w_j``."""
     return [
-        ("zeta", 2 * j + 1, top - 2 * j,
-         factorial(2 * j) * (2 ** (2 * j + 1) - 1) * w.numerator, scale * w.denominator)
+        ("zeta", 2 * j + 1, top - 2 * j, factorial(2 * j) * (2 ** (2 * j + 1) - 1) * w, scale)
         for j, w in weights
     ]
 
@@ -324,14 +297,14 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     """Closed form for ``pi**(n+2) * m((1 + x) + T(x_1)...T(x_n)(1 + y) z)``.
 
     The transform-free case ``n = 0`` is the three-variable base case with
-    value ``(7/2) zeta(3)``.  Even counts ``n = 2k >= 2`` produce
-    Bernoulli-weighted combinations of ``pi^(2k-2h) zeta(2h+3)``.  Odd counts
-    ``n = 2k+1`` mix ``pi^(2k-2h) i*scriptL_{3,2h+1}(i,i)`` with
-    ``pi^(2k-2h+2) L(chi_-4, 2h+2)``; the purely imaginary double
-    polylogarithm is folded into the real basis constant
-    ``i * scriptL_{3,b}(i, i)`` so all stored coefficients are rational.
-    The odd form is ``pi^2`` times family ``i`` at ``n`` plus, on each
-    ``l3_ii(2h+1)``, family ``i``'s ``L(chi_-4, 2h+2)`` coefficient over ``2h+1``.
+    value ``(7/2) zeta(3)``.  Otherwise identity A (module docstring, from
+    ``d/du csch^n u = -n csch^n u coth u``) maps family ``i``'s term ``c pi^p
+    L_n(s)`` to ``(2s(s+1)/n) c pi^p L_n(s+2)``; at even ``n``, ``c pi^p zeta(s)``
+    to ``c (2s(s+1)/n) (2^(s+2) - 1)/(4 (2^s - 1)) pi^p zeta(s+2)``.  At odd
+    ``n`` the paper's ``i*scriptL_{3,2h+1}(i,i)``, folded into the real basis
+    constant ``l3_ii(2h+1)`` so all coefficients are rational, stays: ``pi^2``
+    times family ``i`` plus, on each ``l3_ii(2h+1)``, family ``i``'s
+    ``L(chi_-4, 2h+2)`` coefficient over ``2h+1``.
 
     Parameters
     ----------
@@ -344,40 +317,42 @@ def family_two(spec: FamilySpec) -> MahlerResult:
         ``pi**(n_transforms + 2) * m`` as an exact combination.
     """
     _require_family(spec, Family.TWO)
-    transforms = spec.n_transforms
-    if transforms == 0:
+    n = spec.n_transforms
+    if n == 0:
         return MahlerResult(spec, ZetaCombination.zeta(3, 0, Fraction(7, 2)))
-    if transforms % 2 == 0:
-        n = transforms // 2
-        inners = _bernoulli_correlation(n, _two_weight)  # inner(h) weighs zeta(2h+3): j = h + 1
-        terms = _zeta_sum(2 * n + 2, 8 * factorial(2 * n - 1), enumerate(inners, 2))
+    family_i = _family_one_terms(n)
+    if n % 2 == 0:
+        terms = [
+            ("zeta", s + 2, p, num * s * (s + 1) * (2 ** (s + 2) - 1), den * 2 * n * (2**s - 1))
+            for _, s, p, num, den in family_i
+        ]
     else:
-        family_i = _family_one_terms(transforms)
         terms = [("lchi4", arg, p + 2, num, den) for _, arg, p, num, den in family_i]
         terms += (("l3_ii", arg - 1, p, num, den * (arg - 1)) for _, arg, p, num, den in family_i)
     return MahlerResult(spec, _combination(terms))
 
 
-def _family_three_tail(n: int, pi_shift: int) -> List[_Term]:
-    """Third sum of both family-three closed forms, weighted by Bernoulli numbers.
-
-    ``pi_shift`` is 1 for even transform counts and 2 for odd ones.  The
-    Euler-weighted rewriting of the same sum lives in
-    :func:`mahlerzeta.identities.family_three_rewriting`, which checks it
-    against this one.
+def _family_three_tail(transforms: int) -> List[_Term]:
+    """Identity B's third sum over ``4 (2M)!``, ``M = n // 2``: ``F(2m)/(4m)`` puts
+    ``(2h)! (2^(2h+1) - 1) s_{m-h}(2^2, ..., (2m-2)^2) (2M)!/(2m)!`` on ``zeta(2h+1)``.
     """
-    inners = _bernoulli_correlation(n, _three_weight)  # empty at one transform (n = 0)
-    scale = 4 * factorial(2 * n - 1) if inners else 1
-    return _zeta_sum(2 * n + pi_shift, scale, enumerate(inners, 1))
+    half = transforms // 2
+    common = factorial(2 * half)
+    weights = [0] * half
+    for m, ladder in zip(range(1, half + 1), symmetric_ladders(even_squares(half))):
+        share = common // factorial(2 * m)
+        for h in range(1, m + 1):
+            weights[h - 1] += ladder[m - h] * share
+    return _zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1))
 
 
 def family_three(spec: FamilySpec) -> MahlerResult:
     """Closed form for ``pi**(n+1) * m(1 + T(...) x + (1 - T(...)) y)``.
 
-    Every result carries the universal term ``(1/2) pi**(n+1) log 2`` plus two
-    rational sums over ``zeta(odd)``; the third sum is weighted by Bernoulli
-    numbers.  The first two sums are ``(1/2) pi`` times family ``i`` at ``n``
-    for even ``n``, and half of family ``i`` at ``n + 1`` for odd ``n``.
+    Every result carries ``(1/2) pi**(n+1) log 2``; by identity B (module docstring)
+    the rest is ``(1/2) pi F(n)`` at even ``n`` or ``(1/2) F(n+1)`` at odd ``n``, plus
+    ``T(n) = sum_{k even <= n} pi^(n+1-k) F(k)/(2k)``.  At odd ``n``, ``T(n) = pi
+    T(n-1)``: the paper's Bernoulli form of ``T`` sees ``n`` only via ``n // 2`` and pi.
 
     Parameters
     ----------
@@ -396,7 +371,7 @@ def family_three(spec: FamilySpec) -> MahlerResult:
         (kind, arg, pi_power + 1 - parity, num, 2 * den)
         for kind, arg, pi_power, num, den in _family_one_terms(transforms + parity)
     )
-    terms += _family_three_tail(transforms // 2, 1 + parity)
+    terms += _family_three_tail(transforms)
     return MahlerResult(spec, _combination(terms))
 
 

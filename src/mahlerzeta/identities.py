@@ -11,10 +11,13 @@ docstring and its range check in the body.
 
 The module also holds the routes that only cross-check production: the
 ladder identities ``reduction_ab``/``reduction_ba``, their raw symmetric-sum
-forms ``reduction_induction_ab``/``reduction_induction_ba``, and the three
-other exact rewritings of family ``iii``'s third sum
-(:func:`family_three_rewriting`).  :mod:`mahlerzeta.formulas` keeps one route
-per quantity.
+forms ``reduction_induction_ab``/``reduction_induction_ba``, and the paper's
+Bernoulli- and Euler-weighted forms of family ``ii`` at even ``n``
+(:func:`family_two_bernoulli_form`) and of family ``iii``'s third sum
+(:func:`family_three_rewritings`).  :mod:`mahlerzeta.formulas` builds both
+families from family ``i``'s terms instead, so these are the identities
+among Bernoulli numbers and symmetric functions that the closed forms rest
+on.
 
 Each check builds the ladders it needs once, with
 :func:`~mahlerzeta.exact.symmetric_ladder`, and indexes them: ``evens[j]`` is
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .combinations import ZetaCombination
 from .exact import (
@@ -39,6 +42,7 @@ from .exact import (
     symmetric_ladder,
 )
 from .formulas import (
+    Family,
     FamilySpec,
     MahlerResult,
     _combination,
@@ -53,7 +57,8 @@ __all__ = [
     "reduction_ba",
     "reduction_induction_ab",
     "reduction_induction_ba",
-    "family_three_rewriting",
+    "family_two_bernoulli_form",
+    "family_three_rewritings",
     "check_symmetric_transfer_first",
     "check_symmetric_transfer_second",
     "check_bernoulli_transfer_first",
@@ -147,65 +152,101 @@ def reduction_induction_ba(n: int) -> bool:
     return lhs == rhs * (2 * n + 1)
 
 
-def family_three_rewriting(
-    spec: FamilySpec, variant: str = "euler", binomial_reading: str = "l"
-) -> MahlerResult:
-    """Family ``iii``'s closed form with its third sum in one of four exact rewritings.
+def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable, read_l: bool) -> Fraction:
+    """``sum_{l=0}^{k-h} ladder[k-h-l] C(2(l+h), 2h) kernel(l, h)``.
 
-    The third sum is weighted by Bernoulli numbers (``variant="bernoulli"``)
-    or by Euler numbers (``"euler"``).  Its inner binomial coefficient takes
-    either of two complementary lower indices, named after the summation
-    index they double (``binomial_reading="h"`` or ``"l"``).
-    :func:`~mahlerzeta.formulas.family_three` evaluates the Bernoulli sum
-    with the ``h`` reading; this swaps in the chosen rewriting, so every
-    result must equal ``family_three(spec)``.
+    ``read_l`` reads the binomial as ``C(2(l+h), 2l)``.  This is the one inner
+    sum of the paper's Bernoulli and Euler transfers and forms.
     """
-    if variant == "bernoulli":
-        outer = "h"
+    terms = (
+        ladder[k - h - l] * comb(2 * (l + h), 2 * l if read_l else 2 * h) * kernel(l, h)
+        for l in range(k - h + 1)
+    )
+    return sum(terms, Fraction(0))
 
-        def weight(i: int, o: int) -> Fraction:
-            return (
-                (-1) ** (i + 1)
-                * Fraction(2) ** (2 * i)
-                * (Fraction(2) ** (2 * i - 1) - 1)
-                / (o + i)
-                * bernoulli(2 * i)
-            )
 
-    elif variant == "euler":
-        outer = "l"
+# The kernels of ``_ladder_sum`` in the paper's forms and transfers.
+def _bernoulli_two_kernel(l: int, h: int) -> Fraction:
+    return Fraction((-4) ** l, l + h) * bernoulli(2 * l)
 
-        def weight(i: int, o: int) -> Fraction:
-            return Fraction((-1) ** i * euler_number(2 * i))
 
-    else:
-        raise ValueError("variant must be 'bernoulli' or 'euler'")
-    if binomial_reading not in ("h", "l"):
-        raise ValueError("binomial_reading must be 'h' or 'l'")
+def _bernoulli_three_kernel(l: int, h: int) -> Fraction:
+    """``(-1)^(l+1) 2^(2l) (2^(2l-1) - 1) B_{2l} / (l+h)``."""
+    return Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2 * (l + h)) * bernoulli(2 * l)
+
+
+def _bernoulli_first_kernel(s: int, l: int) -> Fraction:
+    return Fraction((2 ** (2 * s) - 2) * (-1) ** (s + 1), l + s) * bernoulli(2 * s)
+
+
+def _bernoulli_third_kernel(s: int, l: int) -> Fraction:
+    return (2 ** (2 * s) - 2) * (-1) ** (s + 1) * bernoulli(2 * s)
+
+
+def _euler_kernel(s: int, l: int) -> int:
+    return (-1) ** s * euler_number(2 * s)
+
+
+def _zeta_series(top: int, scale: int, inners: Iterable[Tuple[int, Fraction]]) -> ZetaCombination:
+    """``sum_j zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) inner_j / scale`` over ``(j, inner_j)``.
+
+    Built here rather than with ``formulas._zeta_sum``, so that the paper's
+    forms share no term builder with the production closed forms.
+    """
+    total = ZetaCombination.zero()
+    for j, inner in inners:
+        coeff = Fraction(factorial(2 * j) * (2 ** (2 * j + 1) - 1), scale) * inner
+        total = total + ZetaCombination.zeta(2 * j + 1, top - 2 * j, coeff)
+    return total
+
+
+def family_two_bernoulli_form(spec: FamilySpec) -> MahlerResult:
+    """The paper's Bernoulli-weighted closed form of family ``ii`` at even ``n = 2k >= 2``::
+
+        pi^(n+2) m = sum_{h=1}^{k} zeta(2h+3) pi^(2k-2h) (2h+2)! (2^(2h+3) - 1)
+                                   inner(h) / (8 (2k-1)!)
+        inner(h) = sum_{l=0}^{k-h} s_{k-h-l}(2^2, ..., (2k-2)^2) C(2(l+h), 2h) (-4)^l B_{2l} / (l+h)
+
+    :func:`~mahlerzeta.formulas.family_two` builds the same member from family
+    ``i``'s terms by identity A, so the two must be equal.
+    """
+    if spec.family is not Family.TWO or spec.parity or spec.n_transforms < 2:
+        raise ValueError("the Bernoulli form is that of family ii at even n >= 2")
+    k = spec.n_transforms // 2
+    evens = symmetric_ladder(even_squares(k - 1))
+    inners = (
+        (h + 1, _ladder_sum(evens, k, h, _bernoulli_two_kernel, False)) for h in range(1, k + 1)
+    )
+    return MahlerResult(spec, _zeta_series(2 * k + 2, 8 * factorial(2 * k - 1), inners))
+
+
+def family_three_rewritings(spec: FamilySpec) -> List[MahlerResult]:
+    """Family ``iii``'s closed form with its third sum in each of the paper's four forms.
+
+    The third sum is weighted by Bernoulli numbers over the even-square
+    ladder or by Euler numbers over the odd-square ladder, and its inner
+    binomial ``C(2(l+h), 2h)`` may equally be read ``C(2(l+h), 2l)``.  In the
+    order (Bernoulli, ``2h``), (Bernoulli, ``2l``), (Euler, ``2h``), (Euler,
+    ``2l``), each result swaps one form in for the identity B sum that
+    :func:`~mahlerzeta.formulas.family_three` builds from family ``i``, so
+    every result must equal ``family_three(spec)``.
+    """
     production = family_three(spec)
     n = spec.n_transforms // 2
-    if n == 0:  # one transform: the third sum is empty in every rewriting
-        return production
-    pi_shift = 1 + spec.parity
-    if variant == "bernoulli":
-        ladder, scale = symmetric_ladder(even_squares(n - 1)), factorial(2 * n - 1)
-    else:
-        ladder, scale = symmetric_ladder(odd_squares(n)), factorial(2 * n)
-    tail = ZetaCombination.zero()
-    for o in range(1, n + 1):
-        inner = sum(
-            (
-                ladder[n - o - i]
-                * comb(2 * (o + i), 2 * o if binomial_reading == outer else 2 * i)
-                * weight(i, o)
-                for i in range(n - o + 1)
-            ),
-            Fraction(0),
-        )
-        coeff = Fraction(factorial(2 * o) * (2 ** (2 * o + 1) - 1), 4 * scale) * inner
-        tail = tail + ZetaCombination.zeta(2 * o + 1, 2 * n - 2 * o + pi_shift, coeff)
-    combination = production.combination - _combination(_family_three_tail(n, pi_shift)) + tail
-    return MahlerResult(spec, combination)
+    if n == 0:  # one transform: the third sum is empty in every form
+        return [production] * 4
+    rest = production.combination - _combination(_family_three_tail(spec.n_transforms))
+    forms = [
+        (symmetric_ladder(even_squares(n - 1)), factorial(2 * n - 1), _bernoulli_three_kernel),
+        (symmetric_ladder(odd_squares(n)), factorial(2 * n), _euler_kernel),
+    ]
+    results = []
+    for ladder, scale, kernel in forms:
+        for read_l in (False, True):
+            inners = ((o, _ladder_sum(ladder, n, o, kernel, read_l)) for o in range(1, n + 1))
+            tail = _zeta_series(spec.n_transforms + 1, 4 * scale, inners)
+            results.append(MahlerResult(spec, rest + tail))
+    return results
 
 
 def check_symmetric_transfer_first(n: int, l: int) -> bool:
@@ -249,19 +290,7 @@ def check_bernoulli_transfer_first(n: int, l: int) -> bool:
         raise ValueError("requires n >= 1 and 1 <= l <= n")
     evens = symmetric_ladder(even_squares(n - 1))
     lhs = symmetric_ladder(odd_squares(n))[n - l]
-    rhs = n * sum(
-        (
-            evens[n - l - s]
-            * Fraction(1, l + s)
-            * bernoulli(2 * s)
-            * comb(2 * (l + s), 2 * s)
-            * (2 ** (2 * s) - 2)
-            * (-1) ** (s + 1)
-            for s in range(n - l + 1)
-        ),
-        Fraction(0),
-    )
-    return lhs == rhs
+    return lhs == n * _ladder_sum(evens, n, l, _bernoulli_first_kernel, True)
 
 
 def check_bernoulli_transfer_second(n: int) -> bool:
@@ -300,18 +329,7 @@ def check_bernoulli_transfer_third(n: int, l: int) -> bool:
         raise ValueError("requires n >= 0 and 0 <= l <= n")
     odds = symmetric_ladder(odd_squares(n))
     lhs = (2 * l + 1) * symmetric_ladder(even_squares(n))[n - l]
-    rhs = (2 * n + 1) * sum(
-        (
-            odds[n - l - s]
-            * bernoulli(2 * s)
-            * comb(2 * (l + s), 2 * s)
-            * (2 ** (2 * s) - 2)
-            * (-1) ** (s + 1)
-            for s in range(n - l + 1)
-        ),
-        Fraction(0),
-    )
-    return lhs == rhs
+    return lhs == (2 * n + 1) * _ladder_sum(odds, n, l, _bernoulli_third_kernel, True)
 
 
 def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
@@ -330,30 +348,8 @@ def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
         raise ValueError("requires n >= 1 and 1 <= l <= n")
     evens = symmetric_ladder(even_squares(n - 1))
     odds = symmetric_ladder(odd_squares(n))
-    lhs = n * sum(
-        (
-            evens[n - l - s]
-            * Fraction(1, l + s)
-            * bernoulli(2 * s)
-            * comb(2 * (l + s), 2 * s)
-            * 2 ** (2 * s)
-            * (2 ** (2 * s) - 2)
-            * (-1) ** (s + 1)
-            for s in range(n - l + 1)
-        ),
-        Fraction(0),
-    )
-    rhs = sum(
-        (
-            Fraction((-1) ** (k + l) * comb(2 * k, 2 * l))
-            * odds[n - k]
-            * euler_number(2 * (k - l))
-            for k in range(l, n + 1)
-        ),
-        Fraction(0),
-    )
-    return lhs == rhs
-
+    lhs = 2 * n * _ladder_sum(evens, n, l, _bernoulli_three_kernel, True)
+    return lhs == _ladder_sum(odds, n, l, _euler_kernel, False)
 
 
 def check_euler_factorial_sum(n: int) -> bool:

@@ -38,6 +38,7 @@ ALL_CHECKS = [
     "identities/log-moment-poly-properties",
     "identities/log-moment-poly-bernoulli-form",
     "identities/monomial-decomposition",
+    "identities/family-two-bernoulli-form",
     "identities/family-three-rewritings",
     "tables/all-rows-match-canonical",
     "tables/erratum-family-ii-3-transforms",

@@ -21,6 +21,7 @@ from mahlerzeta.exact import (
     log_moment_poly_closed,
     odd_squares,
     symmetric_ladder,
+    symmetric_ladders,
 )
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,14 @@ def test_symmetric_ladder_keeps_integers() -> None:
 
 def test_symmetric_ladder_of_nothing_is_one() -> None:
     assert symmetric_ladder([]) == (1,)
+
+
+def test_symmetric_ladders_grow_every_prefix() -> None:
+    rng = random.Random(11)
+    for values in _random_vectors(rng):
+        prefixes = list(symmetric_ladders(values))
+        assert prefixes == [symmetric_ladder(values[:i]) for i in range(len(values) + 1)]
+    assert list(symmetric_ladders(even_squares(2))) == [(1,), (1, 4), (1, 20, 64)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import comb
 
 import pytest
 
-from mahlerzeta import formulas
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.exact import bernoulli, even_squares, symmetric_ladder
 from mahlerzeta.formulas import (
     Family,
     FamilySpec,
@@ -24,7 +21,8 @@ from mahlerzeta.formulas import (
     mahler_measure,
 )
 from mahlerzeta.identities import (
-    family_three_rewriting,
+    family_three_rewritings,
+    family_two_bernoulli_form,
     reduction_ab,
     reduction_ba,
     reduction_induction_ab,
@@ -155,8 +153,8 @@ def test_large_n_results_are_pinned(label: str, transforms: int) -> None:
     spec = FamilySpec(Family.from_label(label), transforms)
     assert _records_digest(mahler_measure(spec)) == LARGE_N_DIGESTS[label, transforms]
     if spec.family is Family.THREE:
-        euler = family_three_rewriting(spec, variant="euler", binomial_reading="l")
-        assert _records_digest(euler) == LARGE_N_DIGESTS[label, transforms]
+        for rewriting in family_three_rewritings(spec):
+            assert _records_digest(rewriting) == LARGE_N_DIGESTS[label, transforms]
 
 
 # SHA-256 over the canonical JSON of ``[family, n, to_records()]`` for every
@@ -174,36 +172,6 @@ def test_every_member_up_to_n_100_is_pinned() -> None:
             member = [family.value, transforms, records]
             digest.update(json.dumps(member, sort_keys=True, separators=(",", ":")).encode())
     assert digest.hexdigest() == MEMBERS_TO_100_DIGEST
-
-
-# The per-term rational loop that built each Bernoulli-weighted sum, one h
-# at a time, before the integer correlation, with the two families' weights
-# as it wrote them.  The correlation must agree with it exactly.
-def _reference_ladder_sum(n: int, h: int, weight) -> Fraction:
-    evens = symmetric_ladder(even_squares(n - 1))
-    return sum(
-        (
-            Fraction(evens[n - h - l] * comb(2 * (l + h), 2 * h) * weight(l), l + h)
-            * bernoulli(2 * l)
-            for l in range(n - h + 1)
-        ),
-        Fraction(0),
-    )
-
-
-@pytest.mark.parametrize(
-    "weight, reference_weight",
-    [
-        (formulas._two_weight, lambda l: (-4) ** l),
-        (formulas._three_weight, lambda l: Fraction((-1) ** (l + 1) * (16**l - 2 * 4**l), 2)),
-    ],
-    ids=["ii", "iii"],
-)
-def test_bernoulli_correlation_matches_the_per_term_loop(weight, reference_weight) -> None:
-    assert formulas._bernoulli_correlation(0, weight) == []
-    for n in range(1, 61):
-        expected = [_reference_ladder_sum(n, h, reference_weight) for h in range(1, n + 1)]
-        assert formulas._bernoulli_correlation(n, weight) == expected, n
 
 
 def test_family_one_small_cases() -> None:
@@ -246,6 +214,16 @@ def test_family_two_small_cases() -> None:
     assert r1.combination == ZetaCombination.lchi4(2, 2, 2) + ZetaCombination.l3_ii(1, 0, 2)
     with pytest.raises(ValueError):
         family_two(FamilySpec(Family.ONE, 2))
+    for wrong in (FamilySpec(Family.TWO, 0), FamilySpec(Family.TWO, 3), FamilySpec(Family.ONE, 2)):
+        with pytest.raises(ValueError):
+            family_two_bernoulli_form(wrong)
+
+
+def test_family_two_bernoulli_form_agrees() -> None:
+    # the paper's Bernoulli-weighted form against identity A, which production uses
+    for transforms in range(2, 201, 2):
+        spec = FamilySpec(Family.TWO, transforms)
+        assert family_two_bernoulli_form(spec) == family_two(spec), transforms
 
 
 def test_family_two_three_transforms() -> None:
@@ -278,21 +256,16 @@ def test_family_three_small_cases() -> None:
     with pytest.raises(ValueError):
         family_three(FamilySpec(Family.ONE, 2))
     with pytest.raises(ValueError):
-        family_three_rewriting(FamilySpec(Family.ONE, 2))
-    with pytest.raises(ValueError):
-        family_three_rewriting(FamilySpec(Family.THREE, 2), variant="other")
-    with pytest.raises(ValueError):
-        family_three_rewriting(FamilySpec(Family.THREE, 2), binomial_reading="x")
+        family_three_rewritings(FamilySpec(Family.ONE, 2))
 
 
 def test_family_three_variants_agree() -> None:
-    # the Euler rewriting and the l reading are checks in the identities layer
-    for transforms in range(1, 13):
+    # the paper's four forms of the third sum against identity B, which production uses
+    for transforms in range(1, 101):
         spec = FamilySpec(Family.THREE, transforms)
         base = family_three(spec)
-        for variant in ("bernoulli", "euler"):
-            for reading in ("h", "l"):
-                assert family_three_rewriting(spec, variant, reading) == base, (variant, reading)
+        for form, rewriting in enumerate(family_three_rewritings(spec)):
+            assert rewriting == base, (transforms, form)
 
 
 def test_weight_homogeneity_all_families() -> None:

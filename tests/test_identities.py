@@ -163,7 +163,7 @@ def _perturb_p2(k: int) -> PolyQ:
 def test_no_identity_check_is_vacuous(monkeypatch) -> None:
     """Each identity check fails when one input it rests on is slightly wrong."""
     names = {name for name, _ in cli._checks() if name.startswith("identities/")}
-    assert len(names) == 17
+    assert len(names) == 18
     assert _failing_identity_checks() == set()
     perturbations = {
         "ladder s_1 + 1": [
