@@ -16,15 +16,24 @@ too, the two sides alternating which goes first, and the file also counts
 for each metric the pairs in which this checkout was better; ``BENCHMARK.json``
 says which direction is better.  Results of other workloads or trace
 settings already in the file are kept.
+
+Each run gets a fresh empty ``PYTHONPYCACHEPREFIX``, removed when the run
+ends, so no process of either side reads a checkout's ``__pycache__``: a
+``.pyc`` left by an older edit of a module cannot make one side import
+faster or slower than the other.  Bytecode that a run's processes write goes
+to that prefix and serves only the same run; with ``PYTHONDONTWRITEBYTECODE=1``
+every process of both sides compiles what it imports from source.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -43,7 +52,9 @@ def parse_seeds(text: str) -> List[int]:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as prefix:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+        done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise RuntimeError("%s seed %d in %s printed no result:\n%s" % (workload, seed, checkout, done.stderr))

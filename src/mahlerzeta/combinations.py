@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .exact import Rational, bernoulli, euler_number
 
@@ -105,9 +105,8 @@ KINDS: Dict[str, Kind] = {
 _KIND_ORDER = {kind: j for j, kind in enumerate(KINDS)}
 
 
-@dataclass(frozen=True)
-class ConstantBasisElement:
-    """A single basis constant ``pi^pi_power * K(kind, arg)``."""
+class ConstantBasisElement(NamedTuple):
+    """A single basis constant ``pi^pi_power * K(kind, arg)``, hashed as a tuple."""
 
     kind: str
     arg: int
@@ -175,7 +174,10 @@ class ZetaCombination:
     def __init__(self, terms: Mapping[ConstantBasisElement, Rational] | Iterable | None = None):
         """Merge a mapping, or ``(element, coefficient)`` pairs whose equal elements add."""
         pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self._terms = _merge((_checked(elem), Fraction(coeff)) for elem, coeff in pairs)
+        self._terms = _merge(
+            (_checked(elem), coeff if type(coeff) is Fraction else Fraction(coeff))
+            for elem, coeff in pairs
+        )
 
     @classmethod
     def _of(cls, terms: Dict[ConstantBasisElement, Fraction]) -> "ZetaCombination":

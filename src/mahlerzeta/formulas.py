@@ -332,20 +332,6 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     return MahlerResult(spec, _combination(terms))
 
 
-def _family_three_tail(transforms: int) -> List[_Term]:
-    """Identity B's third sum over ``4 (2M)!``, ``M = n // 2``: ``F(2m)/(4m)`` puts
-    ``(2h)! (2^(2h+1) - 1) s_{m-h}(2^2, ..., (2m-2)^2) (2M)!/(2m)!`` on ``zeta(2h+1)``.
-    """
-    half = transforms // 2
-    common = factorial(2 * half)
-    weights = [0] * half
-    for m, ladder in zip(range(1, half + 1), symmetric_ladders(even_squares(half))):
-        share = common // factorial(2 * m)
-        for h in range(1, m + 1):
-            weights[h - 1] += ladder[m - h] * share
-    return _zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1))
-
-
 def family_three(spec: FamilySpec) -> MahlerResult:
     """Closed form for ``pi**(n+1) * m(1 + T(...) x + (1 - T(...)) y)``.
 
@@ -353,6 +339,11 @@ def family_three(spec: FamilySpec) -> MahlerResult:
     the rest is ``(1/2) pi F(n)`` at even ``n`` or ``(1/2) F(n+1)`` at odd ``n``, plus
     ``T(n) = sum_{k even <= n} pi^(n+1-k) F(k)/(2k)``.  At odd ``n``, ``T(n) = pi
     T(n-1)``: the paper's Bernoulli form of ``T`` sees ``n`` only via ``n // 2`` and pi.
+    Both are one sum over ``F(2m)``, ``m <= N = ceil(n/2)``: ``F(2m)`` carries ``1/(4m)``
+    as in ``T`` and ``F(2N)`` ``n + 1`` times that, ``(n+1)/(2n)`` at even ``n`` and
+    ``1/2`` at odd ``n``.  Over ``4 (2N)!``, ``F(2m)/(4m)`` puts ``(2h)! (2^(2h+1) - 1)
+    s_{m-h}(2^2, ..., (2m-2)^2) (2N)!/(2m)!`` on ``zeta(2h+1)``, so each zeta value gets
+    one integer weight.
 
     Parameters
     ----------
@@ -365,13 +356,16 @@ def family_three(spec: FamilySpec) -> MahlerResult:
         ``pi**(n_transforms + 1) * m`` as an exact combination.
     """
     _require_family(spec, Family.THREE)
-    transforms, parity = spec.n_transforms, spec.parity
+    transforms = spec.n_transforms
+    half = (transforms + 1) // 2
+    common = factorial(2 * half)
+    weights = [0] * half
+    for m, ladder in zip(range(1, half + 1), symmetric_ladders(even_squares(half))):
+        share = transforms + 1 if m == half else common // factorial(2 * m)
+        for h in range(1, m + 1):
+            weights[h - 1] += ladder[m - h] * share
     terms = [("log2", 0, spec.pi_normalization, 1, 2)]
-    terms += (
-        (kind, arg, pi_power + 1 - parity, num, 2 * den)
-        for kind, arg, pi_power, num, den in _family_one_terms(transforms + parity)
-    )
-    terms += _family_three_tail(transforms)
+    terms += _zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1))
     return MahlerResult(spec, _combination(terms))
 
 

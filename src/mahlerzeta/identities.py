@@ -41,16 +41,7 @@ from .exact import (
     odd_squares,
     symmetric_ladder,
 )
-from .formulas import (
-    Family,
-    FamilySpec,
-    MahlerResult,
-    _combination,
-    _family_three_tail,
-    coeff_a,
-    coeff_b,
-    family_three,
-)
+from .formulas import Family, FamilySpec, MahlerResult, coeff_a, coeff_b, family_one
 
 __all__ = [
     "reduction_ab",
@@ -155,8 +146,9 @@ def reduction_induction_ba(n: int) -> bool:
 def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable, read_l: bool) -> Fraction:
     """``sum_{l=0}^{k-h} ladder[k-h-l] C(2(l+h), 2h) kernel(l, h)``.
 
-    ``read_l`` reads the binomial as ``C(2(l+h), 2l)``.  This is the one inner
-    sum of the paper's Bernoulli and Euler transfers and forms.
+    ``read_l`` reads the binomial as ``C(2(l+h), 2l)``, the same number, as a
+    transfer states it.  This is the one inner sum of the paper's Bernoulli and
+    Euler transfers and forms.
     """
     terms = (
         ladder[k - h - l] * comb(2 * (l + h), 2 * l if read_l else 2 * h) * kernel(l, h)
@@ -221,31 +213,35 @@ def family_two_bernoulli_form(spec: FamilySpec) -> MahlerResult:
 
 
 def family_three_rewritings(spec: FamilySpec) -> List[MahlerResult]:
-    """Family ``iii``'s closed form with its third sum in each of the paper's four forms.
+    """Family ``iii``'s closed form with its third sum in each of the paper's two forms.
 
-    The third sum is weighted by Bernoulli numbers over the even-square
-    ladder or by Euler numbers over the odd-square ladder, and its inner
-    binomial ``C(2(l+h), 2h)`` may equally be read ``C(2(l+h), 2l)``.  In the
-    order (Bernoulli, ``2h``), (Bernoulli, ``2l``), (Euler, ``2h``), (Euler,
-    ``2l``), each result swaps one form in for the identity B sum that
-    :func:`~mahlerzeta.formulas.family_three` builds from family ``i``, so
-    every result must equal ``family_three(spec)``.
+    With ``p = n mod 2``, each result is the paper's ``(1/2) pi^(n+1) log 2 +
+    (1/2) pi^(1-p) F(n+p)``, ``F`` being family ``i``, plus the third sum
+    weighted by Bernoulli numbers over the even-square ladder or by Euler
+    numbers over the odd-square ladder, in that order.
+    :func:`~mahlerzeta.formulas.family_three` folds the first two sums into
+    identity B's third sum, so every result must equal ``family_three(spec)``.
+    (Reading the inner binomial ``C(2(l+h), 2h)`` as ``C(2(l+h), 2l)`` gives no
+    further form: the two are equal term for term.)
     """
-    production = family_three(spec)
-    n = spec.n_transforms // 2
+    if spec.family is not Family.THREE:
+        raise ValueError("the rewritings are those of family iii")
+    transforms, parity = spec.n_transforms, spec.parity
+    family_i = family_one(FamilySpec(Family.ONE, transforms + parity)).combination
+    first = ZetaCombination.log2(transforms + 1, Fraction(1, 2))
+    first += ZetaCombination.pi_rational(Fraction(1, 2), 1 - parity) * family_i
+    n = transforms // 2
     if n == 0:  # one transform: the third sum is empty in every form
-        return [production] * 4
-    rest = production.combination - _combination(_family_three_tail(spec.n_transforms))
+        return [MahlerResult(spec, first)] * 2
     forms = [
         (symmetric_ladder(even_squares(n - 1)), factorial(2 * n - 1), _bernoulli_three_kernel),
         (symmetric_ladder(odd_squares(n)), factorial(2 * n), _euler_kernel),
     ]
     results = []
     for ladder, scale, kernel in forms:
-        for read_l in (False, True):
-            inners = ((o, _ladder_sum(ladder, n, o, kernel, read_l)) for o in range(1, n + 1))
-            tail = _zeta_series(spec.n_transforms + 1, 4 * scale, inners)
-            results.append(MahlerResult(spec, rest + tail))
+        inners = ((o, _ladder_sum(ladder, n, o, kernel, False)) for o in range(1, n + 1))
+        tail = _zeta_series(transforms + 1, 4 * scale, inners)
+        results.append(MahlerResult(spec, first + tail))
     return results
 
 

@@ -95,6 +95,40 @@ def test_every_kind_follows_its_table_entry() -> None:
                 assert abs(value - reference(arg)) < mp.mpf(10) ** -24, (kind, arg)
 
 
+def test_basis_elements_are_frozen_keys_in_kind_order() -> None:
+    element = ConstantBasisElement("zeta", 3, 2)
+    for field in ("kind", "arg", "pi_power"):
+        with pytest.raises(AttributeError):
+            setattr(element, field, 0)
+    twin = ConstantBasisElement("zeta", 3, 2)
+    assert twin == element and hash(twin) == hash(element)
+    assert len({element: 1, twin: 2}) == 1
+    assert ZetaCombination([(element, 1), (twin, 2)]).coefficient(element) == 3
+    # terms sort by the kind table, then argument, then pi power: not by the kind's name
+    combo = (
+        ZetaCombination.l3_ii(1, 0, 2)
+        + ZetaCombination.lchi4(2, 2, Fraction(1, 3))
+        + ZetaCombination.zeta(5)
+        + ZetaCombination.zeta(3, 2, 7)
+        + ZetaCombination.log2(3, Fraction(1, 2))
+        + ZetaCombination.pi_rational(2, 4)
+        + ZetaCombination.zeta(3, 0, Fraction(-3, 4))
+    )
+    assert [tuple(elem) for elem, _ in combo.terms()] == [
+        ("one", 0, 4),
+        ("log2", 0, 3),
+        ("zeta", 3, 0),
+        ("zeta", 3, 2),
+        ("zeta", 5, 0),
+        ("lchi4", 2, 2),
+        ("l3_ii", 1, 0),
+    ]
+    assert combo.format_text() == (
+        "2*pi^4 + (1/2)*pi^3*log(2) + (-3/4)*zeta(3) + 7*pi^2*zeta(3) + zeta(5)"
+        " + (1/3)*pi^2*L(chi_-4,2) + 2*i*scriptL(3,1;i,i)"
+    )
+
+
 def test_invalid_constructions_raise() -> None:
     with pytest.raises(ValueError):
         ZetaCombination.zeta(1)

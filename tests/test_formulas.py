@@ -5,14 +5,19 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from mahlerzeta.combinations import ZetaCombination
+from mahlerzeta.exact import even_squares, symmetric_ladders
 from mahlerzeta.formulas import (
     Family,
     FamilySpec,
     MahlerResult,
+    _combination,
+    _family_one_terms,
+    _zeta_sum,
     coeff_a,
     coeff_b,
     family_one,
@@ -259,8 +264,34 @@ def test_family_three_small_cases() -> None:
         family_three_rewritings(FamilySpec(Family.ONE, 2))
 
 
+def _family_three_unfolded(transforms: int) -> ZetaCombination:
+    """Family ``iii`` as built before its sums were folded: ``(1/2) pi^(n+1) log 2``,
+    half of family ``i`` at ``n + n mod 2`` and identity B's third sum over ``4 (2M)!``,
+    ``M = n // 2``, each built on its own and added as combinations."""
+    parity = transforms % 2
+    half_family_one = _combination(
+        (kind, arg, pi_power + 1 - parity, num, 2 * den)
+        for kind, arg, pi_power, num, den in _family_one_terms(transforms + parity)
+    )
+    half = transforms // 2
+    common = factorial(2 * half)
+    weights = [0] * half
+    for m, ladder in zip(range(1, half + 1), symmetric_ladders(even_squares(half))):
+        for h in range(1, m + 1):
+            weights[h - 1] += ladder[m - h] * (common // factorial(2 * m))
+    third = _combination(_zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1)))
+    log2 = ZetaCombination.log2(transforms + 1, Fraction(1, 2))
+    return log2 + half_family_one + third
+
+
+def test_folded_family_three_matches_its_sums_kept_apart() -> None:
+    for transforms in range(1, 201):
+        folded = family_three(FamilySpec(Family.THREE, transforms)).combination
+        assert folded == _family_three_unfolded(transforms), transforms
+
+
 def test_family_three_variants_agree() -> None:
-    # the paper's four forms of the third sum against identity B, which production uses
+    # the paper's two forms of the third sum against identity B, which production uses
     for transforms in range(1, 101):
         spec = FamilySpec(Family.THREE, transforms)
         base = family_three(spec)
