@@ -14,7 +14,6 @@ from .exact import (
     bernoulli,
     euler_number,
     log_moment_poly,
-    log_moment_poly_closed,
 )
 from .identities import monomial_from_log_moment_polys
 from .formulas import (
@@ -77,7 +76,6 @@ __all__ = [
     "imaginary_measure_qmc",
     "kernel_integral_check",
     "log_moment_poly",
-    "log_moment_poly_closed",
     "mahler_measure",
     "monomial_from_log_moment_polys",
     "multiple_polylog",

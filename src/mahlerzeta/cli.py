@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -168,11 +167,15 @@ def _erratum_pinned(row: TableRow) -> Callable:
     return run
 
 
+# Absolute agreement of the reduced integral with the closed-form measure.
+_REDUCED_TOLERANCE = 1e-7
+
+
 def _reduced_matches_closed(family: Family, smallest: int) -> Callable:
     def run(args: argparse.Namespace) -> bool:
         for transforms in range(smallest, min(args.max_n, 4) + 1):
             spec = FamilySpec(family, transforms)
-            if abs(reduced_integral(spec).value - closed_form_measure(spec)) > args.tolerance:
+            if abs(reduced_integral(spec).value - closed_form_measure(spec)) > _REDUCED_TOLERANCE:
                 return False
         return True
 
@@ -212,8 +215,8 @@ def _l3_ii_fold_matches_engine(b: int) -> bool:
 def _checks() -> List[Check]:
     """Every verification check in run order; a check's suite is its name's prefix.
 
-    Each check reads ``max_n``, ``tolerance`` and ``seed`` from the parsed
-    ``verify`` arguments.
+    Each check reads ``max_n`` and ``seed`` from the parsed ``verify``
+    arguments; its tolerance is its own.
     """
     checks: List[Check] = [
         ("identities/reduction-ab", _each_n(1, reduction_ab)),
@@ -290,8 +293,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run the selected verification suites and report per-check results."""
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ValueError("--tolerance must be positive and finite")
     if args.seed < 0:
         raise ValueError("--seed must be nonnegative")
     failures: List[str] = []
@@ -383,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("identities", "tables", "oracle", "all"), default="all"
     )
     verify_parser.add_argument("--max-n", dest="max_n", type=int, default=20)
-    verify_parser.add_argument("--tolerance", type=float, default=1e-7)
     verify_parser.add_argument("--seed", type=int, default=42)
     verify_parser.set_defaults(handler=cmd_verify)
 

@@ -44,7 +44,6 @@ __all__ = [
     "odd_squares",
     "PolyQ",
     "log_moment_poly",
-    "log_moment_poly_closed",
     "log_moment_poly_at_i",
 ]
 
@@ -309,28 +308,6 @@ def log_moment_poly(k: int) -> PolyQ:
                     acc = acc + term
                 _LOG_MOMENT.append(acc)
     return _LOG_MOMENT[k]
-
-
-def log_moment_poly_closed(k: int) -> PolyQ:
-    """The same polynomial from the closed form
-
-        P_k(x) = -(2/(k+1)) sum_{h=0}^{k} B_h C(k+1, h) (2^{h-1} - 1) i^h x^{k+1-h}.
-
-    Only a few terms survive: h = 0 yields the leading monomial x^{k+1}/(k+1)
-    (since 2^{-1} - 1 = -1/2); h = 1 is killed by the factor 2^0 - 1 = 0; odd
-    h >= 3 vanish because B_h = 0; and even h >= 2 contribute the real factor
-    i^h = (-1)^{h/2}.  All coefficients are therefore rational.
-    """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    coeffs = [Fraction(0)] * (k + 2)
-    for h in range(0, k + 1, 2):
-        factor = bernoulli(h) * comb(k + 1, h) * (Fraction(2) ** (h - 1) - 1)
-        if factor == 0:
-            continue
-        sign = -1 if (h // 2) % 2 else 1
-        coeffs[k + 1 - h] += Fraction(-2, k + 1) * factor * sign
-    return PolyQ(coeffs)
 
 
 def log_moment_poly_at_i(l: int) -> Fraction:

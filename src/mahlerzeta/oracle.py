@@ -40,17 +40,17 @@ traps:
   kernel's expressions, with the same operands named and in the same order
   (a row of the roots buffer is a view, not a temporary).
 
-The contract also holds across the kernel's split of the work.  Each
-replicate is worked through in column chunks of 16,384 points, the last
-chunk taking the remainder, so every chunk of a block that reaches the
-elision size reaches it too, and a smaller block is one chunk.  The logs of
-a replicate are written into one row and averaged by one ``np.mean``, which
-keeps its pairwise summation tree.  The replicates run in contiguous
-shares, one per CPU in the process's affinity set; each share draws from
-its own PCG64 generator at the seed, moved with ``advance`` past the draws
-of the replicates before it, so it draws what the single loop drew for
-them.  The replicate means are reduced in replicate order.  The thread
-count therefore changes no bit.
+The contract also holds across the kernel's split of the work.  A
+replicate is one shifted Sobol point set of ``2**k`` points, worked through
+in equal column chunks of ``min(2**k, 16,384)`` points, so every chunk of a
+block that reaches the elision size reaches it too, and a smaller block is
+one chunk.  The logs of a replicate are written into one row and averaged
+by one ``np.mean``, which keeps its pairwise summation tree.  The
+replicates run in contiguous shares, one per CPU in the process's affinity
+set; each share draws its shifts from its own PCG64 generator at the seed,
+moved with ``advance`` past the shifts of the replicates before it, so it
+draws what the single loop drew for them.  The replicate means are reduced
+in replicate order.  The thread count therefore changes no bit.
 
 The contract was verified with numpy 2.4.6 on glibc 2.36, x86-64 with
 AVX-512, Python 3.11.7.  It rests on numpy and libm internals (the scalar
@@ -161,16 +161,17 @@ class CheckResult:
 _T_MAX = 6.0
 # Relative difference between two refinement levels at which to stop.
 _TARGET = 1e-13
+# Finest level: the step is 2**(2 - level).
+_MAX_LEVEL = 11
 
 
-def _tanh_sinh_unit(
-    f: Callable[[float, float], float], *, max_level: int = 11
-) -> Tuple[float, float, int]:
+def _tanh_sinh_unit(f: Callable[[float, float], float]) -> Tuple[float, float, int]:
     """Integrate ``f`` over ``(0, 1)`` with a tanh-sinh transform.
 
     The integrand receives ``(x, cx)`` where ``cx = 1 - x`` is computed
     without cancellation, so endpoint behavior at both ends can be resolved
-    to full precision.  Returns ``(value, error, evaluations)``; the error is
+    to full precision.  The step halves from level 4 up to level
+    ``_MAX_LEVEL``.  Returns ``(value, error, evaluations)``; the error is
     the difference between the last two refinement levels (heuristic).
     Raises ``ValueError`` if the integrand produces a non-finite sample.
     """
@@ -179,7 +180,7 @@ def _tanh_sinh_unit(
     value = 0.0
     error = math.inf
     evaluations = 0
-    for level in range(4, max_level + 1):
+    for level in range(4, _MAX_LEVEL + 1):
         step = 2.0 ** (2 - level)
         midpoint = f(0.5, 0.5)
         if not math.isfinite(midpoint):
@@ -620,7 +621,7 @@ def _measure_pi_scale(spec: FamilySpec) -> int:
     return 1 if spec.parity else 0
 
 
-def reduced_integral(spec: FamilySpec, *, refinement: int = 11) -> IntegralEstimate:
+def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
     """Mahler measure via the reduced one-dimensional integral representation.
 
     The multi-variable torus integral collapses to rational combinations of
@@ -633,9 +634,6 @@ def reduced_integral(spec: FamilySpec, *, refinement: int = 11) -> IntegralEstim
     ----------
     spec : FamilySpec
         Family member with at most 6 transforms.
-    refinement : int
-        Maximum quadrature halving level; raising it by one doubles the
-        finest refinement (used by the convergence invariance check).
 
     Returns
     -------
@@ -665,7 +663,7 @@ def reduced_integral(spec: FamilySpec, *, refinement: int = 11) -> IntegralEstim
                 power = logx ** (2 * h - 2) if h > 1 else 1.0
                 return symmetrized(x, cx, logx) * ratio * power
 
-            value, err, count = _tanh_sinh_unit(integrand, max_level=refinement)
+            value, err, count = _tanh_sinh_unit(integrand)
             weight = float(coeff_a(n, h - 1)) * (2.0 / math.pi) ** (2 * h)
             total += weight * value
             error += abs(weight) * err
@@ -679,7 +677,7 @@ def reduced_integral(spec: FamilySpec, *, refinement: int = 11) -> IntegralEstim
                 power = logx ** (2 * h) if h > 0 else 1.0
                 return symmetrized(x, cx, logx) * power / (x * x + 1.0)
 
-            value, err, count = _tanh_sinh_unit(integrand, max_level=refinement)
+            value, err, count = _tanh_sinh_unit(integrand)
             weight = float(coeff_b(n, h)) * (2.0 / math.pi) ** (2 * h + 1)
             total += weight * value
             error += abs(weight) * err
@@ -718,27 +716,23 @@ def closed_form_measure(spec: FamilySpec) -> float:
 def _torus_polynomial_values(
     spec: FamilySpec, width: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``|P|`` at up to ``width`` torus points, as a function of their unit roots.
+    """``|P|`` at ``width`` torus points, as a function of their unit roots.
 
-    The returned function takes a ``(dim, count)`` block of roots
-    ``exp(2 pi i u)`` with ``count <= width`` and reuses its own buffers on
-    every call.  The rational families are cleared of denominators first
-    (multiplying by ``prod (1 + x_i)`` changes the measure by
-    ``m(prod (1 + x_i)) = 0``), so the integrand is a genuine polynomial
-    with no poles on the torus.
+    The returned function takes a ``(dim, width)`` block of roots
+    ``exp(2 pi i u)`` and reuses its own buffers on every call.  The
+    rational families are cleared of denominators first (multiplying by
+    ``prod (1 + x_i)`` changes the measure by ``m(prod (1 + x_i)) = 0``),
+    so the integrand is a genuine polynomial with no poles on the torus.
     """
     import numpy as np
 
     n = spec.n_transforms
-    plus_buffer = np.ones(width, dtype=complex)
-    minus_buffer = np.ones(width, dtype=complex)
-    scratch_buffer = np.empty((6, width))
+    plus = np.ones(width, dtype=complex)
+    minus = np.ones(width, dtype=complex)
+    scratch = np.empty((6, width))
 
     def values(roots: np.ndarray) -> np.ndarray:
-        count = roots.shape[1]
-        plus, minus = plus_buffer[:count], minus_buffer[:count]
         if n:
-            scratch = scratch_buffer[:, :count]
             _unit_factor_product(roots[:n], 1.0, plus, scratch)
             _unit_factor_product(roots[:n], -1.0, minus, scratch)
         # the plain kernel's expressions, with the same operands named
@@ -829,76 +823,62 @@ def _sobol_base2(dim: int, exponent: int) -> np.ndarray:
 
 def _replicated_mean_log(
     kernel: Callable[[int], Callable[[np.ndarray], np.ndarray]], dim: int,
-    samples: int, seed: int, replicates: int, sobol: bool,
+    samples: int, seed: int, replicates: int,
 ) -> IntegralEstimate:
-    """Mean of ``log values(roots)`` over randomized point sets in ``[0, 1)^dim``.
+    """Mean of ``log values(roots)`` over shifted Sobol point sets in ``[0, 1)^dim``.
 
-    Sobol replicates shift one fixed Sobol point set, of ``samples /
+    Each replicate shifts one fixed Sobol point set, of ``samples /
     replicates`` points rounded up to a power of two, by a seeded uniform
-    vector modulo 1; pseudo replicates draw fresh uniform points.
-    ``kernel(width)`` gives a ``values`` function with its own buffers,
-    which maps a ``(dim, count)`` block of unit roots ``exp(2 pi i u)``,
-    ``count <= width``, to ``|P|``.  Samples on zeros of ``values`` are
+    vector modulo 1.  ``kernel(width)`` gives a ``values`` function with its
+    own buffers, which maps a ``(dim, width)`` block of unit roots
+    ``exp(2 pi i u)`` to ``|P|``.  Samples on zeros of ``values`` are
     skipped.  The error estimate is the standard error of the replicate
-    means.
+    means.  ``samples`` must lie in ``[1, 1e9]`` and ``replicates`` be at
+    least 2; both are checked before any point is built.
 
     The replicates run in contiguous shares, one per CPU this process may
     use: the calling thread runs the first, worker threads the rest (numpy
     releases the GIL inside its loops).  Each share starts its own PCG64
-    stream at the seed, advanced past the draws of the replicates before
-    it, and works through each replicate in column chunks of ``_CHUNK``
-    points, the last chunk taking the remainder, in buffers allocated once
-    per call.
+    stream at the seed, advanced past the shifts of the replicates before
+    it, and works through each replicate in equal column chunks of at most
+    ``_CHUNK`` points, in buffers allocated once per call.
     """
+    if not 1 <= samples <= 10**9:
+        raise ValueError("samples must lie in [1, 1e9]")
+    if replicates < 2:
+        raise ValueError("at least 2 replicates are needed for an error estimate")
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
 
-    per_replicate = max(1, -(-samples // replicates))
-    if sobol:
-        base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length())).T.copy()
-        count = base.shape[1]
-        draws = dim
-    else:
-        count = per_replicate
-        draws = count * dim
-    starts = range(0, max(1, count // _CHUNK) * _CHUNK, _CHUNK)
-    chunks = list(zip(starts, [*starts[1:], count]))
-    width = chunks[-1][1] - chunks[-1][0]
+    per_replicate = -(-samples // replicates)
+    base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length())).T.copy()
+    count = base.shape[1]
+    width = min(count, _CHUNK)
     means = [0.0] * replicates
     used = [0] * replicates
 
     def run_share(first: int, stop: int) -> None:
         rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(first * draws)
+        rng.bit_generator.advance(first * dim)
         values = kernel(width)
         angles = np.empty((dim, width))
         roots = np.empty((dim, width), dtype=complex)
-        if sobol:
-            wrapped = np.empty((dim, width), dtype=bool)
-        else:
-            drawn = np.empty((width, dim))
+        wrapped = np.empty((dim, width), dtype=bool)
         logs = np.empty(count)
         finite = np.empty(count, dtype=bool)
         for replicate in range(first, stop):
-            if sobol:
-                shift = rng.random(dim)[:, None]
-            for lo, hi in chunks:
-                block, unit = angles[:, : hi - lo], roots[:, : hi - lo]
-                if sobol:
-                    # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
-                    carry = wrapped[:, : hi - lo]
-                    np.add(base[:, lo:hi], shift, out=block)
-                    np.greater_equal(block, 1.0, out=carry)
-                    np.subtract(block, carry, out=block)
-                else:
-                    rng.random(out=drawn[: hi - lo])
-                    block[...] = drawn[: hi - lo].T
-                block *= 2.0 * math.pi
+            shift = rng.random(dim)[:, None]
+            for lo in range(0, count, width):
+                # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
+                np.add(base[:, lo : lo + width], shift, out=angles)
+                np.greater_equal(angles, 1.0, out=wrapped)
+                np.subtract(angles, wrapped, out=angles)
+                angles *= 2.0 * math.pi
                 # np.exp(1j * angles) bit for bit, without its complex temporaries
-                np.cos(block, out=unit.real)
-                np.sin(block, out=unit.imag)
+                np.cos(angles, out=roots.real)
+                np.sin(angles, out=roots.imag)
                 with np.errstate(divide="ignore"):
-                    np.log(values(unit), out=logs[lo:hi])
+                    np.log(values(roots), out=logs[lo : lo + width])
             np.isfinite(logs, out=finite)
             kept = int(np.count_nonzero(finite))
             if kept == 0:
@@ -925,29 +905,25 @@ def torus_qmc(
     seed: int = 0,
     *,
     replicates: int = 10,
-    mode: str = "sobol",
 ) -> IntegralEstimate:
-    """Direct (quasi-)Monte Carlo average of ``log |P|`` over the torus.
+    """Randomly shifted Sobol average of ``log |P|`` over the torus.
 
-    ``sobol`` mode uses a fixed Sobol point set per replicate with
-    seed-controlled random shifts, so results are reproducible bit-for-bit
-    given ``(seed, samples)``; ``pseudo`` mode uses plain pseudo-random
-    points (useful for checking the ``O(N^{-1/2})`` error law).  The error
-    estimate is the standard error of the replicate means.
+    Each replicate shifts one fixed Sobol point set by a seeded uniform
+    vector modulo 1, so results are reproducible bit for bit given
+    ``(seed, samples, replicates)``.  The error estimate is the standard
+    error of the replicate means.
 
     Parameters
     ----------
     spec : FamilySpec
         Family member with torus dimension at most 4.
     samples : int
-        Total sample budget across replicates (at most 1e9).  In ``sobol``
-        mode the per-replicate count is rounded up to a power of two.
+        Total sample budget across replicates, in ``[1, 1e9]``.  The
+        per-replicate count is rounded up to a power of two.
     seed : int
-        Seed for the shift (or sampling) generator.
+        Seed for the shift generator.
     replicates : int
-        Number of independent randomizations (at least 2).
-    mode : {"sobol", "pseudo"}
-        Point-set construction.
+        Number of shifted replicates (at least 2).
 
     Returns
     -------
@@ -959,17 +935,8 @@ def torus_qmc(
         raise ValueError(
             "torus dimension %d exceeds the supported maximum of 4" % (dim,)
         )
-    if samples > 10**9:
-        raise ValueError("at most 1e9 samples are supported")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if replicates < 2:
-        raise ValueError("at least 2 replicates are needed for an error estimate")
-    if mode not in ("sobol", "pseudo"):
-        raise ValueError("mode must be 'sobol' or 'pseudo'")
     return _replicated_mean_log(
-        lambda count: _torus_polynomial_values(spec, count),
-        dim, samples, seed, replicates, mode == "sobol",
+        lambda width: _torus_polynomial_values(spec, width), dim, samples, seed, replicates
     )
 
 
@@ -992,7 +959,7 @@ def imaginary_measure_qmc(
     alpha : float
         Real parameter (either sign).
     samples : int
-        Total sample budget across replicates.
+        Total sample budget across replicates, in ``[1, 1e9]``.
     seed : int
         Seed for the shift generator.
     replicates : int
@@ -1003,12 +970,10 @@ def imaginary_measure_qmc(
     IntegralEstimate
         An estimate of the measure with a statistical error bar.
     """
-    if replicates < 2:
-        raise ValueError("at least 2 replicates are needed for an error estimate")
     import numpy as np
 
     def values(roots: np.ndarray) -> np.ndarray:
         x, y = roots
         return np.abs(1.0 + 1j * alpha * x + (1.0 - 1j * alpha) * y)
 
-    return _replicated_mean_log(lambda count: values, 2, samples, seed, replicates, True)
+    return _replicated_mean_log(lambda width: values, 2, samples, seed, replicates)

@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.exact import PolyQ, log_moment_poly, log_moment_poly_closed
+from mahlerzeta.exact import PolyQ, log_moment_poly
 from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
 from mahlerzeta.identities import (
     check_bernoulli_euler_transfer,
@@ -117,7 +117,6 @@ def test_criterion_2_identity_suites_exact() -> None:
         assert reduction_induction_ba(n)
     for k in range(0, 41):
         assert check_log_moment_poly_properties(k)
-        assert log_moment_poly(k) == log_moment_poly_closed(k)
         assert log_moment_poly(k) == log_moment_poly_bernoulli_form(k)
         assert check_bernoulli_halving(k)
     for k in range(1, 41):

@@ -18,7 +18,6 @@ from mahlerzeta.exact import (
     even_squares,
     log_moment_poly,
     log_moment_poly_at_i,
-    log_moment_poly_closed,
     odd_squares,
     symmetric_ladder,
     symmetric_ladders,
@@ -306,11 +305,6 @@ def test_log_moment_poly_small_literals() -> None:
     )
 
 
-def test_log_moment_poly_closed_matches_recursion() -> None:
-    for k in range(41):
-        assert log_moment_poly_closed(k) == log_moment_poly(k)
-
-
 def test_log_moment_poly_structural_properties() -> None:
     for k in range(41):
         p = log_moment_poly(k)
@@ -366,5 +360,3 @@ def test_monomials_expand_in_log_moment_basis() -> None:
 def test_log_moment_poly_rejects_negative_index() -> None:
     with pytest.raises(ValueError):
         log_moment_poly(-1)
-    with pytest.raises(ValueError):
-        log_moment_poly_closed(-1)

@@ -150,7 +150,7 @@ def test_bernoulli_polynomial_form_small_literal() -> None:
 
 def _failing_identity_checks() -> Set[str]:
     """Names of the ``identities/`` registry entries that fail or raise at ``max_n = 4``."""
-    args = argparse.Namespace(max_n=4, tolerance=1e-7, seed=42)
+    args = argparse.Namespace(max_n=4, seed=42)
     failing = set()
     for name, run in cli._checks():
         if not name.startswith("identities/"):
