@@ -530,11 +530,16 @@ def _reference_imaginary_values(alpha: float, points: np.ndarray) -> np.ndarray:
     return np.abs(1.0 + 1j * alpha * x + (1.0 - 1j * alpha) * y)
 
 
-def _reference_mean_log(values, dim, samples, seed, replicates):
+def _pseudo_base2(dim: int, exponent: int) -> np.ndarray:
+    """``2**exponent`` pseudo-random points in ``[0, 1)^dim``, shaped like a Sobol base."""
+    return np.random.default_rng([dim, exponent]).random((1 << exponent, dim))
+
+
+def _reference_mean_log(values, dim, samples, seed, replicates, base2=_sobol_base2):
     """Value, error bar and evaluation count, one full point set per replicate."""
     per_replicate = -(-samples // replicates)
     rng = np.random.default_rng(seed)
-    base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length()))
+    base = base2(dim, max(1, (per_replicate - 1).bit_length()))
     means = []
     used = 0
     for _ in range(replicates):
@@ -559,13 +564,24 @@ _QMC_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("points", [8192, 16384, 32768], ids=lambda points: "%d-sobol" % points)
+# "pseudo" swaps the Sobol base for pseudo-random points on both sides, so
+# the kernel and the replicate loop are held to the reference at generic
+# points as well as at dyadic ones; 40,001 points per replicate round up to
+# 2**16, four chunks of 16,384.
+@pytest.mark.parametrize(
+    "points, mode",
+    [(points, mode) for points in (8192, 16384, 32768) for mode in ("sobol", "pseudo")]
+    + [(40_001, "pseudo")],
+)
 @pytest.mark.parametrize("spec", _QMC_SPECS, ids=lambda spec: "%s-%d" % (spec.family.value, spec.n_transforms))
-def test_torus_qmc_matches_reference_kernel(spec, points) -> None:
+def test_torus_qmc_matches_reference_kernel(monkeypatch, spec, points, mode) -> None:
+    base2 = _sobol_base2 if mode == "sobol" else _pseudo_base2
+    monkeypatch.setattr(oracle, "_sobol_base2", base2)
     seed = 1000 * points + spec.torus_dimension
     estimate = torus_qmc(spec, samples=3 * points, seed=seed, replicates=3)
     expected = _reference_mean_log(
-        lambda p: _reference_polynomial_values(spec, p), spec.torus_dimension, 3 * points, seed, 3
+        lambda p: _reference_polynomial_values(spec, p),
+        spec.torus_dimension, 3 * points, seed, 3, base2,
     )
     actual = (estimate.value.hex(), estimate.error_estimate.hex(), estimate.evaluations)
     assert actual == expected
@@ -587,14 +603,25 @@ def _cpus(monkeypatch, count: int) -> None:
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run, base2",
     [
-        lambda: torus_qmc(FamilySpec(Family.TWO, 1), samples=5 * 2**15, seed=21, replicates=5),
-        lambda: imaginary_measure_qmc(-1.5, samples=5 * 2**15, seed=23, replicates=5),
+        (
+            lambda: torus_qmc(FamilySpec(Family.TWO, 1), samples=5 * 2**15, seed=21, replicates=5),
+            _sobol_base2,
+        ),
+        (
+            lambda: torus_qmc(FamilySpec(Family.ONE, 2), samples=5 * 40_001, seed=22, replicates=5),
+            _pseudo_base2,
+        ),
+        (
+            lambda: imaginary_measure_qmc(-1.5, samples=5 * 2**15, seed=23, replicates=5),
+            _sobol_base2,
+        ),
     ],
-    ids=["sobol", "imaginary"],
+    ids=["sobol", "pseudo", "imaginary"],
 )
-def test_qmc_estimates_do_not_depend_on_the_thread_count(monkeypatch, run) -> None:
+def test_qmc_estimates_do_not_depend_on_the_thread_count(monkeypatch, run, base2) -> None:
+    monkeypatch.setattr(oracle, "_sobol_base2", base2)
     results = set()
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
