@@ -5,9 +5,20 @@ polynomials in arbitrarily many variables as exact symbolic combinations of
 odd zeta values, Dirichlet L-values of the nonprincipal character mod 4,
 log 2, and a small set of length-two polylogarithm constants, and
 cross-checks every closed form against independent numerical oracles.
+
+Importing the package runs only the production layer: ``combinations``,
+``exact``, ``formulas``, ``store`` and ``values``, all that ``eval`` and
+``constants`` use.  The check layer (``identities``, ``oracle``, ``reduce``
+and ``tables``) is bound in ``sys.modules`` and on the package as lazy
+modules: a module's code runs on its first attribute access, in ``verify``
+or on first use of a name such as ``mahlerzeta.torus_qmc``.
 """
 
 from __future__ import annotations
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+from types import ModuleType
 
 from .combinations import ConstantBasisElement, ZetaCombination
 from .exact import (
@@ -15,7 +26,6 @@ from .exact import (
     euler_number,
     log_moment_poly,
 )
-from .identities import monomial_from_log_moment_polys
 from .formulas import (
     Family,
     FamilySpec,
@@ -27,23 +37,63 @@ from .formulas import (
     family_two,
     mahler_measure,
 )
-from .oracle import (
-    CheckResult,
-    IntegralEstimate,
-    base_measure_one,
-    base_measure_three_imaginary,
-    base_measure_three_real,
-    base_measure_two,
-    closed_form_measure,
-    imaginary_measure_qmc,
-    kernel_integral_check,
-    reduced_integral,
-    torus_qmc,
-)
-from .reduce import double_polylog_reduce
 from .store import ConstantStore
-from .tables import TableRow, errata_rows, reproduce_tables, table_rows
 from .values import combination_value, multiple_polylog
+
+
+def _lazy_submodule(name: str) -> ModuleType:
+    """Register submodule ``name`` in ``sys.modules``; its code runs on first use.
+
+    Being in ``sys.modules`` from the start, the module is found there by
+    code that looks it up by path after ``import mahlerzeta``, as tracers do.
+    """
+    spec = find_spec("%s.%s" % (__name__, name))
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+identities = _lazy_submodule("identities")
+oracle = _lazy_submodule("oracle")
+reduce = _lazy_submodule("reduce")
+tables = _lazy_submodule("tables")
+
+# The check layer's public names and the module each is read from.
+_CHECK_LAYER = {
+    "monomial_from_log_moment_polys": identities,
+    "CheckResult": oracle,
+    "IntegralEstimate": oracle,
+    "base_measure_one": oracle,
+    "base_measure_three_imaginary": oracle,
+    "base_measure_three_real": oracle,
+    "base_measure_two": oracle,
+    "closed_form_measure": oracle,
+    "imaginary_measure_qmc": oracle,
+    "kernel_integral_check": oracle,
+    "reduced_integral": oracle,
+    "torus_qmc": oracle,
+    "double_polylog_reduce": reduce,
+    "TableRow": tables,
+    "errata_rows": tables,
+    "reproduce_tables": tables,
+    "table_rows": tables,
+}
+
+
+def __getattr__(name: str):
+    # read from the module on every access, so a patch on the module shows here
+    try:
+        module = _CHECK_LAYER[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_CHECK_LAYER))
+
 
 __version__ = "0.1.0"
 

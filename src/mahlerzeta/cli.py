@@ -20,50 +20,16 @@ turns an ``OSError``/``ValueError`` (2) or ``RuntimeError`` (3) into one
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
+from . import identities, oracle, tables
 from .combinations import ZetaCombination
 from .exact import PolyQ, log_moment_poly
 from .formulas import Family, FamilySpec, family_three, family_two, mahler_measure
-from .identities import (
-    check_bernoulli_euler_transfer,
-    check_bernoulli_factorial_sum,
-    check_bernoulli_halving,
-    check_bernoulli_recurrence,
-    check_bernoulli_transfer_first,
-    check_bernoulli_transfer_second,
-    check_bernoulli_transfer_third,
-    check_euler_factorial_sum,
-    check_euler_shifted_factorial_sum,
-    check_log_moment_poly_properties,
-    check_symmetric_transfer_first,
-    check_symmetric_transfer_second,
-    family_three_rewritings,
-    family_two_bernoulli_form,
-    log_moment_poly_bernoulli_form,
-    monomial_from_log_moment_polys,
-    reduction_ab,
-    reduction_ba,
-    reduction_induction_ab,
-    reduction_induction_ba,
-)
-from .oracle import (
-    arctangent_moment_check,
-    closed_form_measure,
-    kernel_integral_check,
-    lchi4_log_moment_check,
-    log1p_moment_check,
-    log_square_moment_check,
-    reduced_integral,
-    torus_qmc,
-    zeta_log_moment_check,
-)
 from .store import ConstantStore
-from .tables import TableRow, errata_rows, reproduce_tables
 from .values import combination_value, l3_ii_value, multiple_polylog
 
 __all__ = ["build_parser", "main"]
@@ -93,6 +59,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = combination_value(result.combination, digits=args.digits, store=store)
         numeric = mp.nstr(value, args.digits)
     if args.format == "json":
+        import json
+
         record = {
             "family": family.value,
             "n_transforms": spec.n_transforms,
@@ -143,23 +111,23 @@ def _each_degree(first: int, holds: Callable[[int], bool]) -> Callable:
 
 def _monomial_recombines(degree: int) -> bool:
     rebuilt = PolyQ.zero()
-    for k, coefficient in monomial_from_log_moment_polys(degree):
+    for k, coefficient in identities.monomial_from_log_moment_polys(degree):
         rebuilt = rebuilt + log_moment_poly(k) * coefficient
     return rebuilt == PolyQ.monomial(degree)
 
 
 def _family_two_bernoulli_form_agrees(transforms: int) -> bool:
     spec = FamilySpec(Family.TWO, transforms)
-    return transforms % 2 == 1 or family_two_bernoulli_form(spec) == family_two(spec)
+    return transforms % 2 == 1 or identities.family_two_bernoulli_form(spec) == family_two(spec)
 
 
 def _family_three_rewritings_agree(transforms: int) -> bool:
     spec = FamilySpec(Family.THREE, transforms)
     production = family_three(spec)
-    return all(rewriting == production for rewriting in family_three_rewritings(spec))
+    return all(rewriting == production for rewriting in identities.family_three_rewritings(spec))
 
 
-def _erratum_pinned(row: TableRow) -> Callable:
+def _erratum_pinned(row: tables.TableRow) -> Callable:
     def run(args: argparse.Namespace) -> bool:
         evaluated = mahler_measure(row.spec).combination
         return evaluated == row.corrected and evaluated != row.printed
@@ -175,7 +143,8 @@ def _reduced_matches_closed(family: Family, smallest: int) -> Callable:
     def run(args: argparse.Namespace) -> bool:
         for transforms in range(smallest, min(args.max_n, 4) + 1):
             spec = FamilySpec(family, transforms)
-            if abs(reduced_integral(spec).value - closed_form_measure(spec)) > _REDUCED_TOLERANCE:
+            estimate = oracle.reduced_integral(spec).value
+            if abs(estimate - oracle.closed_form_measure(spec)) > _REDUCED_TOLERANCE:
                 return False
         return True
 
@@ -191,13 +160,13 @@ def _kernel_cases(args: argparse.Namespace) -> bool:
         while abs(a - b) < 0.15:
             a, b = rng.uniform(0.1, 10.0, size=2)
         k = int(rng.integers(0, 7))
-        if not kernel_integral_check(float(a), float(b), k).agree:
+        if not oracle.kernel_integral_check(float(a), float(b), k).agree:
             return False
     return True
 
 
 def _torus_sample(args: argparse.Namespace) -> bool:
-    estimate = torus_qmc(FamilySpec(Family.ONE, 1), samples=200_000, seed=args.seed)
+    estimate = oracle.torus_qmc(FamilySpec(Family.ONE, 1), samples=200_000, seed=args.seed)
     with mp.workdps(30):
         truth = float(2 * mp.catalan / mp.pi)
     return abs(estimate.value - truth) <= 4 * estimate.error_estimate + 1e-5
@@ -219,41 +188,61 @@ def _checks() -> List[Check]:
     arguments; its tolerance is its own.
     """
     checks: List[Check] = [
-        ("identities/reduction-ab", _each_n(1, reduction_ab)),
-        ("identities/reduction-ba", _each_n(0, reduction_ba)),
-        ("identities/reduction-induction-ab", _each_n(1, reduction_induction_ab)),
-        ("identities/reduction-induction-ba", _each_n(0, reduction_induction_ba)),
-        ("identities/symmetric-transfer-first", _each_pair(1, check_symmetric_transfer_first)),
-        ("identities/symmetric-transfer-second", _each_pair(0, check_symmetric_transfer_second)),
-        ("identities/bernoulli-transfer-first", _each_pair(1, check_bernoulli_transfer_first)),
-        ("identities/bernoulli-transfer-second", _each_n(1, check_bernoulli_transfer_second)),
-        ("identities/bernoulli-transfer-third", _each_pair(0, check_bernoulli_transfer_third)),
-        ("identities/bernoulli-euler-transfer", _each_pair(1, check_bernoulli_euler_transfer)),
+        ("identities/reduction-ab", _each_n(1, identities.reduction_ab)),
+        ("identities/reduction-ba", _each_n(0, identities.reduction_ba)),
+        ("identities/reduction-induction-ab", _each_n(1, identities.reduction_induction_ab)),
+        ("identities/reduction-induction-ba", _each_n(0, identities.reduction_induction_ba)),
+        (
+            "identities/symmetric-transfer-first",
+            _each_pair(1, identities.check_symmetric_transfer_first),
+        ),
+        (
+            "identities/symmetric-transfer-second",
+            _each_pair(0, identities.check_symmetric_transfer_second),
+        ),
+        (
+            "identities/bernoulli-transfer-first",
+            _each_pair(1, identities.check_bernoulli_transfer_first),
+        ),
+        (
+            "identities/bernoulli-transfer-second",
+            _each_n(1, identities.check_bernoulli_transfer_second),
+        ),
+        (
+            "identities/bernoulli-transfer-third",
+            _each_pair(0, identities.check_bernoulli_transfer_third),
+        ),
+        (
+            "identities/bernoulli-euler-transfer",
+            _each_pair(1, identities.check_bernoulli_euler_transfer),
+        ),
         (
             "identities/weighted-factorial-sums",
             _each_n(
                 0,
-                lambda n: check_euler_factorial_sum(n)
-                and check_euler_shifted_factorial_sum(n)
-                and (n == 0 or check_bernoulli_factorial_sum(n)),
+                lambda n: identities.check_euler_factorial_sum(n)
+                and identities.check_euler_shifted_factorial_sum(n)
+                and (n == 0 or identities.check_bernoulli_factorial_sum(n)),
             ),
         ),
-        ("identities/bernoulli-recurrence", _each_degree(1, check_bernoulli_recurrence)),
-        ("identities/bernoulli-halving", _each_degree(0, check_bernoulli_halving)),
+        ("identities/bernoulli-recurrence", _each_degree(1, identities.check_bernoulli_recurrence)),
+        ("identities/bernoulli-halving", _each_degree(0, identities.check_bernoulli_halving)),
         (
             "identities/log-moment-poly-properties",
-            _each_degree(0, check_log_moment_poly_properties),
+            _each_degree(0, identities.check_log_moment_poly_properties),
         ),
         (
             "identities/log-moment-poly-bernoulli-form",
-            _each_degree(0, lambda k: log_moment_poly_bernoulli_form(k) == log_moment_poly(k)),
+            _each_degree(
+                0, lambda k: identities.log_moment_poly_bernoulli_form(k) == log_moment_poly(k)
+            ),
         ),
         ("identities/monomial-decomposition", _each_degree(1, _monomial_recombines)),
         ("identities/family-two-bernoulli-form", _each_n(2, _family_two_bernoulli_form_agrees)),
         ("identities/family-three-rewritings", _each_n(1, _family_three_rewritings_agree)),
         (
             "tables/all-rows-match-canonical",
-            lambda args: all(matches for _, matches in reproduce_tables()),
+            lambda args: all(matches for _, matches in tables.reproduce_tables()),
         ),
     ]
     checks += [
@@ -262,7 +251,7 @@ def _checks() -> List[Check]:
             % (row.spec.family.value, row.spec.n_transforms),
             _erratum_pinned(row),
         )
-        for row in errata_rows()
+        for row in tables.errata_rows()
     ]
     checks += [
         ("oracle/reduced-vs-closed-family-i", _reduced_matches_closed(Family.ONE, 1)),
@@ -271,14 +260,14 @@ def _checks() -> List[Check]:
         ("oracle/kernel-integral-seeded-cases", _kernel_cases),
         (
             "oracle/unit-log-moments",
-            lambda args: all(zeta_log_moment_check(j).agree for j in range(1, 7))
-            and all(lchi4_log_moment_check(j).agree for j in range(7)),
+            lambda args: all(oracle.zeta_log_moment_check(j).agree for j in range(1, 7))
+            and all(oracle.lchi4_log_moment_check(j).agree for j in range(7)),
         ),
         (
             "oracle/defining-integrals",
-            lambda args: all(log1p_moment_check(h).agree for h in (1, 2, 3))
-            and all(log_square_moment_check(h).agree for h in (0, 1, 2, 3))
-            and all(arctangent_moment_check(h).agree for h in (0, 1, 2, 3)),
+            lambda args: all(oracle.log1p_moment_check(h).agree for h in (1, 2, 3))
+            and all(oracle.log_square_moment_check(h).agree for h in (0, 1, 2, 3))
+            and all(oracle.arctangent_moment_check(h).agree for h in (0, 1, 2, 3)),
         ),
         ("oracle/torus-qmc-family-i", _torus_sample),
         (
@@ -311,6 +300,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("FAIL %s" % name)
             failures.append(name)
     if failures:
+        import json
+
         print(json.dumps({"failures": failures}))
         return 1
     return 0

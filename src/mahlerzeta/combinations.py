@@ -39,7 +39,6 @@ zero total is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial
@@ -75,8 +74,7 @@ def _lchi4_odd(s: int) -> Fraction:
     return sign * Fraction(euler_number(2 * k), 2 ** (2 * k + 2) * factorial(2 * k))
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """What the normal form knows about the basis constants ``K(kind, arg)``."""
 
     rule: str  # the arguments the normal form keeps, in words

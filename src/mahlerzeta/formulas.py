@@ -42,12 +42,11 @@ The paper's Bernoulli forms and the ladder links (``reduction_ab``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .combinations import ConstantBasisElement, ZetaCombination
 from .exact import even_squares, odd_squares, symmetric_ladder, symmetric_ladders
@@ -95,8 +94,16 @@ class Family(Enum):
             raise ValueError("unknown family label %r; expected i, ii or iii" % (label,)) from None
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+# FamilySpec and MahlerResult are named tuples, validated in ``__new__`` (which
+# ``_make`` and ``_replace`` go through), not dataclasses: importing
+# ``dataclasses`` pulls ``inspect`` into every ``eval`` process.  Like
+# ``ConstantBasisElement`` they equal and hash as the tuple of their fields.
+class _FamilySpecFields(NamedTuple):
+    family: Family
+    n_transforms: int
+
+
+class FamilySpec(_FamilySpecFields):
     """A family together with its number of rational transforms.
 
     Attributes
@@ -109,20 +116,24 @@ class FamilySpec:
         three-variable base case).
     """
 
-    family: Family
-    n_transforms: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
+    def __new__(cls, family: Family, n_transforms: int) -> "FamilySpec":
+        if not isinstance(family, Family):
             raise ValueError("family must be a Family member")
-        if not isinstance(self.n_transforms, int) or isinstance(self.n_transforms, bool):
+        if not isinstance(n_transforms, int) or isinstance(n_transforms, bool):
             raise ValueError("n_transforms must be an integer")
-        minimum = 0 if self.family is Family.TWO else 1
-        if self.n_transforms < minimum:
+        minimum = 0 if family is Family.TWO else 1
+        if n_transforms < minimum:
             raise ValueError(
                 "family %s requires at least %d transform(s), got %d"
-                % (self.family.value, minimum, self.n_transforms)
+                % (family.value, minimum, n_transforms)
             )
+        return super().__new__(cls, family, n_transforms)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "FamilySpec":
+        return cls(*iterable)
 
     @property
     def parity(self) -> int:
@@ -144,8 +155,12 @@ class FamilySpec:
         return self.pi_normalization + 1
 
 
-@dataclass(frozen=True)
-class MahlerResult:
+class _MahlerResultFields(NamedTuple):
+    spec: FamilySpec
+    combination: ZetaCombination
+
+
+class MahlerResult(_MahlerResultFields):
     """Exact value of ``pi**pi_normalization * m(P)`` for a family member.
 
     Attributes
@@ -158,21 +173,25 @@ class MahlerResult:
         weight ``pi_normalization + 1`` (the measure itself carries weight 1).
     """
 
-    spec: FamilySpec
-    combination: ZetaCombination
+    __slots__ = ()
+
+    def __new__(cls, spec: FamilySpec, combination: ZetaCombination) -> "MahlerResult":
+        weight = combination.homogeneous_weight()
+        if weight != spec.pi_normalization + 1:
+            raise ValueError(
+                "combination weight %r does not equal pi_normalization + 1 = %d"
+                % (weight, spec.pi_normalization + 1)
+            )
+        return super().__new__(cls, spec, combination)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "MahlerResult":
+        return cls(*iterable)
 
     @property
     def pi_normalization(self) -> int:
         """Power of pi multiplying the measure: ``spec.pi_normalization``."""
         return self.spec.pi_normalization
-
-    def __post_init__(self) -> None:
-        weight = self.combination.homogeneous_weight()
-        if weight != self.pi_normalization + 1:
-            raise ValueError(
-                "combination weight %r does not equal pi_normalization + 1 = %d"
-                % (weight, self.pi_normalization + 1)
-            )
 
 
 @lru_cache(maxsize=4)

@@ -170,9 +170,9 @@ def test_verify_oracle_suite(capsys) -> None:
 
 
 def test_verify_failure_emits_machine_readable_list(monkeypatch, capsys) -> None:
-    closed = mahlerzeta.cli.closed_form_measure
+    closed = mahlerzeta.oracle.closed_form_measure
     monkeypatch.setattr(
-        mahlerzeta.cli, "closed_form_measure", lambda spec: closed(spec) + 1e-6
+        mahlerzeta.oracle, "closed_form_measure", lambda spec: closed(spec) + 1e-6
     )
     code, out, _ = run_cli(
         ["verify", "--suite", "oracle", "--max-n", "2", "--seed", "42"], capsys
@@ -359,40 +359,98 @@ def test_cli_import_does_not_load_scipy() -> None:
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("probe", ["package", "cli", "eval-warm", "eval-cold"])
-def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
-    # numpy serves only the numerical oracle; the oracle module itself stays
-    # imported, because tracers look it up in sys.modules.
-    store = tmp_path / "store.txt"
-    argv = ["eval", "--family", "ii", "--n", "1", "--digits", "12", "--store", str(store)]
-    if probe == "eval-warm":
-        assert main(argv) == 0
-        warm = store.read_text()
-    setup = {"package": "import mahlerzeta", "cli": "import mahlerzeta.cli"}.get(
-        probe, "import mahlerzeta.cli; code = mahlerzeta.cli.main(%r)" % (argv,)
-    )
-    report = (
-        "import json, sys; print(json.dumps({"
-        "'code': globals().get('code', 0), "
-        "'oracle': 'mahlerzeta.oracle' in sys.modules, "
-        "'loaded': sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))}))"
-    )
+CHECK_LAYER = ("identities", "oracle", "reduce", "tables")
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with the package on its path; its last line."""
     src = str(Path(mahlerzeta.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", setup + "\n" + report],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(result.stdout.splitlines()[-1]) == {
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "probe",
+    ["package", "cli", "eval-warm", "eval-cold", "constants-warm", "verify-tables", "torus-qmc"],
+)
+def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
+    # eval and constants run only the production layer.  The check layer's
+    # modules stay in sys.modules, because tracers look them up there, but
+    # their code runs only when verify or a check-layer name needs it.
+    store = tmp_path / "store.txt"
+    argv = {
+        "constants-warm": ["constants", "warm", "--digits", "12", "--store", str(store)],
+        "verify-tables": ["verify", "--suite", "tables", "--max-n", "2"],
+    }.get(probe, ["eval", "--family", "ii", "--n", "1", "--digits", "12", "--store", str(store)])
+    if probe == "eval-warm":
+        assert main(argv) == 0
+        warm = store.read_text()
+    setup = {
+        "package": "import mahlerzeta",
+        "cli": "import mahlerzeta.cli",
+        "torus-qmc": "import mahlerzeta; mahlerzeta.torus_qmc",
+    }.get(probe, "import mahlerzeta.cli; code = mahlerzeta.cli.main(%r)" % (argv,))
+    # measured before the report itself imports json
+    report = (
+        "import sys, types\n"
+        "registered = [n for n in %r if 'mahlerzeta.' + n in sys.modules]\n"
+        "pending = [n for n in registered "
+        "if type(sys.modules['mahlerzeta.' + n]) is not types.ModuleType]\n"
+        "loaded = sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'dataclasses', 'inspect', 'json', 'numpy', 'scipy'})\n"
+        "import json\n"
+        "print(json.dumps({'code': globals().get('code', 0), 'registered': registered, "
+        "'pending': pending, 'loaded': loaded}))" % (CHECK_LAYER,)
+    )
+    on_demand = {
+        "verify-tables": ["oracle", "reduce"],
+        "torus-qmc": ["identities", "tables"],
+    }
+    assert json.loads(_run_fresh(setup + "\n" + report)) == {
         "code": 0,
-        "oracle": True,
-        "loaded": [],
+        "registered": list(CHECK_LAYER),
+        "pending": on_demand.get(probe, list(CHECK_LAYER)),
+        "loaded": ["dataclasses", "inspect"] if probe in on_demand else [],
     }
     if probe == "eval-warm":
         assert store.read_text() == warm
-    elif probe == "eval-cold":
+    elif probe in ("eval-cold", "constants-warm"):
         assert "l3_ii 1 " in store.read_text()
+
+
+def test_package_serves_every_public_name_from_its_module() -> None:
+    for name in mahlerzeta.__all__:
+        assert name in dir(mahlerzeta), name
+        if name != "__version__":
+            value = getattr(mahlerzeta, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    for module in CHECK_LAYER:
+        imported = __import__("mahlerzeta", fromlist=[module])
+        assert getattr(imported, module) is sys.modules["mahlerzeta." + module]
+        assert module in dir(mahlerzeta)
+    assert not hasattr(mahlerzeta, "no_such_name")
+
+
+def test_patches_on_unloaded_check_modules_survive_the_load() -> None:
+    # a patch made before a check module's code runs stays in place after it
+    # runs: pytest's monkeypatch (which reads the old value first, and so
+    # loads the module) and a plain attribute assignment (which does not)
+    probe = (
+        "import sys, types, pytest, mahlerzeta\n"
+        "oracle, tables = sys.modules['mahlerzeta.oracle'], sys.modules['mahlerzeta.tables']\n"
+        "lazy = [type(m) is not types.ModuleType for m in (oracle, tables)]\n"
+        "pytest.MonkeyPatch().setattr(oracle, '_sobol_base2', len)\n"
+        "tables.table_rows = len\n"
+        "assert type(tables) is not types.ModuleType\n"
+        "print([lazy, oracle._sobol_base2 is len, mahlerzeta.table_rows is len, "
+        "type(tables) is types.ModuleType, callable(tables.reproduce_tables)])"
+    )
+    assert _run_fresh(probe) == "[[True, True], True, True, True, True]"

@@ -87,6 +87,52 @@ def test_mahler_result_validates_weight() -> None:
         MahlerResult(spec, ZetaCombination.zeta(5, 0, 1))
 
 
+def test_spec_and_result_behave_as_frozen_records() -> None:
+    spec = FamilySpec(Family.ONE, 3)
+    result = MahlerResult(FamilySpec(Family.TWO, 0), ZetaCombination.zeta(3, 0, Fraction(7, 2)))
+    assert repr(spec) == "FamilySpec(family=<Family.ONE: 'i'>, n_transforms=3)"
+    assert repr(result) == (
+        "MahlerResult(spec=FamilySpec(family=<Family.TWO: 'ii'>, n_transforms=0), "
+        "combination=ZetaCombination((7/2)*zeta(3)))"
+    )
+    assert result == family_two(FamilySpec(Family.TWO, 0))
+    assert spec == FamilySpec(Family.ONE, 3)
+    assert spec != FamilySpec(Family.ONE, 5) and spec != FamilySpec(Family.THREE, 3)
+    # a frozen dataclass hashes the tuple of its fields; so do these
+    assert hash(spec) == hash((Family.ONE, 3))
+    assert hash(result) == hash((result.spec, result.combination))
+    assert len({spec, FamilySpec(Family.ONE, 3), FamilySpec(Family.ONE, 5)}) == 2
+    for record, field in ((spec, "n_transforms"), (spec, "other"), (result, "combination")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+@pytest.mark.parametrize("build", ["constructor", "_make", "_replace"])
+def test_spec_and_result_validate_on_every_route(build: str) -> None:
+    spec = FamilySpec(Family.ONE, 2)
+    result = MahlerResult(spec, ZetaCombination.zeta(3, 0, 7))
+    routes = {
+        "constructor": (
+            lambda: FamilySpec(Family.THREE, 0),
+            lambda: MahlerResult(spec, ZetaCombination.zeta(5, 0, 1)),
+        ),
+        "_make": (
+            lambda: FamilySpec._make([Family.THREE, 0]),
+            lambda: MahlerResult._make([spec, ZetaCombination.zeta(5, 0, 1)]),
+        ),
+        "_replace": (
+            lambda: spec._replace(family=Family.THREE, n_transforms=0),
+            lambda: result._replace(combination=ZetaCombination.zeta(5, 0, 1)),
+        ),
+    }
+    for invalid in routes[build]:
+        with pytest.raises(ValueError):
+            invalid()
+    assert FamilySpec._make([Family.ONE, 2]) == spec
+    assert spec._replace(n_transforms=4) == FamilySpec(Family.ONE, 4)
+    assert result._replace(spec=spec) == result
+
+
 def test_coeff_a_values() -> None:
     assert coeff_a(1, 0) == 1
     assert coeff_a(2, 1) == Fraction(1, 6)
