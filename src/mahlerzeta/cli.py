@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import mpmath as mp
 
 from . import identities, oracle, tables
 from .combinations import ZetaCombination
 from .exact import PolyQ, log_moment_poly
 from .formulas import Family, FamilySpec, family_three, family_two, mahler_measure
 from .store import ConstantStore
-from .values import combination_value, l3_ii_value, multiple_polylog
+from .values import _combination_decimal, combination_value, l3_ii_value, multiple_polylog
 
 __all__ = ["build_parser", "main"]
 
@@ -47,6 +46,46 @@ def _open_store(path: Optional[str]) -> ConstantStore:
     return ConstantStore(path) if path else ConstantStore()
 
 
+def _nstr(value: Decimal, digits: int) -> str:
+    """``value`` printed as ``mpmath.nstr(value, digits)`` prints it (``libmpf.to_str``).
+
+    The leading ``digits`` digits are rounded half up on the next one, a
+    carry through 9s moving the exponent.  The number is printed in fixed
+    point when its exponent lies strictly between ``min(-(digits // 3), -5)``
+    and ``digits``, otherwise with ``e+NN``; trailing zeros go, but ``.0``
+    stays.  The digits come from the decimal's digit tuple, not through
+    ``str(int)``, which refuses more than 4300 digits, so any length prints.
+    """
+    if not value:
+        return "0.0"
+    negative, figures, exponent = value.as_tuple()
+    text = "".join(map(str, figures))
+    exponent += len(text) - 1
+    if len(text) > digits and text[digits] >= "5":
+        kept = text[:digits].rstrip("9")
+        if kept:
+            text = kept[:-1] + str(int(kept[-1]) + 1)
+        else:
+            text = "1"
+            exponent += 1
+    text = text[:digits].ljust(digits, "0")
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            text = "0" * -exponent + text
+            split = 1
+        else:
+            split = exponent + 1
+        exponent = 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if exponent:
+        text += "e%+d" % exponent
+    return "-" + text if negative else text
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     """Evaluate one family member and print its closed form."""
     family = Family.from_label(args.family)
@@ -55,9 +94,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("digits must be positive")
     result = mahler_measure(spec)
     store = _open_store(args.store)
-    with mp.workdps(args.digits + 10):
-        value = combination_value(result.combination, digits=args.digits, store=store)
-        numeric = mp.nstr(value, args.digits)
+    numeric = _nstr(_combination_decimal(result.combination, args.digits, store), args.digits)
     if args.format == "json":
         import json
 
@@ -166,6 +203,8 @@ def _kernel_cases(args: argparse.Namespace) -> bool:
 
 
 def _torus_sample(args: argparse.Namespace) -> bool:
+    import mpmath as mp
+
     estimate = oracle.torus_qmc(FamilySpec(Family.ONE, 1), samples=200_000, seed=args.seed)
     with mp.workdps(30):
         truth = float(2 * mp.catalan / mp.pi)
@@ -174,6 +213,8 @@ def _torus_sample(args: argparse.Namespace) -> bool:
 
 def _l3_ii_fold_matches_engine(b: int) -> bool:
     """``l3_ii_value(b)`` against ``i * scriptL_{3,b}(i, i)`` from ``multiple_polylog``."""
+    import mpmath as mp
+
     with mp.workdps(30):
         engine = -2 * mp.fsum(
             e * multiple_polylog(3, b, e * 1j, f * 1j, 20).imag for e in (1, -1) for f in (1, -1)

@@ -7,16 +7,18 @@ The store is a small versioned text file mapping a constant key
     zeta 3 50 1.2020569031595942853997381615114499907649862923405
     l3_ii 1 30 2.82711656135535384846204864476
 
-A lookup hits only when the stored entry carries at least as many digits as
-requested; a write keeps whichever of the old and new entries has more
-digits.  The default location is ``~/.cache/mahlerzeta/constants.txt`` and
-can be overridden with the ``MAHLERZETA_STORE`` environment variable or an
-explicit path.
+Loading refuses any line other than a kind, an integer argument, a digit
+count of at least 1 and a finite decimal literal.  A lookup hits only when
+the stored entry carries at least as many digits as requested; a write
+keeps whichever of the old and new entries has more digits.  The default
+location is ``~/.cache/mahlerzeta/constants.txt`` and can be overridden with
+the ``MAHLERZETA_STORE`` environment variable or an explicit path.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -25,6 +27,11 @@ __all__ = ["ConstantStore", "STORE_ENV_VAR"]
 STORE_ENV_VAR = "MAHLERZETA_STORE"
 
 _HEADER = "mahlerzeta-constants 1"
+
+# kind, argument, digits, value
+_LINE = re.compile(
+    r"(\S+)\s+([+-]?[0-9]+)\s+(0*[1-9][0-9]*)\s+([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+)
 
 
 class ConstantStore:
@@ -53,10 +60,10 @@ class ConstantStore:
                 f"unsupported constant-store format in {self.path}: {body[0]!r}"
             )
         for ln in body[1:]:
-            fields = ln.split()
-            if len(fields) != 4:
+            match = _LINE.fullmatch(ln)
+            if match is None:
                 raise ValueError(f"malformed constant-store line: {ln!r}")
-            kind, arg_s, digits_s, value = fields
+            kind, arg_s, digits_s, value = match.groups()
             self._entries[(kind, int(arg_s))] = (int(digits_s), value)
 
     def save(self) -> None:

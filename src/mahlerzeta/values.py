@@ -12,6 +12,11 @@ routes live with the tests.
 
 All functions take a ``digits`` argument (decimal digits of target accuracy)
 and run internally with guard digits; returned values are mpmath numbers.
+A combination is summed once, in the standard library's :mod:`decimal`,
+from the decimal strings of its base constants and a pi computed with
+integers.  mpmath is imported only where a base constant is computed, so an
+evaluation whose constants all come from a :class:`ConstantStore` runs
+without it (``eval`` formats that decimal sum itself).
 
 The alternating single series use the Cohen-Rodriguez Villegas-Zagier
 Chebyshev acceleration, whose error decays like (3 + sqrt(8))^(-n) for n
@@ -22,14 +27,16 @@ form: it is the reference that the tests and ``verify`` hold the fold to.
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import ceil, log2
-from typing import Callable, List, Optional
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .combinations import KINDS, ZetaCombination
 from .store import ConstantStore
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 __all__ = [
     "alternating_sum",
@@ -71,6 +78,8 @@ def alternating_sum(term: Callable[[int], "mp.mpf"], digits: int) -> "mp.mpf":
     nonnegative integers (true for all the series used here), which is the
     convergence condition of the Chebyshev acceleration.
     """
+    import mpmath as mp
+
     _require_digits(digits)
     with mp.workdps(digits + 10):
         n = int(1.31 * (digits + 10)) + 8
@@ -91,6 +100,8 @@ def zeta(s: int, digits: int = 30) -> "mp.mpf":
     Computed from the accelerated alternating series
     eta(s) = sum (-1)^{j-1}/j^s through zeta = eta/(1 - 2^{1-s}).
     """
+    import mpmath as mp
+
     _require_normal("zeta", s)
     _require_digits(digits)
     with mp.workdps(digits + 10):
@@ -104,6 +115,8 @@ def dirichlet_l_chi4(s: int, digits: int = 30) -> "mp.mpf":
     Computed from the accelerated defining series; ``s = 2`` is Catalan's
     constant.
     """
+    import mpmath as mp
+
     _require_normal("lchi4", s)
     _require_digits(digits)
     with mp.workdps(digits + 10):
@@ -122,6 +135,8 @@ def _values_at_half(letters: List[complex], terms: int) -> List["mp.mpc"]:
     ``(2t)^k`` has modulus <= 2^-k (by induction over the letters): each
     value has modulus <= 1, and truncation after ``terms`` errs by <= 2^-terms.
     """
+    import mpmath as mp
+
     coeffs = [mp.mpf(1)] + [mp.mpf(0)] * terms
     out = [mp.mpf(1)]
     for b in reversed(letters):
@@ -148,6 +163,8 @@ def multiple_polylog(r: int, s: int, x1, x2, digits: int = 30):
     with ``x2 = 1`` is rejected.  Returns an mpf when both arguments are
     real, an mpc otherwise.
     """
+    import mpmath as mp
+
     if r < 1 or s < 1:
         raise ValueError("polylogarithm indices must be integers >= 1")
     _require_digits(digits)
@@ -207,43 +224,97 @@ def combination_value(
     """Numerical value of a symbolic combination at ``digits`` digits.
 
     If ``store`` is given, base constants are looked up there first (a hit
-    requires at least the requested precision) and newly computed ones are
-    written back immediately.  Constants at ``digits + 5`` digits suffice for
-    every closed form: each coefficient and each basis constant is positive,
-    so the sum never cancels; only the ``l3_ii`` fold cancels, and
+    requires at least the requested precision); the ones computed instead
+    are written back, in one save after the evaluation, also when a later
+    constant fails.  Constants at ``digits + 5`` digits suffice for every
+    closed form: each coefficient and each basis constant is positive, so
+    the sum never cancels; only the ``l3_ii`` fold cancels, and
     :func:`l3_ii_value` adds its own guard digits for it.
     """
-    _require_digits(digits)
+    import mpmath as mp
+
+    # through the exact integer ratio: mpmath would read the decimal's string
+    # with int(str), which refuses more than 4300 digits
+    numerator, denominator = _combination_decimal(combo, digits, store).as_integer_ratio()
     with mp.workdps(digits + 10):
-        total = mp.mpf(0)
-        for elem, coeff in combo.terms():
-            value = _base_constant(elem.kind, elem.arg, digits, store)
-            term = mp.mpf(coeff.numerator) / coeff.denominator
-            if elem.pi_power:
-                term *= mp.pi**elem.pi_power
-            total += term * value
-        return +total
+        return mp.mpf(numerator) / denominator
 
 
-def _base_constant(
-    kind: str, arg: int, digits: int, store: Optional[ConstantStore]
-) -> "mp.mpf":
-    if kind == "one":
-        return mp.mpf(1)
-    if store is not None:
-        cached = store.get(kind, arg, digits)
-        if cached is not None:
-            return mp.mpf(cached)
+def _combination_decimal(
+    combo: ZetaCombination, digits: int, store: Optional[ConstantStore]
+) -> Decimal:
+    """The value of ``combo``, summed with ``digits + 10`` significant digits.
+
+    Each base constant is the decimal string of ``digits + 5`` digits that
+    the store holds or that is computed and stored now, so an evaluation
+    reads the same digits whether its constants were stored or not.
+    """
+    _require_digits(digits)
+    missed = False
+    try:
+        with localcontext() as context:
+            context.prec = digits + 10
+            pi = _pi(context.prec)
+            total = Decimal(0)
+            for elem, coeff in combo.terms():
+                if elem.kind == "one":
+                    term = Decimal(1)
+                else:
+                    text = store.get(elem.kind, elem.arg, digits) if store is not None else None
+                    if text is None:
+                        text = _base_constant(elem.kind, elem.arg, digits + 5)
+                        if store is not None:
+                            store.put(elem.kind, elem.arg, digits, text)
+                            missed = True
+                    term = Decimal(text)
+                if elem.pi_power:
+                    term *= pi**elem.pi_power
+                total += term * coeff.numerator / coeff.denominator
+            return total
+    finally:
+        if missed:
+            store.save()
+
+
+def _pi(digits: int) -> Decimal:
+    """pi to ``digits`` significant digits, by Machin's formula in integers.
+
+    ``pi = 16 arctan(1/5) - 4 arctan(1/239)``, each series summed in fixed
+    point at 10 guard digits; every term truncates by less than one unit.
+    """
+    unit = 10 ** (digits + 10)
+
+    def arctan_inverse(x: int) -> int:
+        power = unit // x
+        total = power
+        k = 1
+        while power:
+            power //= -x * x
+            k += 2
+            total += power // k
+        return total
+
+    fixed = 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
+    return Decimal(fixed).scaleb(-(digits + 10), Context(prec=digits))
+
+
+def _base_constant(kind: str, arg: int, digits: int) -> str:
+    """A base constant other than ``one``, computed to ``digits`` digits, as mpmath prints it."""
+    import mpmath as mp
+
     # Built per call, so that a wrapper installed on a module attribute (a
     # tracer, a test's monkeypatch) sees every evaluation.
     evaluate = {
-        "log2": lambda arg, digits: +mp.log(2),
+        "log2": _log2,
         "zeta": zeta,
         "lchi4": dirichlet_l_chi4,
         "l3_ii": l3_ii_value,
     }[kind]
-    value = evaluate(arg, digits + 5)
-    if store is not None:
-        store.put(kind, arg, digits, mp.nstr(value, digits + 5))
-        store.save()
-    return value
+    return mp.nstr(evaluate(arg, digits), digits)
+
+
+def _log2(arg: int, digits: int) -> "mp.mpf":
+    import mpmath as mp
+
+    with mp.workdps(digits + 5):
+        return +mp.log(2)

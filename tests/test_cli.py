@@ -259,7 +259,10 @@ def _fail_numerically(*args, **kwargs):
 
 
 def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
-    monkeypatch.setattr(mahlerzeta.cli, "combination_value", _fail_numerically)
+    import mahlerzeta.values as values
+
+    # the first constant that eval computes on the empty store
+    monkeypatch.setattr(values, "dirichlet_l_chi4", _fail_numerically)
     store = str(tmp_path / "store.txt")
     code, out, err = run_cli(
         ["eval", "--family", "ii", "--n", "1", "--digits", "60", "--store", store], capsys
@@ -267,6 +270,77 @@ def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
     assert code == 3
     assert out == ""
     assert err == "error: series did not converge\n"
+
+
+def test_eval_keeps_the_constants_computed_before_a_failure(tmp_path, capsys, monkeypatch) -> None:
+    import mahlerzeta.values as values
+
+    # family ii at n = 1 is pi^2 L(chi_-4, 2) + 2 l3_ii(1): L(chi_-4, 2) is
+    # computed, then l3_ii(1) fails, and the one save still keeps the first
+    monkeypatch.setattr(values, "l3_ii_value", _fail_numerically)
+    saves = []
+    save = ConstantStore.save
+    monkeypatch.setattr(ConstantStore, "save", lambda self: saves.append(1) or save(self))
+    store = tmp_path / "store.txt"
+    code, out, err = run_cli(
+        ["eval", "--family", "ii", "--n", "1", "--digits", "20", "--store", str(store)], capsys
+    )
+    assert (code, out, err) == (3, "", "error: series did not converge\n")
+    assert saves == [1]
+    assert [line.split()[:3] for line in store.read_text().splitlines()[1:]] == [
+        ["lchi4", "2", "20"]
+    ]
+
+
+def test_eval_saves_the_store_once(tmp_path, capsys, monkeypatch) -> None:
+    saves = []
+    save = ConstantStore.save
+    monkeypatch.setattr(ConstantStore, "save", lambda self: saves.append(1) or save(self))
+    store = tmp_path / "store.txt"
+    argv = ["eval", "--family", "ii", "--n", "5", "--digits", "20", "--store", str(store)]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert saves == [1]
+    assert len(ConstantStore(store)) == 6
+    code, warm, _ = run_cli(argv, capsys)
+    assert (code, warm) == (0, cold)
+    assert saves == [1]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("lchi4 2 50 inf", "'lchi4 2 50 inf'"),
+        ("lchi4 2 50 abc", "'lchi4 2 50 abc'"),
+        ("lchi4 x 50 0.9159655941772190150546", "'lchi4 x 50 0.9159655941772190150546'"),
+    ],
+)
+def test_eval_refuses_a_store_value_that_is_not_a_number(line, message, tmp_path, capsys) -> None:
+    store = tmp_path / "store.txt"
+    store.write_text("mahlerzeta-constants 1\n%s\n" % line)
+    code, out, err = run_cli(
+        ["eval", "--family", "i", "--n", "1", "--digits", "20", "--store", str(store)], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: malformed constant-store line: %s\n" % message
+
+
+def test_warm_eval_above_python_int_string_limit(tmp_path, capsys) -> None:
+    # Python refuses int(str) and str(int) beyond 4300 digits; a warm eval
+    # reads and prints through decimal
+    with mp.workdps(4420):
+        catalan = +mp.catalan
+        expected = mp.nstr(2 * catalan, 4400)
+        store = ConstantStore(tmp_path / "store.txt")
+        store.put("lchi4", 2, 4400, mp.nstr(catalan, 4405))
+    store.save()
+    code, out, err = run_cli(
+        ["eval", "--family", "i", "--n", "1", "--digits", "4400", "--store", str(store.path)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "pi * m = %s to 4400 digits" % expected
+    assert len(expected) == 4401
 
 
 def test_eval_family_ii_odd_at_60_digits(tmp_path, capsys) -> None:
@@ -405,7 +479,7 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "pending = [n for n in registered "
         "if type(sys.modules['mahlerzeta.' + n]) is not types.ModuleType]\n"
         "loaded = sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'dataclasses', 'inspect', 'json', 'numpy', 'scipy'})\n"
+        "& {'dataclasses', 'inspect', 'json', 'mpmath', 'numpy', 'scipy'})\n"
         "import json\n"
         "print(json.dumps({'code': globals().get('code', 0), 'registered': registered, "
         "'pending': pending, 'loaded': loaded}))" % (CHECK_LAYER,)
@@ -414,11 +488,18 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "verify-tables": ["oracle", "reduce"],
         "torus-qmc": ["identities", "tables"],
     }
+    # mpmath is imported where a constant is computed, and by the oracle
+    loaded = {
+        "eval-cold": ["mpmath"],
+        "constants-warm": ["mpmath"],
+        "verify-tables": ["dataclasses", "inspect"],
+        "torus-qmc": ["dataclasses", "inspect", "mpmath"],
+    }
     assert json.loads(_run_fresh(setup + "\n" + report)) == {
         "code": 0,
         "registered": list(CHECK_LAYER),
         "pending": on_demand.get(probe, list(CHECK_LAYER)),
-        "loaded": ["dataclasses", "inspect"] if probe in on_demand else [],
+        "loaded": loaded.get(probe, []),
     }
     if probe == "eval-warm":
         assert store.read_text() == warm
@@ -454,3 +535,42 @@ def test_patches_on_unloaded_check_modules_survive_the_load() -> None:
         "type(tables) is types.ModuleType, callable(tables.reproduce_tables)])"
     )
     assert _run_fresh(probe) == "[[True, True], True, True, True, True]"
+
+
+def _mpmath_sum(combination: ZetaCombination, digits: int, store: ConstantStore) -> str:
+    """The value that eval printed when it summed in mpmath, from stored constants.
+
+    The sum runs at ``digits + 10`` digits over the stored strings, as
+    ``values.combination_value`` did on a warm store before eval summed in
+    ``decimal``; kept here as the reference for eval's printed digits.
+    """
+    with mp.workdps(digits + 10):
+        total = mp.mpf(0)
+        for elem, coeff in combination.terms():
+            value = 1 if elem.kind == "one" else mp.mpf(store.get(elem.kind, elem.arg, digits))
+            term = mp.mpf(coeff.numerator) / coeff.denominator
+            if elem.pi_power:
+                term *= mp.pi**elem.pi_power
+            total += term * value
+        return mp.nstr(+total, digits)
+
+
+_REFERENCE_DIGITS = list(range(1, 13)) + [30, 60, 100]
+_MEMBERS = {"i": range(1, 21), "ii": range(0, 21), "iii": range(1, 21)}
+
+
+@pytest.mark.parametrize("family", sorted(_MEMBERS))
+def test_eval_prints_the_mpmath_sum(family, tmp_path, capsys) -> None:
+    path = str(tmp_path / "store.txt")
+    for n in _MEMBERS[family]:
+        combination = mahler_measure(FamilySpec(Family.from_label(family), n)).combination
+        # the first eval fills the store at 100 digits, which serves all the rest
+        for digits in _REFERENCE_DIGITS[::-1]:
+            argv = ["eval", "--family", family, "--n", str(n), "--digits", str(digits)]
+            code, text, _ = run_cli(argv + ["--store", path], capsys)
+            expected = _mpmath_sum(combination, digits, ConstantStore(path))
+            assert code == 0
+            assert text.splitlines()[2].split(" = ")[1] == "%s to %d digits" % (expected, digits)
+            code, out, _ = run_cli(argv + ["--format", "json", "--store", path], capsys)
+            assert code == 0
+            assert json.loads(out)["numeric_value"] == expected

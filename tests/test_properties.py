@@ -1,15 +1,18 @@
-"""Property tests for the exact algebra, the wire format and the constant store."""
+"""Property tests for the exact algebra, the wire format, the constant store and eval's numbers."""
 
 from __future__ import annotations
 
 import json
 import tempfile
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+import mpmath as mp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mahlerzeta.cli import _nstr
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.exact import PolyQ
 from mahlerzeta.store import ConstantStore
@@ -131,3 +134,73 @@ def test_store_keeps_most_precise_entry_through_save_and_reload(puts, split) -> 
             assert reloaded.get(kind, arg, digits) == value
             assert reloaded.get(kind, arg, digits + 1) is None
         assert [p.name for p in Path(tmp).iterdir()] == ["constants.txt"]
+
+
+def _working_bits(digits: int) -> int:
+    """The bits to which ``libmpf.to_str`` converts at ``digits``; beyond them it truncates."""
+    return int((digits + 3) * 3.3219280948873626) + 10
+
+
+@st.composite
+def _dyadics(draw):
+    """``(m, e, digits)``: the number ``m * 2^e``, exact in binary and in decimal.
+
+    Most are the nearest dyadic to a decimal drawn with ``digits``-digit ties,
+    runs of 9s or exponents at the fixed/scientific boundaries in mind; some
+    are exact ties ``u / 2^f``, whose last decimal digit is a 5.
+    """
+    digits = draw(st.integers(1, 120))
+    bits = _working_bits(digits)
+    if draw(st.integers(0, 3)) == 0:
+        f = draw(st.integers(0, 200))
+        u = draw(st.integers(0, 2 ** min(bits - 1, f + 60))) * 2 + 1
+        m, e = u * 10 ** draw(st.integers(0, 3)), -f
+        significant = len(str(m * 5**f).rstrip("0"))
+        digits = max(1, min(significant - 1, 120))
+    else:
+        lead = draw(st.integers(1, 9))
+        body = draw(
+            st.one_of(
+                st.text("0123456789", max_size=digits + 2),
+                st.integers(0, digits + 2).map(lambda k: "9" * k),
+                st.tuples(st.text("0123456789", max_size=digits), st.integers(0, 3)).map(
+                    lambda parts: parts[0] + "5" + "0" * parts[1]
+                ),
+            )
+        )
+        edges = [min(-(digits // 3), -5), digits]
+        exponent = draw(
+            st.one_of(
+                st.integers(-150, 150),
+                st.sampled_from(edges).flatmap(lambda edge: st.integers(edge - 2, edge + 2)),
+            )
+        )
+        target = Fraction(int(str(lead) + body)) * Fraction(10) ** (exponent - len(body))
+        e = target.numerator.bit_length() - target.denominator.bit_length() - bits + 1
+        m = round(target / Fraction(2) ** e)
+        while m.bit_length() > bits:
+            m, e = (m + 1) // 2, e + 1
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * m, e, digits
+
+
+@settings(deadline=None, max_examples=400)
+@given(_dyadics())
+@example((125, 0, 2))  # 125 -> 130.0: a tie rounds up
+@example((1, -1, 1))  # 0.5 at one digit
+@example((2**20 - 1, -20, 5))  # 0.99999904... -> 1.0: the carry moves the exponent
+@example((999999, 0, 6))  # 999999.0: exponent 5, one below the scientific edge
+@example((9999995, 0, 6))  # rounds to 1.0e+7
+@example((1, -17, 10))  # 7.62939453125e-6: exponent -6, below the edge at -5
+@example((1, -16, 10))  # 0.0000152587890625: exponent -5 is printed in scientific form
+@example((3, -20, 60))  # exponent -6, above the edge at -20
+@example((0, 0, 5))
+def test_eval_formats_as_mpmath_nstr(case) -> None:
+    m, e, digits = case
+    assume(m.bit_length() <= _working_bits(digits))
+    if e >= 0:
+        exact = Decimal(m << e)
+    else:
+        exact = Decimal(m * 5**-e).scaleb(e, Context(prec=10**4))
+    with mp.workprec(max(_working_bits(digits), m.bit_length()) + 10):
+        assert _nstr(exact, digits) == mp.nstr(mp.mpf((m, e)), digits)

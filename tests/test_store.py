@@ -55,6 +55,48 @@ def test_rejects_foreign_format(tmp_path) -> None:
         ConstantStore(path)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lchi4 2 50 inf",
+        "lchi4 2 50 nan",
+        "lchi4 2 50 abc",
+        "lchi4 2 50 1.5e",
+        "lchi4 x 50 0.9159655941772190150546",
+        "lchi4 2.0 50 0.9159655941772190150546",
+        "lchi4 2 0 0.9",
+        "lchi4 2 -3 0.9",
+        "lchi4 2 1_0 0.9",
+    ],
+)
+def test_rejects_a_line_that_is_not_an_entry(tmp_path, line) -> None:
+    path = tmp_path / "c.txt"
+    path.write_text("mahlerzeta-constants 1\n%s\n" % line)
+    with pytest.raises(ValueError, match="malformed constant-store line: %r" % line):
+        ConstantStore(path)
+
+
+def test_accepts_decimal_literals_in_every_form(tmp_path) -> None:
+    path = tmp_path / "c.txt"
+    path.write_text(
+        "mahlerzeta-constants 1\n"
+        "l3_ii 19 20 1.5258789062500000000e-5\n"
+        "l3_ii 21 20 3.8146972656250000000e-6\n"
+        "zeta 3 05 1.2021\n"
+        "lchi4 2 7 -0.9159656\n"
+        "log2 +0 3 .693\n"
+        "zeta 5 3 1.04E+0\n"
+    )
+    assert [entry[:3] for entry in ConstantStore(path).entries()] == [
+        ("l3_ii", 19, 20),
+        ("l3_ii", 21, 20),
+        ("lchi4", 2, 7),
+        ("log2", 0, 3),
+        ("zeta", 3, 5),
+        ("zeta", 5, 3),
+    ]
+
+
 def test_env_var_overrides_default_path(tmp_path, monkeypatch) -> None:
     target = tmp_path / "via-env.txt"
     monkeypatch.setenv(STORE_ENV_VAR, str(target))
