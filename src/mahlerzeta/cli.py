@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import identities, oracle, tables
@@ -29,7 +28,7 @@ from .combinations import ZetaCombination
 from .exact import PolyQ, log_moment_poly
 from .formulas import Family, FamilySpec, family_three, family_two, mahler_measure
 from .store import ConstantStore
-from .values import _combination_decimal, combination_value, l3_ii_value, multiple_polylog
+from .values import _combination_decimal, _nstr, l3_ii_value, multiple_polylog
 
 __all__ = ["build_parser", "main"]
 
@@ -44,46 +43,6 @@ def _pi_label(power: int) -> str:
 
 def _open_store(path: Optional[str]) -> ConstantStore:
     return ConstantStore(path) if path else ConstantStore()
-
-
-def _nstr(value: Decimal, digits: int) -> str:
-    """``value`` printed as ``mpmath.nstr(value, digits)`` prints it (``libmpf.to_str``).
-
-    The leading ``digits`` digits are rounded half up on the next one, a
-    carry through 9s moving the exponent.  The number is printed in fixed
-    point when its exponent lies strictly between ``min(-(digits // 3), -5)``
-    and ``digits``, otherwise with ``e+NN``; trailing zeros go, but ``.0``
-    stays.  The digits come from the decimal's digit tuple, not through
-    ``str(int)``, which refuses more than 4300 digits, so any length prints.
-    """
-    if not value:
-        return "0.0"
-    negative, figures, exponent = value.as_tuple()
-    text = "".join(map(str, figures))
-    exponent += len(text) - 1
-    if len(text) > digits and text[digits] >= "5":
-        kept = text[:digits].rstrip("9")
-        if kept:
-            text = kept[:-1] + str(int(kept[-1]) + 1)
-        else:
-            text = "1"
-            exponent += 1
-    text = text[:digits].ljust(digits, "0")
-    if min(-(digits // 3), -5) < exponent < digits:
-        if exponent < 0:
-            text = "0" * -exponent + text
-            split = 1
-        else:
-            split = exponent + 1
-        exponent = 0
-    else:
-        split = 1
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    if exponent:
-        text += "e%+d" % exponent
-    return "-" + text if negative else text
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -219,7 +178,7 @@ def _l3_ii_fold_matches_engine(b: int) -> bool:
         engine = -2 * mp.fsum(
             e * multiple_polylog(3, b, e * 1j, f * 1j, 20).imag for e in (1, -1) for f in (1, -1)
         )
-        return abs(l3_ii_value(b, 20) - engine) <= mp.mpf(10) ** -18 * abs(engine)
+        return abs(mp.mpf(str(l3_ii_value(b, 20))) - engine) <= mp.mpf(10) ** -18 * abs(engine)
 
 
 def _checks() -> List[Check]:
@@ -374,7 +333,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     for kind, arg in _WARM_TARGETS:
         if store.get(kind, arg, args.digits) is not None:
             continue
-        combination_value(ZetaCombination.term(kind, arg), digits=args.digits, store=store)
+        _combination_decimal(ZetaCombination.term(kind, arg), args.digits, store)
         computed += 1
     print(
         "store %s holds %d constants (%d computed at %d digits)"

@@ -11,18 +11,21 @@ fold to ``L(chi_-4, s)`` values.  Independent series cross-checks of these
 routes live with the tests.
 
 All functions take a ``digits`` argument (decimal digits of target accuracy)
-and run internally with guard digits; returned values are mpmath numbers.
-A combination is summed once, in the standard library's :mod:`decimal`,
-from the decimal strings of its base constants and a pi computed with
-integers.  mpmath is imported only where a base constant is computed, so an
-evaluation whose constants all come from a :class:`ConstantStore` runs
-without it (``eval`` formats that decimal sum itself).
+and run internally with guard digits.  The base constants are computed in
+integer fixed point and returned as :class:`~decimal.Decimal`; a
+combination is summed once, in :mod:`decimal`, from the decimal strings of
+its base constants and a pi computed with integers.  So ``eval`` and
+``constants`` never load mpmath, stored constants or not.  mpmath is
+imported only by :func:`combination_value`, which returns an mpmath number,
+by the reference route :func:`multiple_polylog`, and by the check layer.
 
-The alternating single series use the Cohen-Rodriguez Villegas-Zagier
-Chebyshev acceleration, whose error decays like (3 + sqrt(8))^(-n) for n
-terms.  :func:`multiple_polylog` (the Hoelder convolution of Borwein,
-Bradley, Broadhurst and Lisonek, Trans. AMS 353, 2001) evaluates no closed
-form: it is the reference that the tests and ``verify`` hold the fold to.
+zeta, ``L(chi_-4, s)`` and ``log 2 = eta(1)`` are alternating series summed
+by :func:`alternating_sum` with the Cohen-Rodriguez Villegas-Zagier
+Chebyshev acceleration (Experimental Math. 9, 2000), whose error decays
+like (3 + sqrt(8))^(-n) for n terms.  :func:`multiple_polylog` (the Hoelder
+convolution of Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 353,
+2001) evaluates no closed form: it is the reference that the tests and
+``verify`` hold the fold to.
 """
 
 from __future__ import annotations
@@ -71,56 +74,69 @@ def _as_unit(x) -> complex:
     raise ValueError(f"argument must be one of 1, -1, i, -i (got {x!r})")
 
 
-def alternating_sum(term: Callable[[int], "mp.mpf"], digits: int) -> "mp.mpf":
-    """Accelerated value of ``sum_{j>=0} (-1)^j term(j)``.
+def alternating_sum(term: Callable[[int], Fraction], digits: int) -> int:
+    """Accelerated ``sum_{j>=0} (-1)^j term(j)`` in units of ``10^-(digits + 10)``.
 
     ``term`` must be the restriction of a totally monotone function to the
     nonnegative integers (true for all the series used here), which is the
-    convergence condition of the Chebyshev acceleration.
+    convergence condition of the Chebyshev acceleration.  Its
+    ``n = int(1.31 (digits + 10)) + 8`` weights ``c_k / d`` are ratios of
+    exact integers: ``d = T_n(3)``, and ``|c_k| < d`` because every
+    coefficient of ``T_n(1 + 2x)`` is positive.  Each term is truncated to a
+    whole unit and the weighted sum is floor-divided by ``d``, which errs by
+    at most ``n + 1`` units; the acceleration adds at most
+    ``2 term(0) / (3 + sqrt 8)^n``, below ``term(0) 10^-(digits + 15)``.  The
+    terms decrease, so the sum stops at the first one that truncates to 0.
     """
-    import mpmath as mp
-
     _require_digits(digits)
-    with mp.workdps(digits + 10):
-        n = int(1.31 * (digits + 10)) + 8
-        d = ((3 + mp.sqrt(8)) ** n + (3 - mp.sqrt(8)) ** n) / 2
-        b = mp.mpf(-1)
-        c = -d
-        s = mp.mpf(0)
-        for k in range(n):
-            c = b - c
-            s += c * term(k)
-            b = (k + n) * (k - n) * b / ((k + mp.mpf(1) / 2) * (k + 1))
-        return +(s / d)
+    unit = 10 ** (digits + 10)
+    n = int(1.31 * (digits + 10)) + 8
+    previous, d = 1, 3
+    for _ in range(n - 1):
+        previous, d = d, 6 * d - previous
+    b, c, s = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        t = term(k)
+        a = unit * t.numerator // t.denominator
+        if not a:
+            break
+        s += c * a
+        b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))
+    return s // d
 
 
-def zeta(s: int, digits: int = 30) -> "mp.mpf":
+def _fixed_decimal(fixed: int, digits: int) -> Decimal:
+    """``fixed`` units of ``10^-(digits + 10)``, a value below 10, as an exact decimal."""
+    return Decimal(fixed).scaleb(-(digits + 10), Context(prec=digits + 11))
+
+
+def zeta(s: int, digits: int = 30) -> Decimal:
     """Riemann zeta at an odd integer ``s >= 3``.
 
     Computed from the accelerated alternating series
-    eta(s) = sum (-1)^{j-1}/j^s through zeta = eta/(1 - 2^{1-s}).
+    eta(s) = sum (-1)^{j-1}/j^s through zeta = eta 2^(s-1) / (2^(s-1) - 1),
+    which scales the error bound of :func:`alternating_sum` by at most 4/3
+    and adds one unit.
     """
-    import mpmath as mp
-
     _require_normal("zeta", s)
-    _require_digits(digits)
-    with mp.workdps(digits + 10):
-        eta = alternating_sum(lambda j: mp.mpf(1) / mp.mpf((j + 1) ** s), digits)
-        return +(eta / (1 - mp.mpf(2) ** (1 - s)))
+    eta = alternating_sum(lambda j: Fraction(1, (j + 1) ** s), digits)
+    return _fixed_decimal(eta * 2 ** (s - 1) // (2 ** (s - 1) - 1), digits)
 
 
-def dirichlet_l_chi4(s: int, digits: int = 30) -> "mp.mpf":
+def dirichlet_l_chi4(s: int, digits: int = 30) -> Decimal:
     """Dirichlet L-value L(chi_-4, s) = sum_{j>=0} (-1)^j/(2j+1)^s at even ``s >= 2``.
 
     Computed from the accelerated defining series; ``s = 2`` is Catalan's
     constant.
     """
-    import mpmath as mp
-
     _require_normal("lchi4", s)
-    _require_digits(digits)
-    with mp.workdps(digits + 10):
-        return +alternating_sum(lambda j: mp.mpf(1) / mp.mpf((2 * j + 1) ** s), digits)
+    return _fixed_decimal(alternating_sum(lambda j: Fraction(1, (2 * j + 1) ** s), digits), digits)
+
+
+def _log2(arg: int, digits: int) -> Decimal:
+    """log 2 = eta(1), by the same accelerated series."""
+    return _fixed_decimal(alternating_sum(lambda j: Fraction(1, j + 1), digits), digits)
 
 
 def _values_at_half(letters: List[complex], terms: int) -> List["mp.mpc"]:
@@ -207,15 +223,15 @@ def _l3_ii_fold(b: int) -> ZetaCombination:
     return fold
 
 
-def l3_ii_value(b: int, digits: int = 30) -> "mp.mpf":
+def l3_ii_value(b: int, digits: int = 30) -> Decimal:
     """The real constant i * scriptL_{3,b}(i, i) for odd ``b >= 1``, from its fold.
 
     The fold's terms reach ``2 (b+1)(b+2) beta(b+3)`` while the value is
-    about ``8 * 2^-b``: the fold is evaluated with that ratio's digits added.
+    about ``8 * 2^-b``: the fold is summed with that ratio's digits added.
     """
     _require_normal("l3_ii", b)
     _require_digits(digits)
-    return combination_value(_l3_ii_fold(b), digits + len(str(2 * (b + 1) * (b + 2) << b)))
+    return _combination_decimal(_l3_ii_fold(b), digits + len(str(2 * (b + 1) * (b + 2) << b)), None)
 
 
 def combination_value(
@@ -299,9 +315,7 @@ def _pi(digits: int) -> Decimal:
 
 
 def _base_constant(kind: str, arg: int, digits: int) -> str:
-    """A base constant other than ``one``, computed to ``digits`` digits, as mpmath prints it."""
-    import mpmath as mp
-
+    """A base constant other than ``one`` to ``digits`` digits, printed by :func:`_nstr`."""
     # Built per call, so that a wrapper installed on a module attribute (a
     # tracer, a test's monkeypatch) sees every evaluation.
     evaluate = {
@@ -310,11 +324,44 @@ def _base_constant(kind: str, arg: int, digits: int) -> str:
         "lchi4": dirichlet_l_chi4,
         "l3_ii": l3_ii_value,
     }[kind]
-    return mp.nstr(evaluate(arg, digits), digits)
+    return _nstr(evaluate(arg, digits), digits)
 
 
-def _log2(arg: int, digits: int) -> "mp.mpf":
-    import mpmath as mp
+def _nstr(value: Decimal, digits: int) -> str:
+    """``value`` printed as ``mpmath.nstr(value, digits)`` prints it (``libmpf.to_str``).
 
-    with mp.workdps(digits + 5):
-        return +mp.log(2)
+    The leading ``digits`` digits are rounded half up on the next one, a
+    carry through 9s moving the exponent.  The number is printed in fixed
+    point when its exponent lies strictly between ``min(-(digits // 3), -5)``
+    and ``digits``, otherwise with ``e+NN``; trailing zeros go, but ``.0``
+    stays.  The digits come from the decimal's digit tuple, not through
+    ``str(int)``, which refuses more than 4300 digits, so any length prints.
+    """
+    if not value:
+        return "0.0"
+    negative, figures, exponent = value.as_tuple()
+    text = "".join(map(str, figures))
+    exponent += len(text) - 1
+    if len(text) > digits and text[digits] >= "5":
+        kept = text[:digits].rstrip("9")
+        if kept:
+            text = kept[:-1] + str(int(kept[-1]) + 1)
+        else:
+            text = "1"
+            exponent += 1
+    text = text[:digits].ljust(digits, "0")
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            text = "0" * -exponent + text
+            split = 1
+        else:
+            split = exponent + 1
+        exponent = 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if exponent:
+        text += "e%+d" % exponent
+    return "-" + text if negative else text

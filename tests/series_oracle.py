@@ -1,4 +1,4 @@
-"""Polylogarithm routes used only by the tests.
+"""Polylogarithm and constant routes used only by the tests.
 
 * :func:`li_single` and :func:`script_l_single` assemble ``Li_s`` and
   ``scriptL_r`` at fourth roots of unity from exact combinations, evaluated
@@ -8,6 +8,10 @@
   ``scriptL_{r,s}`` from :func:`mahlerzeta.values.multiple_polylog`; it is
   the reference that the ``l3_ii`` fold and the closed forms of
   :mod:`mahlerzeta.reduce` are held to.
+* :func:`alternating_sum` is the Chebyshev acceleration in mpmath floating
+  point, the base constants' former route, and :func:`mp_base_constant`
+  the strings that route stored.  The integer fixed-point engine of
+  :mod:`mahlerzeta.values` must reproduce them byte for byte.
 
 The series routes below share no algorithm with :mod:`mahlerzeta.values`,
 which makes them independent cross-checks of it:
@@ -31,12 +35,72 @@ which makes them independent cross-checks of it:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import mpmath as mp
 
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.values import _as_unit, alternating_sum, combination_value, multiple_polylog
+from mahlerzeta.values import _as_unit, _l3_ii_fold, combination_value, multiple_polylog
+
+
+def alternating_sum(term, digits: int) -> "mp.mpf":
+    """Accelerated value of ``sum_{j>=0} (-1)^j term(j)`` for mpmath terms.
+
+    The Cohen-Rodriguez Villegas-Zagier Chebyshev acceleration summed in
+    ``mpf`` at ``digits + 10`` digits, with the term count of
+    :func:`mahlerzeta.values.alternating_sum`.  ``term`` must be the
+    restriction of a totally monotone function to the nonnegative integers.
+    """
+    if digits < 1:
+        raise ValueError("digits must be a positive integer")
+    with mp.workdps(digits + 10):
+        n = int(1.31 * (digits + 10)) + 8
+        d = ((3 + mp.sqrt(8)) ** n + (3 - mp.sqrt(8)) ** n) / 2
+        b = mp.mpf(-1)
+        c = -d
+        s = mp.mpf(0)
+        for k in range(n):
+            c = b - c
+            s += c * term(k)
+            b = (k + n) * (k - n) * b / ((k + mp.mpf(1) / 2) * (k + 1))
+        return +(s / d)
+
+
+def _mpf_base_constant(kind: str, arg: int, digits: int) -> "mp.mpf":
+    """A base constant at ``digits`` digits by the mpmath route; ``l3_ii`` through its fold."""
+    with mp.workdps(digits + 10):
+        if kind == "log2":
+            return +mp.log(2)
+        if kind == "zeta":
+            eta = alternating_sum(lambda j: mp.mpf(1) / mp.mpf((j + 1) ** arg), digits)
+            return +(eta / (1 - mp.mpf(2) ** (1 - arg)))
+        if kind == "lchi4":
+            return +alternating_sum(lambda j: mp.mpf(1) / mp.mpf((2 * j + 1) ** arg), digits)
+    # the fold cancels down to about 8 * 2^-b against terms of 2 (b+1)(b+2) beta(b+3)
+    inner = digits + len(str(2 * (arg + 1) * (arg + 2) << arg))
+    terms = [
+        (coeff, elem.pi_power, mp_base_constant(elem.kind, elem.arg, inner + 5))
+        for elem, coeff in _l3_ii_fold(arg).terms()
+    ]
+    with mp.workdps(inner + 10):
+        return mp.fsum(
+            mp.mpf(coeff.numerator) / coeff.denominator * mp.pi**pi_power * mp.mpf(text)
+            for coeff, pi_power, text in terms
+        )
+
+
+@lru_cache(maxsize=None)
+def mp_base_constant(kind: str, arg: int, digits: int) -> str:
+    """A base constant's ``digits``-digit string as the mpmath route prints it.
+
+    This is how the constant store's strings were made before the constants
+    were summed in integer fixed point: the mpmath series above (``log 2``
+    from ``mpmath.log``), each ``l3_ii`` fold summed from such strings with
+    the fold's guard digits, and ``mpmath.nstr``.  Strings are cached, so the
+    folds share their ``L(chi_-4, s)`` values.
+    """
+    return mp.nstr(_mpf_base_constant(kind, arg, digits), digits)
 
 
 def li_single(s: int, base, digits: int = 30):

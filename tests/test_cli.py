@@ -411,7 +411,10 @@ def test_eval_unwritable_store_exits_2(tmp_path, capsys) -> None:
 
 
 def test_constants_warm_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
-    monkeypatch.setattr(mahlerzeta.cli, "combination_value", _fail_numerically)
+    import mahlerzeta.values as values
+
+    # the first constant that warm computes on the empty store
+    monkeypatch.setattr(values, "zeta", _fail_numerically)
     store = str(tmp_path / "store.txt")
     code, out, err = run_cli(["constants", "warm", "--digits", "60", "--store", store], capsys)
     assert code == 3
@@ -488,10 +491,8 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "verify-tables": ["oracle", "reduce"],
         "torus-qmc": ["identities", "tables"],
     }
-    # mpmath is imported where a constant is computed, and by the oracle
+    # constants are computed in integer fixed point: mpmath is imported only by the oracle
     loaded = {
-        "eval-cold": ["mpmath"],
-        "constants-warm": ["mpmath"],
         "verify-tables": ["dataclasses", "inspect"],
         "torus-qmc": ["dataclasses", "inspect", "mpmath"],
     }

@@ -12,10 +12,10 @@ import mpmath as mp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mahlerzeta.cli import _nstr
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.exact import PolyQ
 from mahlerzeta.store import ConstantStore
+from mahlerzeta.values import _base_constant, _nstr
 
 _COEFFS = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
 _PI_POWERS = st.integers(-4, 8)
@@ -204,3 +204,29 @@ def test_eval_formats_as_mpmath_nstr(case) -> None:
         exact = Decimal(m * 5**-e).scaleb(e, Context(prec=10**4))
     with mp.workprec(max(_working_bits(digits), m.bit_length()) + 10):
         assert _nstr(exact, digits) == mp.nstr(mp.mpf((m, e)), digits)
+
+
+_BASE_CONSTANTS = st.one_of(
+    st.tuples(st.just("zeta"), st.integers(1, 21).map(lambda k: 2 * k + 1)),
+    st.tuples(st.just("lchi4"), st.integers(1, 21).map(lambda k: 2 * k)),
+    st.just(("log2", 0)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_BASE_CONSTANTS, st.integers(1, 200))
+@example(("lchi4", 42), 19)  # 1 - 3^-42 + ... prints as 1.0 up to 19 digits
+@example(("zeta", 3), 1)
+def test_stored_constants_are_correctly_rounded(constant, digits) -> None:
+    # Against mpmath's own zeta, dirichlet and log at twice the digits: the
+    # stored string is within half a unit of its last digit, plus 10^-3 units.
+    kind, arg = constant
+    text = _base_constant(kind, arg, digits)
+    with mp.workdps(2 * digits + 10):
+        truth = {
+            "zeta": lambda: mp.zeta(arg),
+            "lchi4": lambda: mp.dirichlet(arg, [0, 1, 0, -1]),
+            "log2": lambda: mp.log(2),
+        }[kind]()
+        unit = mp.mpf(10) ** (mp.floor(mp.log10(truth)) - digits + 1)
+        assert abs(mp.mpf(text) - truth) <= (mp.mpf(1) / 2 + mp.mpf(10) ** -3) * unit, text

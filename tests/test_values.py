@@ -10,6 +10,7 @@ import pytest
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.store import ConstantStore
 from mahlerzeta.values import (
+    _base_constant,
     _l3_ii_fold,
     alternating_sum,
     combination_value,
@@ -21,6 +22,7 @@ from mahlerzeta.values import (
 from series_oracle import (
     li_single,
     li_single_series,
+    mp_base_constant,
     multiple_polylog_series,
     script_l_double,
     script_l_single,
@@ -34,13 +36,19 @@ def _close(a, b, digits: int) -> bool:
 
 
 def test_alternating_sum_classics() -> None:
-    with mp.workdps(40):
-        log2 = alternating_sum(lambda j: mp.mpf(1) / (j + 1), 35)
-        assert _close(log2, mp.log(2), 33)
-        eta2 = alternating_sum(lambda j: mp.mpf(1) / (j + 1) ** 2, 35)
-        assert _close(eta2, mp.pi**2 / 12, 33)
+    # At 35 digits the sum is in units of 10^-45 over n = 66 terms; its error
+    # bound is n + 1 = 67 units from truncation, plus a tail below one unit.
+    with mp.workdps(60):
+        unit = mp.mpf(10) ** -45
+        log2 = alternating_sum(lambda j: Fraction(1, j + 1), 35)
+        assert abs(log2 * unit - mp.log(2)) <= 68 * unit
+        eta2 = alternating_sum(lambda j: Fraction(1, (j + 1) ** 2), 35)
+        assert abs(eta2 * unit - mp.pi**2 / 12) <= 68 * unit
+        # a numerator other than 1: sum (-1)^j 3/(2j+1) = 3 pi/4
+        three_pi = alternating_sum(lambda j: Fraction(3, 2 * j + 1), 35)
+        assert abs(three_pi * unit - 3 * mp.pi / 4) <= 68 * unit
     with pytest.raises(ValueError):
-        alternating_sum(lambda j: mp.mpf(1), 0)
+        alternating_sum(lambda j: Fraction(1), 0)
 
 
 def test_zeta_matches_mpmath() -> None:
@@ -49,7 +57,7 @@ def test_zeta_matches_mpmath() -> None:
     with mp.workdps(50):
         for s in (2, 3, 4, 5, 7, 9, 12, 21):
             if s % 2:
-                assert _close(zeta(s, 40), mp.zeta(s), 38)
+                assert _close(mp.mpf(str(zeta(s, 40))), mp.zeta(s), 38)
             folded = combination_value(ZetaCombination.zeta(s), 40)
             assert _close(folded, mp.zeta(s), 38)
     for s in (1, 2, 4, 12, -3):
@@ -68,14 +76,30 @@ def test_dirichlet_l_chi4_matches_hurwitz_oracle() -> None:
         for s in (2, 3, 4, 5, 8, 11):
             oracle = (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4)) / 4**s
             if s % 2 == 0:
-                assert _close(dirichlet_l_chi4(s, 40), oracle, 38)
+                assert _close(mp.mpf(str(dirichlet_l_chi4(s, 40))), oracle, 38)
             folded = combination_value(ZetaCombination.lchi4(s), 40)
             assert _close(folded, oracle, 38)
-        assert _close(dirichlet_l_chi4(2, 40), mp.catalan, 38)
+        assert _close(mp.mpf(str(dirichlet_l_chi4(2, 40))), mp.catalan, 38)
         assert _close(combination_value(ZetaCombination.lchi4(1), 40), mp.pi / 4, 38)
     for s in (0, 1, 3, 11, -2):
         with pytest.raises(ValueError):
             dirichlet_l_chi4(s)
+
+
+_BASE_CONSTANTS = (
+    [("zeta", s) for s in range(3, 44, 2)]
+    + [("lchi4", s) for s in range(2, 43, 2)]
+    + [("log2", 0)]
+    + [("l3_ii", b) for b in range(1, 22, 2)]
+)
+
+
+@pytest.mark.parametrize("digits", list(range(1, 111)) + [150, 205, 1000])
+def test_base_constants_print_as_the_mpmath_route(digits) -> None:
+    # The store's strings are byte-identical to those the constants had when
+    # they were summed in mpmath floating point.
+    for kind, arg in _BASE_CONSTANTS:
+        assert _base_constant(kind, arg, digits) == mp_base_constant(kind, arg, digits), (kind, arg)
 
 
 def test_li_single_matches_mpmath_polylog() -> None:
@@ -171,8 +195,8 @@ def test_script_l_double_weight_five_closed_form() -> None:
 
 def test_l3_ii_values() -> None:
     with mp.workdps(30):
-        assert _close(l3_ii_value(1, 16), mp.mpf("2.827116561355353848"), 15)
-        assert _close(l3_ii_value(3, 16), mp.mpf("0.90544288754810078923"), 15)
+        assert _close(mp.mpf(str(l3_ii_value(1, 16))), mp.mpf("2.827116561355353848"), 15)
+        assert _close(mp.mpf(str(l3_ii_value(3, 16))), mp.mpf("0.90544288754810078923"), 15)
     with pytest.raises(ValueError):
         l3_ii_value(2, 16)
     with pytest.raises(ValueError):
@@ -191,8 +215,8 @@ L3_II_MELLIN = {
 def test_l3_ii_values_at_100_digits() -> None:
     with mp.workdps(130):
         for b, reference in L3_II_MELLIN.items():
-            value = l3_ii_value(b, 100)
-            assert _close(value, l3_ii_value(b, 120), 100)
+            value = mp.mpf(str(l3_ii_value(b, 100)))
+            assert _close(value, mp.mpf(str(l3_ii_value(b, 120))), 100)
             assert _close(value, mp.mpf(reference), 59)
 
 
@@ -232,7 +256,8 @@ def test_l3_ii_value_matches_the_engine() -> None:
     with mp.workdps(80):
         for b in range(1, 40, 2):
             reference = _l3_ii_engine(b, 62)
-            assert abs(l3_ii_value(b, 60) - reference) <= mp.mpf(10) ** -60 * reference, b
+            value = mp.mpf(str(l3_ii_value(b, 60)))
+            assert abs(value - reference) <= mp.mpf(10) ** -60 * reference, b
 
 
 def test_l3_ii_value_keeps_its_digits_at_large_index() -> None:
@@ -243,7 +268,7 @@ def test_l3_ii_value_keeps_its_digits_at_large_index() -> None:
         for b in (61, 101, 199):
             reference = _l3_ii_engine(b, 100)
             for digits in (11, 30):
-                error = abs(l3_ii_value(b, digits) - reference)
+                error = abs(mp.mpf(str(l3_ii_value(b, digits))) - reference)
                 assert error <= mp.mpf(10) ** -digits * reference, (b, digits)
 
 
