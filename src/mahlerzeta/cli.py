@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mahlerzeta",
         description="Closed-form multi-variable Mahler measures with numerical verification.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument(
         "--store",
         default=None,
         help="path of the constant store (default: MAHLERZETA_STORE or ~/.cache/mahlerzeta/constants.txt)",
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     eval_parser = subparsers.add_parser(
-        "eval", parents=[common], help="print the closed form of one family member"
+        "eval", parents=[store], help="print the closed form of one family member"
     )
     eval_parser.add_argument("--family", required=True, choices=("i", "ii", "iii"))
     eval_parser.add_argument("--n", required=True, type=int, help="number of transforms")
@@ -368,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("--format", choices=("text", "json"), default="text")
     eval_parser.set_defaults(handler=cmd_eval)
 
-    verify_parser = subparsers.add_parser(
-        "verify", parents=[common], help="run verification suites"
-    )
+    verify_parser = subparsers.add_parser("verify", help="run verification suites")
     verify_parser.add_argument(
         "--suite", choices=("identities", "tables", "oracle", "all"), default="all"
     )
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.set_defaults(handler=cmd_verify)
 
     constants_parser = subparsers.add_parser(
-        "constants", parents=[common], help="list or warm the constant store"
+        "constants", parents=[store], help="list or warm the constant store"
     )
     constants_parser.add_argument("action", choices=("list", "warm"))
     constants_parser.add_argument("--digits", type=int, default=30)

@@ -10,10 +10,11 @@ polynomial's value at ``i`` comes as its exact real and imaginary parts
 
 Elementary symmetric polynomials come as whole ladders: ``symmetric_ladder``
 returns every ``s_0, ..., s_k`` of its arguments from one DP over the
-coefficients of ``prod(1 + a_i t)``, and ``symmetric_ladders`` yields the
-ladder of each prefix as that DP grows.  Integer arguments (the square ladders
+coefficients of ``prod(1 + a_i t)``.  Integer arguments (the square ladders
 ``even_squares`` and ``odd_squares``) keep the whole DP in ``int``, with no
-gcd per operation; callers build a ladder once and index it.
+gcd per operation; callers build a ladder once and index it.  Family ``iii``
+needs no ladder: :func:`~mahlerzeta.formulas.family_three` takes its weights
+as the coefficients of one polynomial built by Horner's rule.
 
 The log-moment kernel polynomials ``P_k`` are the rational polynomials that
 express the moment integrals
@@ -28,17 +29,15 @@ measure formulas in :mod:`mahlerzeta.formulas`.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 __all__ = [
     "Rational",
     "bernoulli",
     "euler_number",
     "symmetric_ladder",
-    "symmetric_ladders",
     "elementary_symmetric",
     "even_squares",
     "odd_squares",
@@ -99,29 +98,20 @@ def euler_number(n: int) -> int:
     return _EULER_EVEN[half]
 
 
-def symmetric_ladders(values: Sequence[Rational]) -> Iterator[Tuple[Rational, ...]]:
-    """The ladder ``(s_0, ..., s_i)`` of each prefix ``values[:i]``, ``(1,)`` first.
+def symmetric_ladder(values: Sequence[Rational]) -> Tuple[Rational, ...]:
+    """Every elementary symmetric polynomial ``(s_0, ..., s_k)`` of ``values``.
 
     Each step multiplies the coefficients of ``prod(1 + a_j t)`` by the next
-    ``(1 + a t)``: one O(k^2) pass grows every ladder.  Integer arguments give
-    ``int`` entries; any other argument is taken as an exact ``Fraction``.
+    ``(1 + a t)``: one O(k^2) pass.  Integer arguments give ``int`` entries;
+    any other argument is taken as an exact ``Fraction``.
     """
     e: List[Rational] = [1]
-    yield (1,)
     for v in values:
         v = v if isinstance(v, int) else Fraction(v)
         e.append(0)
         for j in range(len(e) - 1, 0, -1):
             e[j] += v * e[j - 1]
-        yield tuple(e)
-
-
-def symmetric_ladder(values: Sequence[Rational]) -> Tuple[Rational, ...]:
-    """Every elementary symmetric polynomial ``(s_0, ..., s_k)`` of ``values``.
-
-    This is the last ladder of :func:`symmetric_ladders`.
-    """
-    return deque(symmetric_ladders(values), maxlen=1)[0]
+    return tuple(e)
 
 
 def elementary_symmetric(values: Sequence[Rational], l: int) -> Fraction:

@@ -49,7 +49,7 @@ from math import factorial
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .combinations import ConstantBasisElement, ZetaCombination
-from .exact import even_squares, odd_squares, symmetric_ladder, symmetric_ladders
+from .exact import even_squares, odd_squares, symmetric_ladder
 
 __all__ = [
     "Family",
@@ -361,8 +361,12 @@ def family_three(spec: FamilySpec) -> MahlerResult:
     Both are one sum over ``F(2m)``, ``m <= N = ceil(n/2)``: ``F(2m)`` carries ``1/(4m)``
     as in ``T`` and ``F(2N)`` ``n + 1`` times that, ``(n+1)/(2n)`` at even ``n`` and
     ``1/2`` at odd ``n``.  Over ``4 (2N)!``, ``F(2m)/(4m)`` puts ``(2h)! (2^(2h+1) - 1)
-    s_{m-h}(2^2, ..., (2m-2)^2) (2N)!/(2m)!`` on ``zeta(2h+1)``, so each zeta value gets
-    one integer weight.
+    s_{m-h}(2^2, ..., (2m-2)^2) share_m`` on ``zeta(2h+1)``, with ``share_m = (2N)!/(2m)!``
+    for ``m < N`` and ``share_N = n + 1``.  Since ``s_{m-h}`` of those squares is the
+    coefficient of ``x^(h-1)`` in ``prod_{k<m} (x + (2k)^2)``, the integer weights of
+    ``zeta(2h+1)`` are the coefficients of ``P(x) = sum_m share_m prod_{k<m} (x +
+    (2k)^2)``, built by Horner's rule from ``P = share_N`` down: ``P <- (x + (2m)^2) P +
+    share_m``.  Every product is a big integer times a small one.
 
     Parameters
     ----------
@@ -377,14 +381,14 @@ def family_three(spec: FamilySpec) -> MahlerResult:
     _require_family(spec, Family.THREE)
     transforms = spec.n_transforms
     half = (transforms + 1) // 2
-    common = factorial(2 * half)
-    weights = [0] * half
-    for m, ladder in zip(range(1, half + 1), symmetric_ladders(even_squares(half))):
-        share = transforms + 1 if m == half else common // factorial(2 * m)
-        for h in range(1, m + 1):
-            weights[h - 1] += ladder[m - h] * share
+    weights, share = [transforms + 1], 1
+    for m in range(half - 1, 0, -1):
+        share *= (2 * m + 2) * (2 * m + 1)  # (2N)!/(2m)!
+        square = (2 * m) ** 2
+        weights = [square * w + lower for w, lower in zip(weights + [0], [0] + weights)]
+        weights[0] += share
     terms = [("log2", 0, spec.pi_normalization, 1, 2)]
-    terms += _zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1))
+    terms += _zeta_sum(transforms + 1, 4 * factorial(2 * half), enumerate(weights, 1))
     return MahlerResult(spec, _combination(terms))
 
 

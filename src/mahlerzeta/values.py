@@ -74,10 +74,11 @@ def _as_unit(x) -> complex:
     raise ValueError(f"argument must be one of 1, -1, i, -i (got {x!r})")
 
 
-def alternating_sum(term: Callable[[int], Fraction], digits: int) -> int:
-    """Accelerated ``sum_{j>=0} (-1)^j term(j)`` in units of ``10^-(digits + 10)``.
+def alternating_sum(power: Callable[[int], int], digits: int) -> int:
+    """Accelerated ``sum_{j>=0} (-1)^j / power(j)`` in units of ``10^-(digits + 10)``.
 
-    ``term`` must be the restriction of a totally monotone function to the
+    ``power`` gives each term's positive integer denominator, and ``1 / power``
+    must be the restriction of a totally monotone function to the
     nonnegative integers (true for all the series used here), which is the
     convergence condition of the Chebyshev acceleration.  Its
     ``n = int(1.31 (digits + 10)) + 8`` weights ``c_k / d`` are ratios of
@@ -85,8 +86,8 @@ def alternating_sum(term: Callable[[int], Fraction], digits: int) -> int:
     coefficient of ``T_n(1 + 2x)`` is positive.  Each term is truncated to a
     whole unit and the weighted sum is floor-divided by ``d``, which errs by
     at most ``n + 1`` units; the acceleration adds at most
-    ``2 term(0) / (3 + sqrt 8)^n``, below ``term(0) 10^-(digits + 15)``.  The
-    terms decrease, so the sum stops at the first one that truncates to 0.
+    ``2 / (power(0) (3 + sqrt 8)^n)``, below ``10^-(digits + 15) / power(0)``.
+    The terms decrease, so the sum stops at the first one that truncates to 0.
     """
     _require_digits(digits)
     unit = 10 ** (digits + 10)
@@ -97,8 +98,7 @@ def alternating_sum(term: Callable[[int], Fraction], digits: int) -> int:
     b, c, s = -1, -d, 0
     for k in range(n):
         c = b - c
-        t = term(k)
-        a = unit * t.numerator // t.denominator
+        a = unit // power(k)
         if not a:
             break
         s += c * a
@@ -120,7 +120,7 @@ def zeta(s: int, digits: int = 30) -> Decimal:
     and adds one unit.
     """
     _require_normal("zeta", s)
-    eta = alternating_sum(lambda j: Fraction(1, (j + 1) ** s), digits)
+    eta = alternating_sum(lambda j: (j + 1) ** s, digits)
     return _fixed_decimal(eta * 2 ** (s - 1) // (2 ** (s - 1) - 1), digits)
 
 
@@ -131,12 +131,12 @@ def dirichlet_l_chi4(s: int, digits: int = 30) -> Decimal:
     constant.
     """
     _require_normal("lchi4", s)
-    return _fixed_decimal(alternating_sum(lambda j: Fraction(1, (2 * j + 1) ** s), digits), digits)
+    return _fixed_decimal(alternating_sum(lambda j: (2 * j + 1) ** s, digits), digits)
 
 
 def _log2(arg: int, digits: int) -> Decimal:
     """log 2 = eta(1), by the same accelerated series."""
-    return _fixed_decimal(alternating_sum(lambda j: Fraction(1, j + 1), digits), digits)
+    return _fixed_decimal(alternating_sum(lambda j: j + 1, digits), digits)
 
 
 def _values_at_half(letters: List[complex], terms: int) -> List["mp.mpc"]:

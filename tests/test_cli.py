@@ -190,6 +190,14 @@ def test_verify_rejects_bad_parameters(capsys) -> None:
         assert err.startswith("error: "), (option, value)
 
 
+def test_verify_store_is_not_an_option(capsys) -> None:
+    # verify computes no stored constant, so it takes no --store
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--store", "x"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+
 def test_verify_tolerance_is_not_an_option(capsys) -> None:
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--tolerance", "1e-7"])

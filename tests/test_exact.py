@@ -20,7 +20,6 @@ from mahlerzeta.exact import (
     log_moment_poly_at_i,
     odd_squares,
     symmetric_ladder,
-    symmetric_ladders,
 )
 
 # ---------------------------------------------------------------------------
@@ -202,11 +201,14 @@ def test_symmetric_ladder_of_nothing_is_one() -> None:
 
 
 def test_symmetric_ladders_grow_every_prefix() -> None:
+    # the ladder of values[:i + 1] is that of values[:i] times (1 + values[i] t)
     rng = random.Random(11)
     for values in _random_vectors(rng):
-        prefixes = list(symmetric_ladders(values))
-        assert prefixes == [symmetric_ladder(values[:i]) for i in range(len(values) + 1)]
-    assert list(symmetric_ladders(even_squares(2))) == [(1,), (1, 4), (1, 20, 64)]
+        prefixes = [symmetric_ladder(values[:i]) for i in range(len(values) + 1)]
+        for v, shorter, longer in zip(values, prefixes, prefixes[1:]):
+            grown = [a + v * b for a, b in zip(shorter + (0,), (0,) + shorter)]
+            assert list(longer) == grown
+    assert [symmetric_ladder(even_squares(i)) for i in range(3)] == [(1,), (1, 4), (1, 20, 64)]
 
 
 # ---------------------------------------------------------------------------

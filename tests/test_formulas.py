@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.exact import even_squares, symmetric_ladders
+from mahlerzeta.exact import even_squares, symmetric_ladder
 from mahlerzeta.formulas import (
     Family,
     FamilySpec,
@@ -310,6 +311,12 @@ def test_family_three_small_cases() -> None:
         family_three_rewritings(FamilySpec(Family.ONE, 2))
 
 
+@lru_cache(maxsize=None)
+def _even_prefix_ladder(m: int) -> tuple:
+    """The ladder of ``2^2, ..., (2m - 2)^2``, built on its own for every ``m``."""
+    return symmetric_ladder(even_squares(m - 1))
+
+
 def _family_three_unfolded(transforms: int) -> ZetaCombination:
     """Family ``iii`` as built before its sums were folded: ``(1/2) pi^(n+1) log 2``,
     half of family ``i`` at ``n + n mod 2`` and identity B's third sum over ``4 (2M)!``,
@@ -322,7 +329,8 @@ def _family_three_unfolded(transforms: int) -> ZetaCombination:
     half = transforms // 2
     common = factorial(2 * half)
     weights = [0] * half
-    for m, ladder in zip(range(1, half + 1), symmetric_ladders(even_squares(half))):
+    for m in range(1, half + 1):
+        ladder = _even_prefix_ladder(m)
         for h in range(1, m + 1):
             weights[h - 1] += ladder[m - h] * (common // factorial(2 * m))
     third = _combination(_zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1)))
@@ -343,6 +351,16 @@ def test_family_three_variants_agree() -> None:
         base = family_three(spec)
         for form, rewriting in enumerate(family_three_rewritings(spec)):
             assert rewriting == base, (transforms, form)
+
+
+@pytest.mark.parametrize("transforms", [201, 400, 401])
+def test_family_three_matches_the_paper_forms_past_n_200(transforms: int) -> None:
+    # past the unfolded reference's range, Horner's rule against the paper's
+    # Bernoulli- and Euler-weighted forms, at both parities
+    spec = FamilySpec(Family.THREE, transforms)
+    base = family_three(spec)
+    for form, rewriting in enumerate(family_three_rewritings(spec)):
+        assert rewriting == base, (transforms, form)
 
 
 def test_weight_homogeneity_all_families() -> None:
