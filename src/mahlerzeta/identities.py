@@ -19,6 +19,16 @@ families from family ``i``'s terms instead, so these are the identities
 among Bernoulli numbers and symmetric functions that the closed forms rest
 on.
 
+The module also builds the log-moment kernel polynomials ``P_k``
+(:func:`log_moment_poly`, over the dense rational polynomials
+:class:`PolyQ`), which express the moment integrals
+
+    integral_0^inf x * log^k(x) / ((x^2 + a^2) (x^2 + b^2)) dx
+        = (pi/2)^(k+1) * (P_k(2 log(a)/pi) - P_k(2 log(b)/pi)) / (a^2 - b^2)
+
+in closed form.  A polynomial's value at ``i`` comes as its exact real and
+imaginary parts (:meth:`PolyQ.at_i`).
+
 Each check builds the ladders it needs once, with
 :func:`~mahlerzeta.exact.symmetric_ladder`, and indexes them: ``evens[j]`` is
 ``s_j`` of the even squares and ``odds[j]`` that of the odd squares.
@@ -26,24 +36,19 @@ Each check builds the ladders it needs once, with
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .combinations import ZetaCombination
-from .exact import (
-    PolyQ,
-    bernoulli,
-    euler_number,
-    even_squares,
-    log_moment_poly,
-    log_moment_poly_at_i,
-    odd_squares,
-    symmetric_ladder,
-)
+from .exact import Rational, bernoulli, euler_number, even_squares, odd_squares, symmetric_ladder
 from .formulas import Family, FamilySpec, MahlerResult, coeff_a, coeff_b, family_one
 
 __all__ = [
+    "PolyQ",
+    "log_moment_poly",
+    "log_moment_poly_at_i",
     "reduction_ab",
     "reduction_ba",
     "reduction_induction_ab",
@@ -65,6 +70,182 @@ __all__ = [
     "monomial_from_log_moment_polys",
     "log_moment_poly_bernoulli_form",
 ]
+
+
+# The log-moment cache is grow-only and guarded by a lock, so concurrent
+# readers are safe once a prefix has been initialized.
+_LOG_MOMENT_LOCK = threading.Lock()
+_LOG_MOMENT: List["PolyQ"] = []
+
+
+class PolyQ:
+    """Dense univariate polynomial with exact rational coefficients.
+
+    Coefficients are indexed by degree; trailing zeros are trimmed so the
+    degree always equals the index of the last nonzero coefficient (the zero
+    polynomial has degree -1 by convention).
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Rational] = ()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = cs
+
+    @staticmethod
+    def zero() -> "PolyQ":
+        return PolyQ()
+
+    @staticmethod
+    def monomial(degree: int, coeff: Rational = 1) -> "PolyQ":
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        return PolyQ([0] * degree + [coeff])
+
+    @staticmethod
+    def x() -> "PolyQ":
+        return PolyQ.monomial(1)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coefficient(self, degree: int) -> Fraction:
+        if 0 <= degree < len(self.coeffs):
+            return self.coeffs[degree]
+        return Fraction(0)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PolyQ):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.coeffs))
+
+    def __add__(self, other: "PolyQ") -> "PolyQ":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return PolyQ(
+            [self.coefficient(j) + other.coefficient(j) for j in range(n)]
+        )
+
+    def __sub__(self, other: "PolyQ") -> "PolyQ":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return PolyQ(
+            [self.coefficient(j) - other.coefficient(j) for j in range(n)]
+        )
+
+    def __neg__(self) -> "PolyQ":
+        return PolyQ([-c for c in self.coeffs])
+
+    def __mul__(self, other: object) -> "PolyQ":
+        if isinstance(other, PolyQ):
+            if not self.coeffs or not other.coeffs:
+                return PolyQ()
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if a == 0:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return PolyQ(out)
+        if isinstance(other, (int, Fraction)):
+            return PolyQ([c * other for c in self.coeffs])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "PolyQ":
+        return PolyQ([j * c for j, c in enumerate(self.coeffs)][1:])
+
+    def drop_constant(self) -> "PolyQ":
+        """The polynomial with its degree-0 coefficient removed (reduction mod x)."""
+        if not self.coeffs:
+            return PolyQ()
+        return PolyQ([Fraction(0)] + self.coeffs[1:])
+
+    def monomial_degrees(self) -> List[int]:
+        return [j for j, c in enumerate(self.coeffs) if c != 0]
+
+    def __call__(self, x):
+        """Evaluate by Horner's rule.
+
+        Works for exact arguments (``int``, ``Fraction``) as well as floats
+        and mpmath numbers; the accumulator takes the type of ``x``.
+        """
+        acc = 0 * x
+        exact = isinstance(acc, (int, Fraction))
+        for c in reversed(self.coeffs):
+            acc = acc * x + (c if exact else _lift(c, x))
+        return acc
+
+    def at_i(self) -> Tuple[Fraction, Fraction]:
+        """The exact value at ``x = i`` as ``(real part, imaginary part)``.
+
+        The coefficient of ``x^j`` lands on ``i^j``, which cycles through
+        ``1, i, -1, -i`` with ``j mod 4``.
+        """
+        parts = [sum(self.coeffs[r::4], Fraction(0)) for r in range(4)]
+        return parts[0] - parts[2], parts[1] - parts[3]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if not self.coeffs:
+            return "PolyQ(0)"
+        parts = [f"{c}*x^{j}" for j, c in enumerate(self.coeffs) if c != 0]
+        return "PolyQ(" + " + ".join(parts) + ")"
+
+
+def _lift(c: Fraction, like):
+    """Convert an exact coefficient to the numeric type of ``like``."""
+    if isinstance(like, complex):
+        return complex(c)
+    if isinstance(like, float):
+        return float(c)
+    # mpmath types divide integers exactly at working precision
+    return (0 * like + c.numerator) / c.denominator
+
+
+def log_moment_poly(k: int) -> PolyQ:
+    """The k-th log-moment kernel polynomial, built by its recursion.
+
+    P_0(x) = x and, for k >= 1,
+
+        P_k(x) = x^{k+1}/(k+1)
+                 + (1/(k+1)) * sum_{j odd, 3 <= j <= k+1}
+                       (-1)^{(j+1)/2} C(k+1, j) P_{k+1-j}(x).
+
+    Results are memoized; the cache only grows.
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    if k >= len(_LOG_MOMENT):
+        with _LOG_MOMENT_LOCK:
+            if not _LOG_MOMENT:
+                _LOG_MOMENT.append(PolyQ.x())
+            while len(_LOG_MOMENT) <= k:
+                m = len(_LOG_MOMENT)
+                acc = PolyQ.monomial(m + 1, Fraction(1, m + 1))
+                for j in range(3, m + 2, 2):
+                    sign = -1 if ((j + 1) // 2) % 2 else 1
+                    term = _LOG_MOMENT[m + 1 - j] * Fraction(sign * comb(m + 1, j), m + 1)
+                    acc = acc + term
+                _LOG_MOMENT.append(acc)
+    return _LOG_MOMENT[k]
+
+
+def log_moment_poly_at_i(l: int) -> Fraction:
+    """Exact value of P_{2l-1} at x = i, which is real:
+
+        P_{2l-1}(i) = (-1)^l (2^{2l} - 1) B_{2l} / l.
+
+    (The even-index family vanishes there instead: P_{2l}(i) = 0 for l >= 1.)
+    """
+    if l < 1:
+        raise ValueError("index must be positive")
+    sign = -1 if l % 2 else 1
+    return sign * Fraction((2 ** (2 * l) - 1), l) * bernoulli(2 * l)
 
 
 def reduction_ab(n: int) -> bool:

@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Callable, Tuple
 import mpmath as mp
 
 from .combinations import ZetaCombination
-from .exact import bernoulli, log_moment_poly
+from .exact import bernoulli
 from .formulas import Family, FamilySpec, coeff_a, coeff_b, mahler_measure
 from .reduce import (
     arctangent_moment_closed,
@@ -440,6 +440,8 @@ def kernel_integral_check(a: float, b: float, k: int) -> CheckResult:
         raise ValueError("a = b is rejected: the closed form divides by a^2 - b^2")
     if not 0 <= k <= 10:
         raise ValueError("k must lie in [0, 10]")
+    from .identities import log_moment_poly
+
     poly = log_moment_poly(k)
     closed = (
         (0.5 * math.pi) ** (k + 1)

@@ -26,8 +26,8 @@ import mpmath as mp
 import numpy as np
 
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.exact import PolyQ, log_moment_poly
 from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
+from mahlerzeta.identities import PolyQ, log_moment_poly
 from mahlerzeta.identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_halving,

@@ -252,6 +252,54 @@ def test_constants_warm_and_list(tmp_path, capsys) -> None:
     assert store.get("zeta", 3, 13) is None
 
 
+def test_constants_warm_saves_the_store_once(tmp_path, capsys, monkeypatch) -> None:
+    saves = []
+    save = ConstantStore.save
+    monkeypatch.setattr(ConstantStore, "save", lambda self: saves.append(1) or save(self))
+    store = tmp_path / "store.txt"
+    argv = ["constants", "warm", "--digits", "12", "--store", str(store)]
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, saves, len(ConstantStore(store))) == (0, [1], 24)
+    assert out == "store %s holds 24 constants (24 computed at 12 digits)\n" % store
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, saves) == (0, [1])
+    assert out == "store %s holds 24 constants (0 computed at 12 digits)\n" % store
+
+
+def test_constants_warm_keeps_the_constants_computed_before_a_failure(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    import mahlerzeta.values as values
+
+    # l3_ii sorts last, so every other target is computed before it fails
+    monkeypatch.setattr(values, "l3_ii_value", _fail_numerically)
+    saves = []
+    save = ConstantStore.save
+    monkeypatch.setattr(ConstantStore, "save", lambda self: saves.append(1) or save(self))
+    store = tmp_path / "store.txt"
+    code, out, err = run_cli(["constants", "warm", "--digits", "12", "--store", str(store)], capsys)
+    assert (code, out, err) == (3, "", "error: series did not converge\n")
+    assert saves == [1]
+    assert sorted({line.split()[0] for line in store.read_text().splitlines()[1:]}) == [
+        "lchi4",
+        "log2",
+        "zeta",
+    ]
+    assert len(ConstantStore(store)) == 21
+
+
+@pytest.mark.parametrize("command", [["eval", "--family", "i", "--n", "1"], ["constants", "list"]])
+def test_empty_store_path_exits_2(command, tmp_path, capsys, monkeypatch) -> None:
+    # an empty path names the working directory, not the default store
+    default = tmp_path / "default-store.txt"
+    monkeypatch.setenv("MAHLERZETA_STORE", str(default))
+    code, out, err = run_cli(command + ["--store", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not default.exists()
+
+
 def test_store_environment_override(tmp_path, capsys, monkeypatch) -> None:
     target = tmp_path / "env-store.txt"
     monkeypatch.setenv("MAHLERZETA_STORE", str(target))
@@ -386,9 +434,10 @@ def test_eval_family_ii_odd_does_not_reach_the_engine(tmp_path, capsys, monkeypa
 
 
 def test_verify_l3_ii_fold_catches_a_perturbed_coefficient(monkeypatch) -> None:
+    import mahlerzeta.check
     import mahlerzeta.values as values
 
-    check = dict(mahlerzeta.cli._checks())["oracle/l3-ii-fold"]
+    check = dict(mahlerzeta.check._checks())["oracle/l3-ii-fold"]
     args = mahlerzeta.cli.build_parser().parse_args(["verify", "--max-n", "7"])
     assert check(args)
     original = values._l3_ii_fold
@@ -469,7 +518,8 @@ def _run_fresh(code: str) -> str:
 def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
     # eval and constants run only the production layer.  The check layer's
     # modules stay in sys.modules, because tracers look them up there, but
-    # their code runs only when verify or a check-layer name needs it.
+    # their code runs only when verify or a check-layer name needs it; the
+    # verify registry is imported by verify alone.
     store = tmp_path / "store.txt"
     argv = {
         "constants-warm": ["constants", "warm", "--digits", "12", "--store", str(store)],
@@ -491,9 +541,10 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "if type(sys.modules['mahlerzeta.' + n]) is not types.ModuleType]\n"
         "loaded = sorted({m.split('.')[0] for m in sys.modules} "
         "& {'dataclasses', 'inspect', 'json', 'mpmath', 'numpy', 'scipy'})\n"
+        "registry = 'mahlerzeta.check' in sys.modules\n"
         "import json\n"
         "print(json.dumps({'code': globals().get('code', 0), 'registered': registered, "
-        "'pending': pending, 'loaded': loaded}))" % (CHECK_LAYER,)
+        "'pending': pending, 'loaded': loaded, 'registry': registry}))" % (CHECK_LAYER,)
     )
     on_demand = {
         "verify-tables": ["oracle", "reduce"],
@@ -509,6 +560,7 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "registered": list(CHECK_LAYER),
         "pending": on_demand.get(probe, list(CHECK_LAYER)),
         "loaded": loaded.get(probe, []),
+        "registry": probe == "verify-tables",
     }
     if probe == "eval-warm":
         assert store.read_text() == warm

@@ -11,16 +11,14 @@ import mpmath as mp
 import pytest
 
 from mahlerzeta.exact import (
-    PolyQ,
     bernoulli,
     elementary_symmetric,
     euler_number,
     even_squares,
-    log_moment_poly,
-    log_moment_poly_at_i,
     odd_squares,
     symmetric_ladder,
 )
+from mahlerzeta.identities import PolyQ, log_moment_poly, log_moment_poly_at_i
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
