@@ -14,11 +14,9 @@ L-values ``L(chi_-4, even)``, ``log 2``, and the real constants
 :class:`~mahlerzeta.combinations.ZetaCombination` objects; every result is
 homogeneous of total weight ``pi_normalization + 1``.
 
-The module also exposes the rational coefficient ladders ``coeff_a`` and
-``coeff_b`` that convert the iterated arctangent-density integrals into
-one-dimensional log moments.  Family ``i``'s terms index one cached integer
-:func:`~mahlerzeta.exact.symmetric_ladder` of the even or odd squares; with
-``F(k) = pi^k m_i(k)``, the other families are built from those terms alone:
+Family ``i``'s terms index one integer :func:`~mahlerzeta.exact.symmetric_ladder`
+of the even or odd squares; with ``F(k) = pi^k m_i(k)``, the other families
+are built from those terms alone:
 
 * A (family ``ii``, ``n >= 1``): ``c pi^p L_n(s)`` in ``F(n)`` gives
   ``(2s(s+1)/n) c pi^p L_n(s+2)``; ``L_n`` is ``L(chi_-4, .)`` at odd ``n`` and
@@ -36,15 +34,15 @@ one-dimensional log moments.  Family ``i``'s terms index one cached integer
   even <= n} m_i(k)/k``.  At odd ``n`` the paper's third sum is ``pi`` times
   its value at ``n - 1``, since it sees ``n`` only via ``n // 2`` and a power of pi.
 
-The paper's Bernoulli forms and the ladder links (``reduction_ab``,
-``reduction_ba``) are checks in :mod:`mahlerzeta.identities`.
+The paper's Bernoulli forms, the coefficient ladders ``coeff_a`` and
+``coeff_b`` and the links between them (``reduction_ab``, ``reduction_ba``)
+live in the check layer, :mod:`mahlerzeta.identities`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, List, NamedTuple, Tuple
 
@@ -55,8 +53,6 @@ __all__ = [
     "Family",
     "FamilySpec",
     "MahlerResult",
-    "coeff_a",
-    "coeff_b",
     "family_one",
     "family_two",
     "family_three",
@@ -194,12 +190,6 @@ class MahlerResult(_MahlerResultFields):
         return self.spec.pi_normalization
 
 
-@lru_cache(maxsize=4)
-def _square_ladder(parity: int, count: int) -> Tuple[int, ...]:
-    """``symmetric_ladder`` of the first ``count`` even (0) or odd (1) squares."""
-    return symmetric_ladder(odd_squares(count) if parity else even_squares(count))
-
-
 # A term ``(kind, arg, pi_power, numerator, denominator)``: every factor of
 # its coefficient lands in the one ``Fraction`` that ``_combination`` builds.
 _Term = Tuple[str, int, int, int, int]
@@ -224,64 +214,14 @@ def _family_one_terms(transforms: int) -> List[_Term]:
     """Family ``i``'s terms, which families ``ii`` and ``iii`` are built from."""
     n = transforms // 2
     if transforms % 2 == 0:
-        evens, scale = _square_ladder(0, n - 1), 2 * factorial(2 * n - 1)
+        evens, scale = symmetric_ladder(even_squares(n - 1)), 2 * factorial(2 * n - 1)
         return _zeta_sum(2 * n, scale, ((h, evens[n - h]) for h in range(1, n + 1)))
-    odds, scale = _square_ladder(1, n), factorial(2 * n)
+    odds, scale = symmetric_ladder(odd_squares(n)), factorial(2 * n)
     return [
         ("lchi4", 2 * h + 2, 2 * n - 2 * h,
          odds[n - h] * factorial(2 * h + 1) * 2 ** (2 * h + 1), scale)
         for h in range(n + 1)
     ]
-
-
-def coeff_a(n: int, h: int) -> Fraction:
-    """Rational weight ``a(n, h)`` for the even-count reduction.
-
-    ``a(n, h)`` is the elementary symmetric polynomial of degree ``n - 1 - h``
-    in the even squares ``2^2, 4^2, ..., (2n - 2)^2`` divided by ``(2n - 1)!``.
-
-    Parameters
-    ----------
-    n : int
-        Half the (even) number of transforms; at least 1.
-    h : int
-        Log-moment index, ``0 <= h <= n - 1``.
-
-    Returns
-    -------
-    Fraction
-        The exact coefficient.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 <= h <= n - 1:
-        raise ValueError("h must lie in [0, n-1]")
-    return Fraction(_square_ladder(0, n - 1)[n - 1 - h], factorial(2 * n - 1))
-
-
-def coeff_b(n: int, h: int) -> Fraction:
-    """Rational weight ``b(n, h)`` for the odd-count reduction.
-
-    ``b(n, h)`` is the elementary symmetric polynomial of degree ``n - h`` in
-    the odd squares ``1^2, 3^2, ..., (2n - 1)^2`` divided by ``(2n)!``.
-
-    Parameters
-    ----------
-    n : int
-        ``(transforms - 1) / 2`` for an odd transform count; at least 0.
-    h : int
-        Log-moment index, ``0 <= h <= n``.
-
-    Returns
-    -------
-    Fraction
-        The exact coefficient.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 <= h <= n:
-        raise ValueError("h must lie in [0, n]")
-    return Fraction(_square_ladder(1, n)[n - h], factorial(2 * n))
 
 
 def _require_family(spec: FamilySpec, family: Family) -> None:

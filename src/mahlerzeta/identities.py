@@ -10,10 +10,13 @@ identity has its own function, named after it, with its formula in the
 docstring and its range check in the body.
 
 The module also holds the routes that only cross-check production: the
-ladder identities ``reduction_ab``/``reduction_ba``, their raw symmetric-sum
-forms ``reduction_induction_ab``/``reduction_induction_ba``, and the paper's
-Bernoulli- and Euler-weighted forms of family ``ii`` at even ``n``
-(:func:`family_two_bernoulli_form`) and of family ``iii``'s third sum
+rational coefficient ladders :func:`coeff_a` and :func:`coeff_b`, which
+turn the iterated arctangent-density integrals into one-dimensional log
+moments (the reduced-integral oracle weighs its integrals with them); the
+ladder identities ``reduction_ab``/``reduction_ba`` between them and their
+raw symmetric-sum forms ``reduction_induction_ab``/``reduction_induction_ba``;
+and the paper's Bernoulli- and Euler-weighted forms of family ``ii`` at even
+``n`` (:func:`family_two_bernoulli_form`) and of family ``iii``'s third sum
 (:func:`family_three_rewritings`).  :mod:`mahlerzeta.formulas` builds both
 families from family ``i``'s terms instead, so these are the identities
 among Bernoulli numbers and symmetric functions that the closed forms rest
@@ -43,12 +46,14 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .combinations import ZetaCombination
 from .exact import Rational, bernoulli, euler_number, even_squares, odd_squares, symmetric_ladder
-from .formulas import Family, FamilySpec, MahlerResult, coeff_a, coeff_b, family_one
+from .formulas import Family, FamilySpec, MahlerResult, family_one
 
 __all__ = [
     "PolyQ",
     "log_moment_poly",
     "log_moment_poly_at_i",
+    "coeff_a",
+    "coeff_b",
     "reduction_ab",
     "reduction_ba",
     "reduction_induction_ab",
@@ -248,14 +253,64 @@ def log_moment_poly_at_i(l: int) -> Fraction:
     return sign * Fraction((2 ** (2 * l) - 1), l) * bernoulli(2 * l)
 
 
+def coeff_a(n: int, h: int) -> Fraction:
+    """Rational weight ``a(n, h)`` for the even-count reduction.
+
+    ``a(n, h)`` is the elementary symmetric polynomial of degree ``n - 1 - h``
+    in the even squares ``2^2, 4^2, ..., (2n - 2)^2`` divided by ``(2n - 1)!``.
+
+    Parameters
+    ----------
+    n : int
+        Half the (even) number of transforms; at least 1.
+    h : int
+        Log-moment index, ``0 <= h <= n - 1``.
+
+    Returns
+    -------
+    Fraction
+        The exact coefficient.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0 <= h <= n - 1:
+        raise ValueError("h must lie in [0, n-1]")
+    return Fraction(symmetric_ladder(even_squares(n - 1))[n - 1 - h], factorial(2 * n - 1))
+
+
+def coeff_b(n: int, h: int) -> Fraction:
+    """Rational weight ``b(n, h)`` for the odd-count reduction.
+
+    ``b(n, h)`` is the elementary symmetric polynomial of degree ``n - h`` in
+    the odd squares ``1^2, 3^2, ..., (2n - 1)^2`` divided by ``(2n)!``.
+
+    Parameters
+    ----------
+    n : int
+        ``(transforms - 1) / 2`` for an odd transform count; at least 0.
+    h : int
+        Log-moment index, ``0 <= h <= n``.
+
+    Returns
+    -------
+    Fraction
+        The exact coefficient.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not 0 <= h <= n:
+        raise ValueError("h must lie in [0, n]")
+    return Fraction(symmetric_ladder(odd_squares(n))[n - h], factorial(2 * n))
+
+
 def reduction_ab(n: int) -> bool:
     """Check a polynomial identity linking the coefficient ladders, for ``n >= 1``::
 
         sum_h b(n, h) x^(2h) == sum_h a(n, h-1) (P_(2h-1)(x) - P_(2h-1)(i))
 
-    where ``a``, ``b`` are :func:`~mahlerzeta.formulas.coeff_a` and
-    :func:`~mahlerzeta.formulas.coeff_b` and ``P_k`` the log-moment
-    polynomials.  This is an exact ``PolyQ`` comparison over the rationals.
+    where ``a``, ``b`` are :func:`coeff_a` and :func:`coeff_b` and ``P_k``
+    the log-moment polynomials.  This is an exact ``PolyQ`` comparison over
+    the rationals.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
@@ -324,16 +379,15 @@ def reduction_induction_ba(n: int) -> bool:
     return lhs == rhs * (2 * n + 1)
 
 
-def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable, read_l: bool) -> Fraction:
+def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable) -> Fraction:
     """``sum_{l=0}^{k-h} ladder[k-h-l] C(2(l+h), 2h) kernel(l, h)``.
 
-    ``read_l`` reads the binomial as ``C(2(l+h), 2l)``, the same number, as a
-    transfer states it.  This is the one inner sum of the paper's Bernoulli and
-    Euler transfers and forms.
+    This is the one inner sum of the paper's Bernoulli and Euler transfers and
+    forms.  A transfer states its binomial as ``C(2(l+h), 2l)``, which names
+    the same number.
     """
     terms = (
-        ladder[k - h - l] * comb(2 * (l + h), 2 * l if read_l else 2 * h) * kernel(l, h)
-        for l in range(k - h + 1)
+        ladder[k - h - l] * comb(2 * (l + h), 2 * h) * kernel(l, h) for l in range(k - h + 1)
     )
     return sum(terms, Fraction(0))
 
@@ -388,7 +442,7 @@ def family_two_bernoulli_form(spec: FamilySpec) -> MahlerResult:
     k = spec.n_transforms // 2
     evens = symmetric_ladder(even_squares(k - 1))
     inners = (
-        (h + 1, _ladder_sum(evens, k, h, _bernoulli_two_kernel, False)) for h in range(1, k + 1)
+        (h + 1, _ladder_sum(evens, k, h, _bernoulli_two_kernel)) for h in range(1, k + 1)
     )
     return MahlerResult(spec, _zeta_series(2 * k + 2, 8 * factorial(2 * k - 1), inners))
 
@@ -420,7 +474,7 @@ def family_three_rewritings(spec: FamilySpec) -> List[MahlerResult]:
     ]
     results = []
     for ladder, scale, kernel in forms:
-        inners = ((o, _ladder_sum(ladder, n, o, kernel, False)) for o in range(1, n + 1))
+        inners = ((o, _ladder_sum(ladder, n, o, kernel)) for o in range(1, n + 1))
         tail = _zeta_series(transforms + 1, 4 * scale, inners)
         results.append(MahlerResult(spec, first + tail))
     return results
@@ -467,7 +521,7 @@ def check_bernoulli_transfer_first(n: int, l: int) -> bool:
         raise ValueError("requires n >= 1 and 1 <= l <= n")
     evens = symmetric_ladder(even_squares(n - 1))
     lhs = symmetric_ladder(odd_squares(n))[n - l]
-    return lhs == n * _ladder_sum(evens, n, l, _bernoulli_first_kernel, True)
+    return lhs == n * _ladder_sum(evens, n, l, _bernoulli_first_kernel)
 
 
 def check_bernoulli_transfer_second(n: int) -> bool:
@@ -506,7 +560,7 @@ def check_bernoulli_transfer_third(n: int, l: int) -> bool:
         raise ValueError("requires n >= 0 and 0 <= l <= n")
     odds = symmetric_ladder(odd_squares(n))
     lhs = (2 * l + 1) * symmetric_ladder(even_squares(n))[n - l]
-    return lhs == (2 * n + 1) * _ladder_sum(odds, n, l, _bernoulli_third_kernel, True)
+    return lhs == (2 * n + 1) * _ladder_sum(odds, n, l, _bernoulli_third_kernel)
 
 
 def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
@@ -525,8 +579,8 @@ def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
         raise ValueError("requires n >= 1 and 1 <= l <= n")
     evens = symmetric_ladder(even_squares(n - 1))
     odds = symmetric_ladder(odd_squares(n))
-    lhs = 2 * n * _ladder_sum(evens, n, l, _bernoulli_three_kernel, True)
-    return lhs == _ladder_sum(odds, n, l, _euler_kernel, False)
+    lhs = 2 * n * _ladder_sum(evens, n, l, _bernoulli_three_kernel)
+    return lhs == _ladder_sum(odds, n, l, _euler_kernel)
 
 
 def check_euler_factorial_sum(n: int) -> bool:

@@ -18,8 +18,10 @@ Three kinds of oracles are provided:
   (:func:`torus_qmc`).
 
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
-nodes of ``Ti_2``, so importing this module (and with it the package) does
-not load it.
+nodes of ``Ti_2``, and mpmath by :func:`closed_form_measure`, so importing
+this module loads neither.  The coefficient ladders that weigh the reduced
+integral come from :mod:`mahlerzeta.identities`, imported on the first
+:func:`reduced_integral` call.
 
 The QMC kernel is held to a bit-identity contract: every estimate, error
 bar and evaluation count equals, in ``float.hex``, that of the plain
@@ -63,15 +65,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Tuple
-
-import mpmath as mp
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Tuple
 
 from .combinations import ZetaCombination
 from .exact import bernoulli
-from .formulas import Family, FamilySpec, coeff_a, coeff_b, mahler_measure
+from .formulas import Family, FamilySpec, mahler_measure
 from .reduce import (
     arctangent_moment_closed,
     lchi4_log_moment_closed,
@@ -109,8 +108,17 @@ _ZETA2 = 1.6449340668482264365
 _ZETA3 = 1.2020569031595942854
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
+# The records are named tuples, as ``FamilySpec`` and ``MahlerResult`` are:
+# ``IntegralEstimate`` validates in ``__new__``, which ``_make`` and
+# ``_replace`` go through.
+class _IntegralEstimateFields(NamedTuple):
+    value: float
+    error_estimate: float
+    method: str
+    evaluations: int
+
+
+class IntegralEstimate(_IntegralEstimateFields):
     """A numerical integral value with provenance.
 
     Attributes
@@ -127,22 +135,25 @@ class IntegralEstimate:
         Number of integrand (or sample) evaluations consumed.
     """
 
-    value: float
-    error_estimate: float
-    method: str
-    evaluations: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.method not in ("adaptive_quadrature", "qmc", "series"):
-            raise ValueError("unknown method %r" % (self.method,))
-        if self.error_estimate < 0:
+    def __new__(
+        cls, value: float, error_estimate: float, method: str, evaluations: int
+    ) -> "IntegralEstimate":
+        if method not in ("adaptive_quadrature", "qmc", "series"):
+            raise ValueError("unknown method %r" % (method,))
+        if error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
-        if self.method == "qmc" and not self.error_estimate > 0:
+        if method == "qmc" and not error_estimate > 0:
             raise ValueError("qmc estimates carry a positive statistical error")
+        return super().__new__(cls, value, error_estimate, method, evaluations)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "IntegralEstimate":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a quadrature-versus-closed-form comparison.
 
     ``agree`` is true when ``|quadrature - closed_form|`` is within the
@@ -649,6 +660,8 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
         return IntegralEstimate(
             base_measure_two(1.0) / _PI_SQUARED, 5e-15, "series", 1
         )
+    from .identities import coeff_a, coeff_b
+
     symmetrized = _symmetrized_measure(spec)
     scale = math.pi ** _measure_pi_scale(spec)
     transforms = spec.n_transforms
@@ -705,6 +718,8 @@ def closed_form_measure(spec: FamilySpec) -> float:
     float
         The measure ``m``.
     """
+    import mpmath as mp
+
     result = mahler_measure(spec)
     with mp.workdps(_CLOSED_FORM_DIGITS + 10):
         value = combination_value(result.combination, digits=_CLOSED_FORM_DIGITS)

@@ -18,9 +18,8 @@ kept so tests can pin the corrections *and* the mismatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .combinations import ZetaCombination
 from .formulas import Family, FamilySpec, MahlerResult, mahler_measure
@@ -30,8 +29,7 @@ __all__ = ["TableRow", "table_rows", "errata_rows", "reproduce_tables"]
 _Z = ZetaCombination
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One reference row.
 
     Attributes

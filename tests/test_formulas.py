@@ -6,7 +6,8 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -19,14 +20,14 @@ from mahlerzeta.formulas import (
     _combination,
     _family_one_terms,
     _zeta_sum,
-    coeff_a,
-    coeff_b,
     family_one,
     family_three,
     family_two,
     mahler_measure,
 )
 from mahlerzeta.identities import (
+    coeff_a,
+    coeff_b,
     family_three_rewritings,
     family_two_bernoulli_form,
     reduction_ab,
@@ -154,6 +155,22 @@ def test_coeff_b_values() -> None:
         coeff_b(-1, 0)
     with pytest.raises(ValueError):
         coeff_b(1, 2)
+
+
+def _elementary_symmetric(values, degree: int) -> int:
+    return sum(prod(chosen) for chosen in combinations(values, degree))
+
+
+def test_coeff_ladders_are_brute_force_symmetric_sums() -> None:
+    for n in range(1, 9):
+        evens = [(2 * k) ** 2 for k in range(1, n)]
+        for h in range(n):
+            expected = Fraction(_elementary_symmetric(evens, n - 1 - h), factorial(2 * n - 1))
+            assert coeff_a(n, h) == expected, (n, h)
+    for n in range(9):
+        odds = [(2 * k - 1) ** 2 for k in range(1, n + 1)]
+        for h in range(n + 1):
+            assert coeff_b(n, h) == Fraction(_elementary_symmetric(odds, n - h), factorial(2 * n))
 
 
 def test_reduction_identity() -> None:
