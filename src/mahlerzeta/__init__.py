@@ -8,10 +8,11 @@ cross-checks every closed form against independent numerical oracles.
 
 Importing the package runs only the production layer: ``combinations``,
 ``exact``, ``formulas``, ``store`` and ``values``, all that ``eval`` and
-``constants`` use.  The check layer (``identities``, ``oracle``, ``reduce``
-and ``tables``) is bound in ``sys.modules`` and on the package as lazy
-modules: a module's code runs on its first attribute access, in ``verify``
-or on first use of a name such as ``mahlerzeta.torus_qmc``.
+``constants`` use.  The check layer is the subpackage ``check`` (the
+``verify`` registry, ``identities``, ``reduce`` and ``tables``), which
+``verify`` alone imports, and ``oracle``, bound in ``sys.modules`` and on
+the package as a lazy module: its code runs on its first attribute access,
+in ``verify`` or on first use of a name such as ``mahlerzeta.torus_qmc``.
 """
 
 from .combinations import ConstantBasisElement, ZetaCombination
@@ -47,43 +48,29 @@ def _lazy_submodule(name: str):
     return module
 
 
-identities = _lazy_submodule("identities")
 oracle = _lazy_submodule("oracle")
-reduce = _lazy_submodule("reduce")
-tables = _lazy_submodule("tables")
 
-# The check layer's public names and the module each is read from.
-_CHECK_LAYER = {
-    "coeff_a": identities,
-    "coeff_b": identities,
-    "log_moment_poly": identities,
-    "monomial_from_log_moment_polys": identities,
-    "CheckResult": oracle,
-    "IntegralEstimate": oracle,
-    "base_measure_one": oracle,
-    "base_measure_three_imaginary": oracle,
-    "base_measure_three_real": oracle,
-    "base_measure_two": oracle,
-    "closed_form_measure": oracle,
-    "imaginary_measure_qmc": oracle,
-    "kernel_integral_check": oracle,
-    "reduced_integral": oracle,
-    "torus_qmc": oracle,
-    "double_polylog_reduce": reduce,
-    "TableRow": tables,
-    "errata_rows": tables,
-    "reproduce_tables": tables,
-    "table_rows": tables,
-}
+# The oracle's public names, served by the package.
+_CHECK_LAYER = (
+    "CheckResult",
+    "IntegralEstimate",
+    "base_measure_one",
+    "base_measure_three_imaginary",
+    "base_measure_three_real",
+    "base_measure_two",
+    "closed_form_measure",
+    "imaginary_measure_qmc",
+    "kernel_integral_check",
+    "reduced_integral",
+    "torus_qmc",
+)
 
 
 def __getattr__(name: str):
     # read from the module on every access, so a patch on the module shows here
-    try:
-        module = _CHECK_LAYER[name]
-    except KeyError:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
-    return getattr(module, name)
+    if name not in _CHECK_LAYER:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(oracle, name)
 
 
 def __dir__():

@@ -1,6 +1,11 @@
-"""The ``verify`` registry: every check in run order, named ``suite/check``.
+"""The check layer: what only cross-checks production, and the ``verify`` registry.
 
-``verify`` alone imports this module, after it has validated its arguments.
+Its modules hold the exact identities (:mod:`.identities`), the exact
+reductions and moment closed forms (:mod:`.reduce`) and the reference table
+rows (:mod:`.tables`); the numerical oracle is :mod:`mahlerzeta.oracle`,
+kept at the package root because tracers look it up there.  The registry
+lists every check in run order, named ``suite/check``.  ``verify`` alone
+imports this package, after it has validated its arguments.
 """
 
 from __future__ import annotations
@@ -8,10 +13,11 @@ from __future__ import annotations
 import argparse
 from typing import Callable, List, Tuple
 
-from . import identities, oracle, tables
-from .formulas import Family, FamilySpec, family_three, family_two, mahler_measure
+from .. import oracle
+from ..formulas import Family, FamilySpec, family_three, family_two, mahler_measure
+from ..values import l3_ii_value, multiple_polylog
+from . import identities, tables
 from .identities import PolyQ, log_moment_poly
-from .values import l3_ii_value, multiple_polylog
 
 
 Check = Tuple[str, Callable[[argparse.Namespace], bool]]

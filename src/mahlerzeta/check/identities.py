@@ -7,7 +7,8 @@ and even squares ``(2^2, 4^2, ...)``, with Bernoulli and Euler numbers acting
 as the transfer kernels; they are what make the dimension-reduction recursion
 in :mod:`mahlerzeta.formulas` telescope into finite closed forms.  Each
 identity has its own function, named after it, with its formula in the
-docstring and its range check in the body.
+docstring and its range check in the body; the ``identities`` suite of the
+``verify`` registry (:mod:`mahlerzeta.check`) runs them all.
 
 The module also holds the routes that only cross-check production: the
 rational coefficient ladders :func:`coeff_a` and :func:`coeff_b`, which
@@ -44,9 +45,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, List, Sequence, Tuple
 
-from .combinations import ZetaCombination
-from .exact import Rational, bernoulli, euler_number, even_squares, odd_squares, symmetric_ladder
-from .formulas import Family, FamilySpec, MahlerResult, family_one
+from ..combinations import ZetaCombination
+from ..exact import Rational, bernoulli, euler_number, even_squares, odd_squares, symmetric_ladder
+from ..formulas import Family, FamilySpec, MahlerResult, family_one
 
 __all__ = [
     "PolyQ",

@@ -15,7 +15,8 @@ that kind fails loudly instead of silently producing a wrong value.
 
 Each log-moment integral has its own closed-form function, such as
 :func:`zeta_log_moment_closed` (``x^2 - 1``) and
-:func:`lchi4_log_moment_closed` (``x^2 + 1``).
+:func:`lchi4_log_moment_closed` (``x^2 + 1``), which the quadrature
+checks of :mod:`mahlerzeta.oracle` import when they run.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .combinations import ZetaCombination
-from .exact import bernoulli, euler_number
+from ..combinations import ZetaCombination
+from ..exact import bernoulli, euler_number
 
 __all__ = [
     "double_polylog_reduce",

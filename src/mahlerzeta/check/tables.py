@@ -13,7 +13,8 @@ corrected form replaces the last two coefficients by ``8`` and ``pi^2``.  For
 family ``iii`` with 3 transforms, the circulated middle coefficient ``7/3``
 drops one of the two sums contributing to it; the corrected coefficient is
 ``49/12``, confirmed by numerical integration to 1e-12.  Both variants are
-kept so tests can pin the corrections *and* the mismatches.
+kept so tests can pin the corrections *and* the mismatches.  The ``tables``
+suite of the ``verify`` registry (:mod:`mahlerzeta.check`) runs both.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .combinations import ZetaCombination
-from .formulas import Family, FamilySpec, MahlerResult, mahler_measure
+from ..combinations import ZetaCombination
+from ..formulas import Family, FamilySpec, MahlerResult, mahler_measure
 
 __all__ = ["TableRow", "table_rows", "errata_rows", "reproduce_tables"]
 

@@ -14,7 +14,7 @@ needs no ladder: :func:`~mahlerzeta.formulas.family_three` takes its weights
 as the coefficients of one polynomial built by Horner's rule.
 
 The log-moment kernel polynomials, which only the checks use, live in
-:mod:`mahlerzeta.identities`.
+:mod:`mahlerzeta.check.identities`.
 """
 
 from __future__ import annotations

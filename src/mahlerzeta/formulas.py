@@ -36,7 +36,7 @@ are built from those terms alone:
 
 The paper's Bernoulli forms, the coefficient ladders ``coeff_a`` and
 ``coeff_b`` and the links between them (``reduction_ab``, ``reduction_ba``)
-live in the check layer, :mod:`mahlerzeta.identities`.
+live in the check layer, :mod:`mahlerzeta.check.identities`.
 """
 
 from __future__ import annotations

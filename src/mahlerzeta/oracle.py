@@ -19,9 +19,10 @@ Three kinds of oracles are provided:
 
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
 nodes of ``Ti_2``, and mpmath by :func:`closed_form_measure`, so importing
-this module loads neither.  The coefficient ladders that weigh the reduced
-integral come from :mod:`mahlerzeta.identities`, imported on the first
-:func:`reduced_integral` call.
+this module loads neither.  Each function that reads the check layer's
+exact forms (``P_k`` and the coefficient ladders of :mod:`.check.identities`,
+the moment closed forms of :mod:`.check.reduce`) imports them in its body,
+so :func:`torus_qmc` loads no module of :mod:`mahlerzeta.check`.
 
 The QMC kernel is held to a bit-identity contract: every estimate, error
 bar and evaluation count equals, in ``float.hex``, that of the plain
@@ -71,13 +72,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Tuple
 from .combinations import ZetaCombination
 from .exact import bernoulli
 from .formulas import Family, FamilySpec, mahler_measure
-from .reduce import (
-    arctangent_moment_closed,
-    lchi4_log_moment_closed,
-    log1p_moment_closed,
-    log_square_moment_closed,
-    zeta_log_moment_closed,
-)
 from .values import combination_value
 
 if TYPE_CHECKING:
@@ -451,7 +445,7 @@ def kernel_integral_check(a: float, b: float, k: int) -> CheckResult:
         raise ValueError("a = b is rejected: the closed form divides by a^2 - b^2")
     if not 0 <= k <= 10:
         raise ValueError("k must lie in [0, 10]")
-    from .identities import log_moment_poly
+    from .check.identities import log_moment_poly
 
     poly = log_moment_poly(k)
     closed = (
@@ -504,6 +498,8 @@ def zeta_log_moment_check(j: int) -> CheckResult:
     """Quadrature check of ``int_0^1 log^j x / (x^2 - 1) dx`` for ``1 <= j <= 8``, to 1e-10."""
     if j > 8:
         raise ValueError("j must be at most 8 for the quadrature check")
+    from .check.reduce import zeta_log_moment_closed
+
     closed = _closed_float(zeta_log_moment_closed(j))
 
     def integrand(x: float, cx: float) -> float:
@@ -519,6 +515,8 @@ def lchi4_log_moment_check(j: int) -> CheckResult:
     """Quadrature check of ``int_0^1 log^j x / (x^2 + 1) dx`` for ``0 <= j <= 8``, to 1e-10."""
     if j > 8:
         raise ValueError("j must be at most 8 for the quadrature check")
+    from .check.reduce import lchi4_log_moment_closed
+
     closed = _closed_float(lchi4_log_moment_closed(j))
 
     def integrand(x: float, cx: float) -> float:
@@ -532,6 +530,8 @@ def log1p_moment_check(h: int) -> CheckResult:
 
     The half log power ``h`` is at least 1.
     """
+    from .check.reduce import log1p_moment_closed
+
     closed = _closed_float(log1p_moment_closed(h))
 
     def integrand(x: float, cx: float) -> float:
@@ -548,6 +548,8 @@ def log_square_moment_check(h: int) -> CheckResult:
 
     The half log power ``h`` is at least 0.
     """
+    from .check.reduce import log_square_moment_closed
+
     closed = _closed_float(log_square_moment_closed(h))
 
     def lower(x: float, cx: float) -> float:
@@ -566,6 +568,8 @@ def arctangent_moment_check(h: int) -> CheckResult:
 
     The half log power ``h`` is at least 0.
     """
+    from .check.reduce import arctangent_moment_closed
+
     closed = _closed_float(arctangent_moment_closed(h))
 
     def lower(x: float, cx: float) -> float:
@@ -660,7 +664,7 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
         return IntegralEstimate(
             base_measure_two(1.0) / _PI_SQUARED, 5e-15, "series", 1
         )
-    from .identities import coeff_a, coeff_b
+    from .check.identities import coeff_a, coeff_b
 
     symmetrized = _symmetrized_measure(spec)
     scale = math.pi ** _measure_pi_scale(spec)

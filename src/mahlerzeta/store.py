@@ -8,11 +8,11 @@ The store is a small versioned text file mapping a constant key
     l3_ii 1 30 2.82711656135535384846204864476
 
 Loading refuses any line other than a kind, an integer argument, a digit
-count of at least 1 and a finite decimal literal.  A lookup hits only when
-the stored entry carries at least as many digits as requested; a write
-keeps whichever of the old and new entries has more digits.  The default
-location is ``~/.cache/mahlerzeta/constants.txt`` and can be overridden with
-the ``MAHLERZETA_STORE`` environment variable or an explicit path.
+count of at least 1 and a finite decimal literal.  A load, like a write,
+keeps whichever entry for a key has more digits (the earlier on a tie):
+both go through :meth:`ConstantStore.put`.  A lookup hits only when the
+stored entry carries at least as many digits as requested.  The default
+path ``~/.cache/mahlerzeta/constants.txt`` yields to ``MAHLERZETA_STORE``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class ConstantStore:
             if match is None:
                 raise ValueError(f"malformed constant-store line: {ln!r}")
             kind, arg_s, digits_s, value = match.groups()
-            self._entries[(kind, int(arg_s))] = (int(digits_s), value)
+            self.put(kind, int(arg_s), int(digits_s), value)
 
     def save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

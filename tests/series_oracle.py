@@ -7,7 +7,7 @@
 * :func:`script_l_double` assembles the signed combination
   ``scriptL_{r,s}`` from :func:`mahlerzeta.values.multiple_polylog`; it is
   the reference that the ``l3_ii`` fold and the closed forms of
-  :mod:`mahlerzeta.reduce` are held to.
+  :mod:`mahlerzeta.check.reduce` are held to.
 * :func:`alternating_sum` is the Chebyshev acceleration in mpmath floating
   point, the base constants' former route, and :func:`mp_base_constant`
   the strings that route stored.  The integer fixed-point engine of

@@ -27,8 +27,8 @@ import numpy as np
 
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
-from mahlerzeta.identities import PolyQ, log_moment_poly
-from mahlerzeta.identities import (
+from mahlerzeta.check.identities import PolyQ, log_moment_poly
+from mahlerzeta.check.identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_halving,
     check_bernoulli_recurrence,
@@ -57,8 +57,8 @@ from mahlerzeta.oracle import (
     reduced_integral,
     torus_qmc,
 )
-from mahlerzeta.reduce import double_polylog_reduce, script_l_double_even_closed
-from mahlerzeta.tables import errata_rows, reproduce_tables
+from mahlerzeta.check.reduce import double_polylog_reduce, script_l_double_even_closed
+from mahlerzeta.check.tables import errata_rows, reproduce_tables
 from mahlerzeta.values import combination_value, multiple_polylog
 from series_oracle import script_l_double
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -494,21 +496,25 @@ def test_cli_import_does_not_load_scipy() -> None:
     assert result.stdout.strip() == "[]"
 
 
-CHECK_LAYER = ("identities", "oracle", "reduce", "tables")
+# The one lazily registered check module, and the check subpackage's modules.
+LAZY = ("oracle",)
+CHECK_MODULES = ("check", "check.identities", "check.reduce", "check.tables")
+# The production modules, which must never import the check layer.
+PRODUCTION = ("combinations", "exact", "formulas", "store", "values")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with the package on its path."""
+    src = str(Path(mahlerzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def _run_fresh(code: str) -> str:
     """Run ``code`` in a new interpreter with the package on its path; its last line."""
-    src = str(Path(mahlerzeta.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python("-c", code)
+    result.check_returncode()
     return result.stdout.splitlines()[-1]
 
 
@@ -517,10 +523,10 @@ def _run_fresh(code: str) -> str:
     ["package", "cli", "eval-warm", "eval-cold", "constants-warm", "verify-tables", "torus-qmc"],
 )
 def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
-    # eval and constants run only the production layer.  The check layer's
-    # modules stay in sys.modules, because tracers look them up there, but
-    # their code runs only when verify or a check-layer name needs it; the
-    # verify registry is imported by verify alone.
+    # eval and constants run only the production layer.  The oracle stays in
+    # sys.modules, because tracers look it up there, but its code runs only
+    # when verify or one of its names needs it; the check subpackage is
+    # imported by verify alone, and the oracle imports none of it to sample.
     store = tmp_path / "store.txt"
     argv = {
         "constants-warm": ["constants", "warm", "--digits", "12", "--store", str(store)],
@@ -542,23 +548,19 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "if type(sys.modules['mahlerzeta.' + n]) is not types.ModuleType]\n"
         "loaded = sorted({m.split('.')[0] for m in sys.modules} "
         "& {'dataclasses', 'inspect', 'json', 'mpmath', 'numpy', 'scipy'})\n"
-        "registry = 'mahlerzeta.check' in sys.modules\n"
+        "checks = [n for n in %r if 'mahlerzeta.' + n in sys.modules]\n"
         "import json\n"
         "print(json.dumps({'code': globals().get('code', 0), 'registered': registered, "
-        "'pending': pending, 'loaded': loaded, 'registry': registry}))" % (CHECK_LAYER,)
+        "'pending': pending, 'loaded': loaded, 'checks': checks}))" % (LAZY, CHECK_MODULES)
     )
-    on_demand = {
-        "verify-tables": ["oracle", "reduce"],
-        "torus-qmc": ["identities", "tables"],
-    }
     # constants are computed in integer fixed point, and the oracle imports
     # mpmath only in closed_form_measure; no module defines a dataclass
     assert json.loads(_run_fresh(setup + "\n" + report)) == {
         "code": 0,
-        "registered": list(CHECK_LAYER),
-        "pending": on_demand.get(probe, list(CHECK_LAYER)),
+        "registered": ["oracle"],
+        "pending": [] if probe == "torus-qmc" else ["oracle"],
         "loaded": [],
-        "registry": probe == "verify-tables",
+        "checks": ["check", "check.identities", "check.tables"] if probe == "verify-tables" else [],
     }
     if probe == "eval-warm":
         assert store.read_text() == warm
@@ -572,10 +574,21 @@ def test_package_serves_every_public_name_from_its_module() -> None:
         if name != "__version__":
             value = getattr(mahlerzeta, name)
             assert getattr(sys.modules[value.__module__], name) is value, name
-    for module in CHECK_LAYER:
-        imported = __import__("mahlerzeta", fromlist=[module])
-        assert getattr(imported, module) is sys.modules["mahlerzeta." + module]
-        assert module in dir(mahlerzeta)
+    imported = __import__("mahlerzeta", fromlist=["oracle"])
+    assert imported.oracle is sys.modules["mahlerzeta.oracle"]
+    assert "oracle" in dir(mahlerzeta)
+    # the check subpackage's names are served by its modules alone
+    moved = {
+        "identities": ("coeff_a", "coeff_b", "log_moment_poly", "monomial_from_log_moment_polys"),
+        "reduce": ("double_polylog_reduce",),
+        "tables": ("TableRow", "errata_rows", "reproduce_tables", "table_rows"),
+    }
+    for module, names in moved.items():
+        assert importlib.util.find_spec("mahlerzeta." + module) is None
+        served = importlib.import_module("mahlerzeta.check." + module)
+        for name in names:
+            assert callable(getattr(served, name))
+            assert name not in mahlerzeta.__all__ and not hasattr(mahlerzeta, name)
     assert not hasattr(mahlerzeta, "no_such_name")
 
 
@@ -586,20 +599,73 @@ def test_package_binds_no_import_helpers() -> None:
 
 
 def test_patches_on_unloaded_check_modules_survive_the_load() -> None:
-    # a patch made before a check module's code runs stays in place after it
-    # runs: pytest's monkeypatch (which reads the old value first, and so
-    # loads the module) and a plain attribute assignment (which does not)
+    # a patch made before the oracle's code runs stays in place after it
+    # runs: a plain attribute assignment (which does not load the module) and
+    # pytest's monkeypatch (which reads the old value first, and so loads it)
     probe = (
         "import sys, types, pytest, mahlerzeta\n"
-        "oracle, tables = sys.modules['mahlerzeta.oracle'], sys.modules['mahlerzeta.tables']\n"
-        "lazy = [type(m) is not types.ModuleType for m in (oracle, tables)]\n"
+        "oracle = sys.modules['mahlerzeta.oracle']\n"
+        "oracle.reduced_integral = len\n"
+        "lazy = type(oracle) is not types.ModuleType\n"
         "pytest.MonkeyPatch().setattr(oracle, '_sobol_base2', len)\n"
-        "tables.table_rows = len\n"
-        "assert type(tables) is not types.ModuleType\n"
-        "print([lazy, oracle._sobol_base2 is len, mahlerzeta.table_rows is len, "
-        "type(tables) is types.ModuleType, callable(tables.reproduce_tables)])"
+        "print([lazy, oracle._sobol_base2 is len, mahlerzeta.reduced_integral is len, "
+        "type(oracle) is types.ModuleType, callable(oracle.torus_qmc)])"
     )
-    assert _run_fresh(probe) == "[[True, True], True, True, True, True]"
+    assert _run_fresh(probe) == "[True, True, True, True, True]"
+
+
+def _imported_submodules(path: Path, module_level_only: bool) -> List[str]:
+    """The ``mahlerzeta`` submodules that the module at ``path`` imports, as dotted names."""
+    tree = ast.parse(path.read_text())
+    nodes = tree.body if module_level_only else list(ast.walk(tree))
+    imported = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("mahlerzeta." + (node.module or "")) if node.level else node.module
+            imported += [base.rstrip(".")]
+            imported += [base.rstrip(".") + "." + alias.name for alias in node.names]
+    prefix = "mahlerzeta."
+    return [name[len(prefix):] for name in imported if name.startswith(prefix)]
+
+
+def test_production_modules_import_no_check_module() -> None:
+    # cli imports the verify registry inside cmd_verify only
+    package = Path(mahlerzeta.__file__).resolve().parent
+    for name in PRODUCTION + ("cli",):
+        imported = _imported_submodules(package / (name + ".py"), name == "cli")
+        assert [m for m in imported if m.split(".")[0] in ("check", "oracle")] == [], name
+    # the walk resolves relative imports and sees imports inside functions
+    assert "exact" in _imported_submodules(package / "formulas.py", False)
+    assert "check" in _imported_submodules(package / "cli.py", False)
+
+
+def _production_calls(store: Path) -> List[List[str]]:
+    """Cold and warm evals, as text and JSON, then the constants commands, on ``store``."""
+    evaluate = ["eval", "--family", "ii", "--n", "3", "--digits", "20", "--store", str(store)]
+    return [
+        evaluate,
+        evaluate,
+        evaluate + ["--format", "json"],
+        ["constants", "warm", "--digits", "12", "--store", str(store)],
+        ["constants", "list", "--store", str(store)],
+    ]
+
+
+def test_production_runs_without_site_packages(tmp_path, capsys) -> None:
+    # under python -S neither mpmath nor numpy can be imported, so each eval
+    # and constants process must print and store exactly what the same calls
+    # print and store in this process
+    probe = "from importlib.util import find_spec as f; print([f('mpmath'), f('numpy')])"
+    assert _python("-S", "-c", probe).stdout == "[None, None]\n"
+    isolated, here = tmp_path / "isolated.txt", tmp_path / "here.txt"
+    runs = [_python("-S", "-m", "mahlerzeta.cli", *argv) for argv in _production_calls(isolated)]
+    expected = [run_cli(argv, capsys) for argv in _production_calls(here)]
+    assert [
+        (run.returncode, run.stdout.replace(str(isolated), str(here)), run.stderr) for run in runs
+    ] == expected
+    assert isolated.read_bytes() == here.read_bytes()
 
 
 def _mpmath_sum(combination: ZetaCombination, digits: int, store: ConstantStore) -> str:

@@ -18,7 +18,7 @@ from mahlerzeta.exact import (
     odd_squares,
     symmetric_ladder,
 )
-from mahlerzeta.identities import PolyQ, log_moment_poly, log_moment_poly_at_i
+from mahlerzeta.check.identities import PolyQ, log_moment_poly, log_moment_poly_at_i
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers

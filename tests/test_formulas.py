@@ -25,7 +25,7 @@ from mahlerzeta.formulas import (
     family_two,
     mahler_measure,
 )
-from mahlerzeta.identities import (
+from mahlerzeta.check.identities import (
     coeff_a,
     coeff_b,
     family_three_rewritings,

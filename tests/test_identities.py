@@ -8,9 +8,10 @@ from typing import Set
 
 import pytest
 
-from mahlerzeta import check, exact, formulas, identities
-from mahlerzeta.identities import PolyQ, log_moment_poly
-from mahlerzeta.identities import (
+from mahlerzeta import check, exact, formulas
+from mahlerzeta.check import identities
+from mahlerzeta.check.identities import PolyQ, log_moment_poly
+from mahlerzeta.check.identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_halving,
     check_bernoulli_recurrence,

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mahlerzeta.combinations import ZetaCombination
-from mahlerzeta.identities import PolyQ
+from mahlerzeta.check.identities import PolyQ
 from mahlerzeta.store import ConstantStore
 from mahlerzeta.values import _base_constant, _nstr
 

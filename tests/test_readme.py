@@ -40,7 +40,7 @@ def test_readme_eval_transcript_matches_the_cli(tmp_path) -> None:
 def test_readme_names_exist_in_the_package() -> None:
     """Every backticked snake_case name in the README occurs in the package source."""
     prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
-    source = "\n".join(p.read_text() for p in (ROOT / "src" / "mahlerzeta").glob("*.py"))
+    source = "\n".join(p.read_text() for p in (ROOT / "src" / "mahlerzeta").glob("**/*.py"))
     missing = [
         name
         for span in re.findall(r"`([^`\n]+)`", prose)

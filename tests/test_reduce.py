@@ -10,7 +10,7 @@ import pytest
 
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.exact import bernoulli
-from mahlerzeta.reduce import (
+from mahlerzeta.check.reduce import (
     alternating_double_zeta_difference,
     arctangent_moment_closed,
     double_polylog_reduce,

@@ -45,6 +45,24 @@ def test_put_keeps_higher_precision(tmp_path) -> None:
     assert store.get("zeta", 3, 40) == "higher"
 
 
+def test_load_keeps_the_most_precise_duplicate(tmp_path) -> None:
+    # a file with two lines for one key loads by the rule put follows, in
+    # either order, and the next save keeps the precise entry
+    precise = "1.202056903159594285399738161511"
+    for lines in (
+        ["zeta 3 30 " + precise, "zeta 3 10 1.2020569032"],
+        ["zeta 3 10 1.2020569032", "zeta 3 30 " + precise],
+    ):
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(["mahlerzeta-constants 1"] + lines) + "\n")
+        store = ConstantStore(path)
+        assert store.get("zeta", 3, 30) == precise
+        store.save()
+        assert ConstantStore(path).entries() == [("zeta", 3, 30, precise)]
+    path.write_text("mahlerzeta-constants 1\nzeta 3 10 1.2020569032\nzeta 3 10 1.2020569031\n")
+    assert ConstantStore(path).get("zeta", 3, 10) == "1.2020569032"
+
+
 def test_rejects_foreign_format(tmp_path) -> None:
     path = tmp_path / "c.txt"
     path.write_text("some-other-format 7\nzeta 3 10 1.2\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.formulas import Family, mahler_measure
-from mahlerzeta.tables import errata_rows, reproduce_tables, table_rows
+from mahlerzeta.check.tables import errata_rows, reproduce_tables, table_rows
 
 
 def test_row_inventory() -> None:
