@@ -8,11 +8,12 @@ cross-checks every closed form against independent numerical oracles.
 
 Importing the package runs only the production layer: ``combinations``,
 ``exact``, ``formulas``, ``store`` and ``values``, all that ``eval`` and
-``constants`` use.  The check layer is the subpackage ``check`` (the
-``verify`` registry, ``identities``, ``reduce`` and ``tables``), which
-``verify`` alone imports, and ``oracle``, bound in ``sys.modules`` and on
-the package as a lazy module: its code runs on its first attribute access,
-in ``verify`` or on first use of a name such as ``mahlerzeta.torus_qmc``.
+``constants`` use.  The check layer is the subpackage ``check``
+(``identities``, ``reduce``, ``tables`` and ``registry``, the ``verify``
+registry, which ``verify`` alone imports), and ``oracle``, bound in
+``sys.modules`` and on the package as a lazy module: its code runs on its
+first attribute access, in ``verify`` or on first use of a name such as
+``mahlerzeta.torus_qmc``.
 """
 
 from .combinations import ConstantBasisElement, ZetaCombination

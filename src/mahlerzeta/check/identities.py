@@ -8,7 +8,7 @@ as the transfer kernels; they are what make the dimension-reduction recursion
 in :mod:`mahlerzeta.formulas` telescope into finite closed forms.  Each
 identity has its own function, named after it, with its formula in the
 docstring and its range check in the body; the ``identities`` suite of the
-``verify`` registry (:mod:`mahlerzeta.check`) runs them all.
+``verify`` registry (:mod:`mahlerzeta.check.registry`) runs them all.
 
 The module also holds the routes that only cross-check production: the
 rational coefficient ladders :func:`coeff_a` and :func:`coeff_b`, which

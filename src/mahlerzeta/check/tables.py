@@ -14,7 +14,7 @@ family ``iii`` with 3 transforms, the circulated middle coefficient ``7/3``
 drops one of the two sums contributing to it; the corrected coefficient is
 ``49/12``, confirmed by numerical integration to 1e-12.  Both variants are
 kept so tests can pin the corrections *and* the mismatches.  The ``tables``
-suite of the ``verify`` registry (:mod:`mahlerzeta.check`) runs both.
+suite of the ``verify`` registry (:mod:`mahlerzeta.check.registry`) runs both.
 """
 
 from __future__ import annotations

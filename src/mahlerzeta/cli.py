@@ -6,8 +6,8 @@ Three subcommands are exposed:
   family member, as text or schema-stable JSON;
 * ``verify`` runs the exact identity suites, the table-reproduction fixture,
   and the numerical oracle cross-checks, one pass/fail line per check.  All
-  checks sit in one ordered registry in :mod:`mahlerzeta.check`, which only
-  ``verify`` imports; a check's suite is the prefix of its name;
+  checks sit in one ordered registry, :mod:`mahlerzeta.check.registry`,
+  which only ``verify`` imports; a check's suite is the prefix of its name;
 * ``constants`` lists or pre-computes the persistent constant store.
 
 Exit codes are uniform across commands: 0 on success, 1 when a verification
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .combinations import ConstantBasisElement, ZetaCombination
+from .combinations import ConstantBasisElement, ZetaCombination, _digits
 from .formulas import Family, FamilySpec, mahler_measure
 from .store import ConstantStore
 from .values import _combination_decimal, _nstr
@@ -50,13 +50,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
     numeric = _nstr(_combination_decimal(result.combination, args.digits, store), args.digits)
     if args.format == "json":
         import json
+        import re
+
+        # json prints integers with str(), which refuses more than 4,300
+        # digits (coefficients pass that from n = 1857): each coefficient goes
+        # in as the placeholder string "\0<j>", which no other value holds,
+        # and the digits of the j-th integer replace it
+        integers: List[str] = []
+
+        def placeholder(value: int) -> str:
+            integers.append(_digits(value))
+            return "\0%d" % (len(integers) - 1)
 
         record = {
             "family": family.value,
             "n_transforms": spec.n_transforms,
             "pi_normalization": spec.pi_normalization,
             "combination": [
-                [element.kind, element.arg, element.pi_power, coeff.numerator, coeff.denominator]
+                [
+                    element.kind,
+                    element.arg,
+                    element.pi_power,
+                    placeholder(coeff.numerator),
+                    placeholder(coeff.denominator),
+                ]
                 for element, coeff in result.combination.terms()
             ],
             "numeric_value": numeric,
@@ -66,7 +83,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "oracle_method": None,
             "agreement": None,
         }
-        print(json.dumps(record, indent=2, sort_keys=True))
+        text = json.dumps(record, indent=2, sort_keys=True)
+        print(re.sub(r'"\\u0000(\d+)"', lambda match: integers[int(match.group(1))], text))
     else:
         label = _pi_label(spec.pi_normalization)
         print("family %s with %d transform(s)" % (family.value, spec.n_transforms))
@@ -81,7 +99,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be positive")
     if args.seed < 0:
         raise ValueError("--seed must be nonnegative")
-    from .check import run_checks
+    from .check.registry import run_checks
 
     return run_checks(args)
 

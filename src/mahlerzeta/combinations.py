@@ -35,6 +35,16 @@ the normal form is used only as a canonical *representation*, and every
 closed form is additionally checked numerically.)  Every constructor and
 operation sums its terms through one merge rule: equal elements add, and a
 zero total is dropped.
+
+Where a term is checked: the public constructors check each element against
+its kind's entry (``__init__`` rejects what the normal form does not keep,
+:meth:`ZetaCombination.term` and ``from_records`` fold it first where the kind
+folds).  The closed forms of :mod:`mahlerzeta.formulas` arrive as integer terms
+``(kind, arg, pi_power, numerator, denominator)`` through
+:meth:`ZetaCombination._built`, which checks each one once, for normal form and
+for the member's weight, as it makes the term's element and ``Fraction``.
+Coefficients print at any length: :func:`_text` goes through ``decimal`` where
+``str`` refuses an integer of more than 4,300 digits.
 """
 
 from __future__ import annotations
@@ -42,7 +52,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import factorial
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union,
+)
 
 from .exact import Rational, bernoulli, euler_number
 
@@ -164,6 +176,49 @@ def _merge(pairs: Iterable[_Pair]) -> Dict[ConstantBasisElement, Fraction]:
     return merged
 
 
+# An integer term ``(kind, arg, pi_power, numerator, denominator)``.
+_Term = Tuple[str, int, int, int, int]
+
+
+def _checked_terms(terms: Iterable[_Term], weight: int) -> Iterator[_Pair]:
+    """Each integer term as its ``(element, Fraction(numerator, denominator))`` pair.
+
+    This is the one check of a built term: its element must be in normal form
+    (the rule and error text of :func:`_checked`) and of total ``weight``.
+    """
+    for kind, arg, pi_power, num, den in terms:
+        elem = ConstantBasisElement(kind, arg, pi_power)
+        entry = KINDS.get(kind)
+        if entry is None or not entry.keeps(arg):
+            _checked(elem)  # raises, with the constructor's text
+        elem_weight = pi_power + entry.weight(arg)
+        if elem_weight != weight:
+            raise ValueError(f"term {elem.format_text()} has weight {elem_weight}, not {weight}")
+        yield elem, Fraction(num, den)
+
+
+def _digits(value: int) -> str:
+    """``str(value)`` at any length.
+
+    ``str`` refuses an integer of more than 4,300 digits (the interpreter's
+    guard on ``int``/``str`` conversions); ``decimal`` converts the integer
+    exactly, with no such limit, and so does not lift it for anyone else.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
+def _text(coeff: Fraction) -> str:
+    """``str(coeff)`` at any length."""
+    if coeff.denominator == 1:
+        return _digits(coeff.numerator)
+    return f"{_digits(coeff.numerator)}/{_digits(coeff.denominator)}"
+
+
 class ZetaCombination:
     """A finite rational-linear combination of basis constants in normal form."""
 
@@ -183,6 +238,14 @@ class ZetaCombination:
         out = cls.__new__(cls)
         out._terms = terms
         return out
+
+    @classmethod
+    def _built(cls, terms: Iterable[_Term], weight: int) -> "ZetaCombination":
+        """The combination of integer ``terms``, each checked to be of ``weight``.
+
+        Equal elements add, as in every constructor; one pass over ``terms``.
+        """
+        return cls._of(_merge(_checked_terms(terms, weight)))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -308,7 +371,7 @@ class ZetaCombination:
                 "kind": elem.kind,
                 "arg": elem.arg,
                 "pi_power": elem.pi_power,
-                "coeff": str(coeff),
+                "coeff": _text(coeff),
             }
             for elem, coeff in self.terms()
         ]
@@ -339,13 +402,15 @@ class ZetaCombination:
         for elem, coeff in self.terms():
             symbol = elem.format_text()
             if not symbol:
-                piece = str(coeff)
+                piece = _text(coeff)
             elif coeff == 1:
                 piece = symbol
             elif coeff == -1:
                 piece = f"-{symbol}"
             else:
-                coeff_text = str(coeff) if coeff.denominator == 1 else f"({coeff})"
+                coeff_text = _text(coeff)
+                if coeff.denominator != 1:
+                    coeff_text = f"({coeff_text})"
                 piece = f"{coeff_text}*{symbol}"
             rendered.append(piece)
         return " + ".join(rendered).replace(" + -", " - ")

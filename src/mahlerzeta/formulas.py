@@ -34,6 +34,15 @@ are built from those terms alone:
   even <= n} m_i(k)/k``.  At odd ``n`` the paper's third sum is ``pi`` times
   its value at ``n - 1``, since it sees ``n`` only via ``n // 2`` and a power of pi.
 
+Each evaluator builds its closed form in one pass over integer terms
+``(kind, arg, pi_power, numerator, denominator)``, with every factor of a
+coefficient folded into its numerator and denominator.
+:meth:`~mahlerzeta.combinations.ZetaCombination._built` checks each term once,
+as it makes the term's element and its one ``Fraction``: the normal form of
+:data:`~mahlerzeta.combinations.KINDS`, and the weight ``pi_normalization + 1``.
+So the evaluators skip the second walk over the terms that
+:class:`MahlerResult`'s constructor makes for any other caller.
+
 The paper's Bernoulli forms, the coefficient ladders ``coeff_a`` and
 ``coeff_b`` and the links between them (``reduction_ab``, ``reduction_ba``)
 live in the check layer, :mod:`mahlerzeta.check.identities`.
@@ -42,11 +51,10 @@ live in the check layer, :mod:`mahlerzeta.check.identities`.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import factorial
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple
 
-from .combinations import ConstantBasisElement, ZetaCombination
+from .combinations import ZetaCombination, _Term
 from .exact import even_squares, odd_squares, symmetric_ladder
 
 __all__ = [
@@ -165,8 +173,10 @@ class MahlerResult(_MahlerResultFields):
         The evaluated family member; it fixes ``pi_normalization``, the
         power of pi multiplying the measure on the left side.
     combination : ZetaCombination
-        The exact right side.  It is validated to be homogeneous of total
-        weight ``pi_normalization + 1`` (the measure itself carries weight 1).
+        The exact right side, homogeneous of total weight ``pi_normalization
+        + 1`` (the measure itself carries weight 1).  The constructor checks
+        that weight term by term; the evaluators check each term as they build
+        it and do not walk the terms again.
     """
 
     __slots__ = ()
@@ -190,38 +200,43 @@ class MahlerResult(_MahlerResultFields):
         return self.spec.pi_normalization
 
 
-# A term ``(kind, arg, pi_power, numerator, denominator)``: every factor of
-# its coefficient lands in the one ``Fraction`` that ``_combination`` builds.
-_Term = Tuple[str, int, int, int, int]
+def _result(spec: FamilySpec, terms: Iterable[_Term]) -> MahlerResult:
+    """``spec``'s result from its integer terms, in one checked pass.
+
+    :meth:`ZetaCombination._built` checks every term against ``pi_normalization
+    + 1`` as it makes it, so the result skips :class:`MahlerResult`'s second
+    walk over the terms; an empty combination still goes through it, and fails.
+    """
+    combination = ZetaCombination._built(terms, spec.pi_normalization + 1)
+    if combination.is_zero():
+        return MahlerResult(spec, combination)
+    return _MahlerResultFields.__new__(MahlerResult, spec, combination)
 
 
-def _combination(terms: Iterable[_Term]) -> ZetaCombination:
-    """The combination of ``terms``; terms with one key add."""
-    return ZetaCombination(
-        (ConstantBasisElement(k, a, p), Fraction(num, den)) for k, a, p, num, den in terms
-    )
-
-
-def _zeta_sum(top: int, scale: int, weights: Iterable[Tuple[int, int]]) -> List[_Term]:
-    """``sum_j zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j / scale``, integer ``w_j``."""
-    return [
-        ("zeta", 2 * j + 1, top - 2 * j, factorial(2 * j) * (2 ** (2 * j + 1) - 1) * w, scale)
-        for j, w in weights
-    ]
+def _zeta_sum(top: int, scale: int, weights: Iterable[int]) -> List[_Term]:
+    """``sum_{j>=1} zeta(2j+1) pi^(top-2j) (2j)! (2^(2j+1) - 1) w_j / scale``, integer ``w_j``."""
+    terms: List[_Term] = []
+    factor, power = 1, 2  # (2j)! and 2^(2j+1) at j = 0
+    for j, w in enumerate(weights, 1):
+        factor *= (2 * j - 1) * 2 * j
+        power <<= 2
+        terms.append(("zeta", 2 * j + 1, top - 2 * j, factor * (power - 1) * w, scale))
+    return terms
 
 
 def _family_one_terms(transforms: int) -> List[_Term]:
     """Family ``i``'s terms, which families ``ii`` and ``iii`` are built from."""
     n = transforms // 2
     if transforms % 2 == 0:
-        evens, scale = symmetric_ladder(even_squares(n - 1)), 2 * factorial(2 * n - 1)
-        return _zeta_sum(2 * n, scale, ((h, evens[n - h]) for h in range(1, n + 1)))
+        evens = symmetric_ladder(even_squares(n - 1))
+        return _zeta_sum(2 * n, 2 * factorial(2 * n - 1), reversed(evens))
     odds, scale = symmetric_ladder(odd_squares(n)), factorial(2 * n)
-    return [
-        ("lchi4", 2 * h + 2, 2 * n - 2 * h,
-         odds[n - h] * factorial(2 * h + 1) * 2 ** (2 * h + 1), scale)
-        for h in range(n + 1)
-    ]
+    terms: List[_Term] = []
+    factor = 2  # (2h+1)! 2^(2h+1) at h = 0
+    for h in range(n + 1):
+        terms.append(("lchi4", 2 * h + 2, 2 * n - 2 * h, odds[n - h] * factor, scale))
+        factor *= 4 * (2 * h + 2) * (2 * h + 3)
+    return terms
 
 
 def _require_family(spec: FamilySpec, family: Family) -> None:
@@ -249,7 +264,7 @@ def family_one(spec: FamilySpec) -> MahlerResult:
         ``pi**n_transforms * m`` as an exact combination.
     """
     _require_family(spec, Family.ONE)
-    return MahlerResult(spec, _combination(_family_one_terms(spec.n_transforms)))
+    return _result(spec, _family_one_terms(spec.n_transforms))
 
 
 def family_two(spec: FamilySpec) -> MahlerResult:
@@ -278,17 +293,23 @@ def family_two(spec: FamilySpec) -> MahlerResult:
     _require_family(spec, Family.TWO)
     n = spec.n_transforms
     if n == 0:
-        return MahlerResult(spec, ZetaCombination.zeta(3, 0, Fraction(7, 2)))
+        return _result(spec, [("zeta", 3, 0, 7, 2)])
     family_i = _family_one_terms(n)
     if n % 2 == 0:
-        terms = [
+        terms: Iterable[_Term] = (
             ("zeta", s + 2, p, num * s * (s + 1) * (2 ** (s + 2) - 1), den * 2 * n * (2**s - 1))
             for _, s, p, num, den in family_i
-        ]
+        )
     else:
-        terms = [("lchi4", arg, p + 2, num, den) for _, arg, p, num, den in family_i]
-        terms += (("l3_ii", arg - 1, p, num, den * (arg - 1)) for _, arg, p, num, den in family_i)
-    return MahlerResult(spec, _combination(terms))
+        terms = (
+            term
+            for _, arg, p, num, den in family_i
+            for term in (
+                ("lchi4", arg, p + 2, num, den),
+                ("l3_ii", arg - 1, p, num, den * (arg - 1)),
+            )
+        )
+    return _result(spec, terms)
 
 
 def family_three(spec: FamilySpec) -> MahlerResult:
@@ -328,8 +349,8 @@ def family_three(spec: FamilySpec) -> MahlerResult:
         weights = [square * w + lower for w, lower in zip(weights + [0], [0] + weights)]
         weights[0] += share
     terms = [("log2", 0, spec.pi_normalization, 1, 2)]
-    terms += _zeta_sum(transforms + 1, 4 * factorial(2 * half), enumerate(weights, 1))
-    return MahlerResult(spec, _combination(terms))
+    terms += _zeta_sum(transforms + 1, 4 * factorial(2 * half), weights)
+    return _result(spec, terms)
 
 
 def mahler_measure(spec: FamilySpec) -> MahlerResult:

@@ -112,6 +112,46 @@ def test_eval_json_round_trip(tmp_path, capsys) -> None:
         assert abs(printed - truth) < mp.mpf(10) ** -25
 
 
+@pytest.mark.parametrize("transforms", [1857, 2040])
+def test_eval_prints_coefficients_past_the_int_string_limit(
+    transforms, tmp_path, capsys, monkeypatch
+) -> None:
+    # From n = 1857 (odd) and n = 2040 (even) family i has coefficients of more
+    # than 4,300 digits, the most that str() converts an int by default.  The
+    # build is the same at any n; it runs once here, and eval prints it.
+    result = mahler_measure(FamilySpec(Family.ONE, transforms))
+    monkeypatch.setattr(mahlerzeta.cli, "mahler_measure", lambda spec: result)
+    argv = ["eval", "--family", "i", "--n", str(transforms), "--digits", "10"]
+    argv += ["--store", str(tmp_path / "store.txt")]
+    limit = sys.get_int_max_str_digits()
+    text = run_cli(argv, capsys)
+    data = run_cli(argv + ["--format", "json"], capsys)
+    assert (text[0], text[2], data[0], data[2]) == (0, "", 0, "")
+    # the limit stays in force for everyone else
+    assert sys.get_int_max_str_digits() == limit > 0
+    with pytest.raises(ValueError):
+        str(10**limit)
+    # with the limit lifted, str() and json print the same bytes
+    sys.set_int_max_str_digits(0)
+    try:
+        terms = result.combination.terms()
+        assert max(len(str(coeff.numerator)) for _, coeff in terms) > limit
+        label = "pi^%d * m" % transforms
+        record = json.loads(data[1])
+        assert text[1].splitlines() == [
+            "family i with %d transform(s)" % transforms,
+            "%s = %s" % (label, result.combination.format_text()),
+            "%s = %s to 10 digits" % (label, record["numeric_value"]),
+        ]
+        assert record["combination"] == [
+            [element.kind, element.arg, element.pi_power, coeff.numerator, coeff.denominator]
+            for element, coeff in terms
+        ]
+        assert data[1] == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_eval_rejects_invalid_spec(tmp_path, capsys) -> None:
     store = str(tmp_path / "store.txt")
     code, out, err = run_cli(
@@ -436,10 +476,10 @@ def test_eval_family_ii_odd_does_not_reach_the_engine(tmp_path, capsys, monkeypa
 
 
 def test_verify_l3_ii_fold_catches_a_perturbed_coefficient(monkeypatch) -> None:
-    import mahlerzeta.check
+    import mahlerzeta.check.registry
     import mahlerzeta.values as values
 
-    check = dict(mahlerzeta.check._checks())["oracle/l3-ii-fold"]
+    check = dict(mahlerzeta.check.registry._checks())["oracle/l3-ii-fold"]
     args = mahlerzeta.cli.build_parser().parse_args(["verify", "--max-n", "7"])
     assert check(args)
     original = values._l3_ii_fold
@@ -498,7 +538,7 @@ def test_cli_import_does_not_load_scipy() -> None:
 
 # The one lazily registered check module, and the check subpackage's modules.
 LAZY = ("oracle",)
-CHECK_MODULES = ("check", "check.identities", "check.reduce", "check.tables")
+CHECK_MODULES = ("check", "check.identities", "check.reduce", "check.registry", "check.tables")
 # The production modules, which must never import the check layer.
 PRODUCTION = ("combinations", "exact", "formulas", "store", "values")
 
@@ -520,13 +560,23 @@ def _run_fresh(code: str) -> str:
 
 @pytest.mark.parametrize(
     "probe",
-    ["package", "cli", "eval-warm", "eval-cold", "constants-warm", "verify-tables", "torus-qmc"],
+    [
+        "package",
+        "cli",
+        "eval-warm",
+        "eval-cold",
+        "constants-warm",
+        "verify-tables",
+        "torus-qmc",
+        "reduced-integral",
+    ],
 )
 def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
     # eval and constants run only the production layer.  The oracle stays in
     # sys.modules, because tracers look it up there, but its code runs only
     # when verify or one of its names needs it; the check subpackage is
-    # imported by verify alone, and the oracle imports none of it to sample.
+    # imported by verify alone, and the oracle imports none of it to sample;
+    # its quadrature reads check.identities, which loads no registry or table.
     store = tmp_path / "store.txt"
     argv = {
         "constants-warm": ["constants", "warm", "--digits", "12", "--store", str(store)],
@@ -539,6 +589,9 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "package": "import mahlerzeta",
         "cli": "import mahlerzeta.cli",
         "torus-qmc": "import mahlerzeta; mahlerzeta.torus_qmc",
+        "reduced-integral": (
+            "import mahlerzeta as mz; mz.reduced_integral(mz.FamilySpec(mz.Family.ONE, 2))"
+        ),
     }.get(probe, "import mahlerzeta.cli; code = mahlerzeta.cli.main(%r)" % (argv,))
     # measured before the report itself imports json
     report = (
@@ -558,9 +611,12 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
     assert json.loads(_run_fresh(setup + "\n" + report)) == {
         "code": 0,
         "registered": ["oracle"],
-        "pending": [] if probe == "torus-qmc" else ["oracle"],
+        "pending": [] if probe in ("torus-qmc", "reduced-integral") else ["oracle"],
         "loaded": [],
-        "checks": ["check", "check.identities", "check.tables"] if probe == "verify-tables" else [],
+        "checks": {
+            "verify-tables": ["check", "check.identities", "check.registry", "check.tables"],
+            "reduced-integral": ["check", "check.identities"],
+        }.get(probe, []),
     }
     if probe == "eval-warm":
         assert store.read_text() == warm
@@ -638,7 +694,7 @@ def test_production_modules_import_no_check_module() -> None:
         assert [m for m in imported if m.split(".")[0] in ("check", "oracle")] == [], name
     # the walk resolves relative imports and sees imports inside functions
     assert "exact" in _imported_submodules(package / "formulas.py", False)
-    assert "check" in _imported_submodules(package / "cli.py", False)
+    assert "check.registry" in _imported_submodules(package / "cli.py", False)
 
 
 def _production_calls(store: Path) -> List[List[str]]:

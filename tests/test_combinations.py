@@ -144,6 +144,18 @@ def test_invalid_constructions_raise() -> None:
         ZetaCombination({ConstantBasisElement("log2", 1, 0): 1})
     with pytest.raises(ValueError):
         ZetaCombination({ConstantBasisElement("bogus", 0, 0): 1})
+    # the builder of the closed forms' integer terms rejects what the
+    # constructor rejects, with the same text, and a term of another weight
+    for kind, arg in (("zeta", 4), ("lchi4", 3), ("bogus", 0)):
+        with pytest.raises(ValueError) as public:
+            ZetaCombination({ConstantBasisElement(kind, arg, 0): 1})
+        with pytest.raises(ValueError) as built:
+            ZetaCombination._built([("zeta", 3, 0, 7, 2), (kind, arg, 0, 1, 1)], 3)
+        assert str(built.value) == str(public.value)
+    with pytest.raises(ValueError, match="weight 5, not 3"):
+        ZetaCombination._built([("zeta", 3, 0, 7, 2), ("zeta", 5, 0, 1, 1)], 3)
+    with pytest.raises(ValueError, match="weight 4, not 3"):
+        ZetaCombination._built([("zeta", 3, 1, 7, 2)], 3)
 
 
 def test_addition_and_cancellation() -> None:
@@ -154,6 +166,13 @@ def test_addition_and_cancellation() -> None:
     assert len(c.terms()) == 2
     assert c - a == ZetaCombination.log2(pi_power=2, coeff=Fraction(1, 2))
     assert (-a) + a == ZetaCombination.zero()
+    # the closed forms' builder: equal elements add, and a cancelling pair drops
+    built = ZetaCombination._built(
+        [("zeta", 3, 0, 5, 2), ("log2", 0, 2, 1, 2), ("zeta", 3, 0, 9, 2), ("log2", 0, 2, -2, 4)],
+        3,
+    )
+    assert built.terms() == [(ConstantBasisElement("zeta", 3, 0), Fraction(7))]
+    assert built == a
 
 
 def test_scalar_and_pi_rational_multiplication() -> None:

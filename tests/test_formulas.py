@@ -8,17 +8,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
-from mahlerzeta.combinations import ZetaCombination
+from mahlerzeta.combinations import ConstantBasisElement, ZetaCombination
 from mahlerzeta.exact import even_squares, symmetric_ladder
 from mahlerzeta.formulas import (
     Family,
     FamilySpec,
     MahlerResult,
-    _combination,
     _family_one_terms,
+    _result,
     _zeta_sum,
     family_one,
     family_three,
@@ -87,6 +88,21 @@ def test_mahler_result_validates_weight() -> None:
     with pytest.raises(ValueError):
         # homogeneous but of the wrong total weight
         MahlerResult(spec, ZetaCombination.zeta(5, 0, 1))
+
+
+def test_evaluators_check_each_term_as_they_build_it() -> None:
+    # what the constructor rejects, the evaluators' one-pass builder rejects
+    spec = FamilySpec(Family.ONE, 2)
+    built = _result(spec, [("zeta", 3, 0, 7, 1)])
+    assert built == MahlerResult(spec, ZetaCombination.zeta(3, 0, 7))
+    for terms in (
+        [("zeta", 3, 0, 7, 1), ("zeta", 5, 0, 1, 1)],  # weight-inhomogeneous
+        [("zeta", 5, 0, 1, 1)],  # homogeneous but of the wrong total weight
+        [("zeta", 3, 0, 7, 1), ("zeta", 3, 0, -7, 1)],  # zero
+        [("zeta", 4, 0, 1, 1)],  # not in normal form
+    ):
+        with pytest.raises(ValueError):
+            _result(spec, terms)
 
 
 def test_spec_and_result_behave_as_frozen_records() -> None:
@@ -210,6 +226,12 @@ LARGE_N_DIGESTS = {
     ("ii", 200): "140ca91740a8ce2e26f1c1f496c1b85d5dd5f5c113fd09ab16d4887083f21e37",
     ("iii", 200): "23808d10139f1eef4e3dbca917f61cd554d4a4c06ee8d566aeffffe28b218b37",
 }
+# The same for every member with n <= 100, keyed "family-n", as computed by
+# the evaluators that built each closed form through ``ZetaCombination``'s
+# constructor and checked its weight afterwards.
+for key, digest in json.loads((Path(__file__).parent / "records_digests.json").read_text()).items():
+    label, transforms = key.split("-")
+    LARGE_N_DIGESTS[label, int(transforms)] = digest
 
 
 def _records_digest(result: MahlerResult) -> str:
@@ -334,6 +356,14 @@ def _even_prefix_ladder(m: int) -> tuple:
     return symmetric_ladder(even_squares(m - 1))
 
 
+def _combination(terms) -> ZetaCombination:
+    """Integer terms through the public constructor, which checks no weight."""
+    return ZetaCombination(
+        (ConstantBasisElement(kind, arg, pi_power), Fraction(num, den))
+        for kind, arg, pi_power, num, den in terms
+    )
+
+
 def _family_three_unfolded(transforms: int) -> ZetaCombination:
     """Family ``iii`` as built before its sums were folded: ``(1/2) pi^(n+1) log 2``,
     half of family ``i`` at ``n + n mod 2`` and identity B's third sum over ``4 (2M)!``,
@@ -350,7 +380,7 @@ def _family_three_unfolded(transforms: int) -> ZetaCombination:
         ladder = _even_prefix_ladder(m)
         for h in range(1, m + 1):
             weights[h - 1] += ladder[m - h] * (common // factorial(2 * m))
-    third = _combination(_zeta_sum(transforms + 1, 4 * common, enumerate(weights, 1)))
+    third = _combination(_zeta_sum(transforms + 1, 4 * common, weights))
     log2 = ZetaCombination.log2(transforms + 1, Fraction(1, 2))
     return log2 + half_family_one + third
 

@@ -8,8 +8,8 @@ from typing import Set
 
 import pytest
 
-from mahlerzeta import check, exact, formulas
-from mahlerzeta.check import identities
+from mahlerzeta import exact, formulas
+from mahlerzeta.check import identities, registry
 from mahlerzeta.check.identities import PolyQ, log_moment_poly
 from mahlerzeta.check.identities import (
     check_bernoulli_euler_transfer,
@@ -135,7 +135,7 @@ def _failing_identity_checks() -> Set[str]:
     """Names of the ``identities/`` registry entries that fail or raise at ``max_n = 4``."""
     args = argparse.Namespace(max_n=4, seed=42)
     failing = set()
-    for name, run in check._checks():
+    for name, run in registry._checks():
         if not name.startswith("identities/"):
             continue
         try:
@@ -163,7 +163,7 @@ def _perturb_p2(k: int) -> PolyQ:
 
 def test_no_identity_check_is_vacuous(monkeypatch) -> None:
     """Each identity check fails when one input it rests on is slightly wrong."""
-    names = {name for name, _ in check._checks() if name.startswith("identities/")}
+    names = {name for name, _ in registry._checks() if name.startswith("identities/")}
     assert len(names) == 18
     assert _failing_identity_checks() == set()
     perturbations = {
@@ -174,7 +174,7 @@ def test_no_identity_check_is_vacuous(monkeypatch) -> None:
         "B_4 + 1": [(identities, "bernoulli", _shift_b4)],
         "P_2 + x": [
             (identities, "log_moment_poly", _perturb_p2),
-            (check, "log_moment_poly", _perturb_p2),
+            (registry, "log_moment_poly", _perturb_p2),
         ],
     }
     caught = {}
