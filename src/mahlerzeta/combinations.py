@@ -43,8 +43,9 @@ folds).  The closed forms of :mod:`mahlerzeta.formulas` arrive as integer terms
 ``(kind, arg, pi_power, numerator, denominator)`` through
 :meth:`ZetaCombination._built`, which checks each one once, for normal form and
 for the member's weight, as it makes the term's element and ``Fraction``.
-Coefficients print at any length: :func:`_text` goes through ``decimal`` where
-``str`` refuses an integer of more than 4,300 digits.
+Coefficients print and read back at any length: :func:`_text` and
+:func:`_fraction` go through ``decimal`` where ``str`` and ``int`` refuse an
+integer of more than 4,300 digits.
 """
 
 from __future__ import annotations
@@ -219,6 +220,25 @@ def _text(coeff: Fraction) -> str:
     return f"{_digits(coeff.numerator)}/{_digits(coeff.denominator)}"
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)`` at any length: reads back what :func:`_text` writes.
+
+    ``Fraction`` converts the numerator and denominator with ``int``, which
+    refuses more than 4,300 digits; an integer or ratio of integers past
+    that is read exactly through ``decimal``, which leaves the limit in force.
+    """
+    try:
+        return Fraction(text)
+    except ValueError:
+        numerator, slash, denominator = text.strip().partition("/")
+        digits = numerator[1:] if numerator[:1] in "+-" else numerator
+        if not (digits.isdecimal() and (denominator.isdecimal() or not slash)):
+            raise
+        from decimal import Decimal
+
+        return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+
+
 class ZetaCombination:
     """A finite rational-linear combination of basis constants in normal form."""
 
@@ -389,7 +409,7 @@ class ZetaCombination:
                 str(rec["kind"]),
                 int(rec.get("arg", 0)),
                 int(rec.get("pi_power", 0)),
-                Fraction(str(rec["coeff"])),
+                _fraction(str(rec["coeff"])),
             )
             for rec in records
         ))

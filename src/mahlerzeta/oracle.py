@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Tuple
 
@@ -126,7 +127,9 @@ class IntegralEstimate(_IntegralEstimateFields):
     method : {"adaptive_quadrature", "qmc", "series"}
         How the value was obtained.
     evaluations : int
-        Number of integrand (or sample) evaluations consumed.
+        Number of integrand (or sample) evaluations consumed: for
+        ``adaptive_quadrature``, the calls of the integrands, each node
+        counted once however many refinement levels use it.
     """
 
     __slots__ = ()
@@ -170,6 +173,33 @@ _TARGET = 1e-13
 _MAX_LEVEL = 11
 
 
+@lru_cache(maxsize=None)
+def _tanh_sinh_nodes() -> Tuple[array, array, array, array]:
+    """The finest level's nodes as columns ``t, x, cx, weight``, ``0 < t <= _T_MAX``.
+
+    Entry ``k`` sits at ``t = (k + 1) * 2**(2 - _MAX_LEVEL)``.  Level ``L``
+    uses every ``2**(_MAX_LEVEL - L)``-th entry: ``j * 2**(2 - L)`` is that
+    ``t`` exactly, so each level sees the floats it would compute itself.
+    The columns are ``array('d')``, which holds each float64 as it is.
+    """
+    half_pi = 0.5 * math.pi
+    step = 2.0 ** (2 - _MAX_LEVEL)
+    ts, xs, cxs, weights = array("d"), array("d"), array("d"), array("d")
+    k = 1
+    while k * step <= _T_MAX:
+        t = k * step
+        u = half_pi * math.sinh(t)
+        eu = math.exp(-2.0 * u)
+        x = 1.0 / (1.0 + eu)
+        cx = eu / (1.0 + eu)
+        ts.append(t)
+        xs.append(x)
+        cxs.append(cx)
+        weights.append(math.pi * math.cosh(t) * x * cx)
+        k += 1
+    return ts, xs, cxs, weights
+
+
 def _tanh_sinh_unit(f: Callable[[float, float], float]) -> Tuple[float, float, int]:
     """Integrate ``f`` over ``(0, 1)`` with a tanh-sinh transform.
 
@@ -179,44 +209,48 @@ def _tanh_sinh_unit(f: Callable[[float, float], float]) -> Tuple[float, float, i
     ``_MAX_LEVEL``.  Returns ``(value, error, evaluations)``; the error is
     the difference between the last two refinement levels (heuristic).
     Raises ``ValueError`` if the integrand produces a non-finite sample.
+
+    The levels are nested: every node of a level is a node of the next, so
+    each node's pair ``f(x, cx) + f(cx, x)`` is computed once, when a level
+    first reaches it, and kept for the finer levels.  Each level still sums
+    its contributions afresh, in node order and with its own early stop, so
+    the result is that of evaluating every level from scratch.
+    ``evaluations`` counts the calls of ``f``: one at the midpoint and two
+    per node reached.
     """
-    half_pi = 0.5 * math.pi
+    ts, xs, cxs, weights = _tanh_sinh_nodes()
+    pairs = [None] * len(ts)
+    midpoint = f(0.5, 0.5)
+    if not math.isfinite(midpoint):
+        raise ValueError("integrand returned a non-finite value at x=0.5")
+    centre = 0.25 * math.pi * midpoint
     previous = None
     value = 0.0
     error = math.inf
-    evaluations = 0
+    evaluations = 1
     for level in range(4, _MAX_LEVEL + 1):
-        step = 2.0 ** (2 - level)
-        midpoint = f(0.5, 0.5)
-        if not math.isfinite(midpoint):
-            raise ValueError("integrand returned a non-finite value at x=0.5")
-        total = 0.25 * math.pi * midpoint
-        evaluations += 1
-        j = 1
+        stride = 1 << (_MAX_LEVEL - level)
+        total = centre
         tiny_run = 0
-        while True:
-            t = j * step
-            if t > _T_MAX:
-                break
-            u = half_pi * math.sinh(t)
-            eu = math.exp(-2.0 * u)
-            x = 1.0 / (1.0 + eu)
-            cx = eu / (1.0 + eu)
-            weight = math.pi * math.cosh(t) * x * cx
-            pair = f(x, cx) + f(cx, x)
-            evaluations += 2
-            if not math.isfinite(pair):
-                raise ValueError("integrand returned a non-finite value near x=%r" % (x,))
-            contribution = weight * pair
+        for k in range(stride - 1, len(ts), stride):
+            pair = pairs[k]
+            if pair is None:
+                x = xs[k]
+                cx = cxs[k]
+                pair = pairs[k] = f(x, cx) + f(cx, x)
+                evaluations += 2
+                if not math.isfinite(pair):
+                    raise ValueError("integrand returned a non-finite value near x=%r" % (x,))
+            contribution = weights[k] * pair
             total += contribution
-            if abs(contribution) <= 1e-280 or abs(contribution) <= abs(total) * 1e-18:
+            size = abs(contribution)
+            if size <= 1e-280 or size <= abs(total) * 1e-18:
                 tiny_run += 1
-                if tiny_run >= 3 and t >= 3.0:
+                if tiny_run >= 3 and ts[k] >= 3.0:
                     break
             else:
                 tiny_run = 0
-            j += 1
-        estimate = step * total
+        estimate = 2.0 ** (2 - level) * total
         if previous is not None:
             error = abs(estimate - previous)
             value = estimate
@@ -645,7 +679,8 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
     ``int_0^inf S(x) log^j x / (x^2 -+ 1) dx`` with weights ``coeff_a`` /
     ``coeff_b`` (even/odd transform counts) and ``S`` the symmetrized base
     measure; each integral is folded onto ``(0, 1)`` and evaluated by
-    adaptive tanh-sinh quadrature.
+    adaptive tanh-sinh quadrature.  The integrals run on the same nodes, so
+    ``S`` is computed once per node for the call and shared between them.
 
     Parameters
     ----------
@@ -666,7 +701,17 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
         )
     from .check.identities import coeff_a, coeff_b
 
-    symmetrized = _symmetrized_measure(spec)
+    measure = _symmetrized_measure(spec)
+    # Keyed by ``(x, cx)``: near 1 many nodes round to ``x == 1.0`` while
+    # their complements differ.
+    measured = {}
+
+    def symmetrized(x: float, cx: float, logx: float) -> float:
+        value = measured.get((x, cx))
+        if value is None:
+            value = measured[x, cx] = measure(x, cx, logx)
+        return value
+
     scale = math.pi ** _measure_pi_scale(spec)
     transforms = spec.n_transforms
     total = 0.0

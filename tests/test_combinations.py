@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from mahlerzeta.combinations import KINDS, ConstantBasisElement, ZetaCombination
+from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
 from mahlerzeta.values import combination_value
 from test_values import L3_II_MELLIN
 
@@ -227,6 +229,25 @@ def test_records_round_trip_and_folding_on_input() -> None:
     assert folded == ZetaCombination.pi_rational(1, 2)
     with pytest.raises(ValueError):
         ZetaCombination.from_records([{"kind": "bogus", "arg": 0, "coeff": "1"}])
+
+
+@pytest.mark.parametrize("family", [Family.ONE, Family.TWO])
+def test_records_round_trip_past_the_int_string_limit(family) -> None:
+    # From n = 1857 families i and ii have coefficients of more than 4,300
+    # digits, the most that int() reads from a string by default.
+    limit = sys.get_int_max_str_digits()
+    combo = mahler_measure(FamilySpec(family, 1857)).combination
+    records = combo.to_records()
+    longest = max(len(record["coeff"].lstrip("-").partition("/")[0]) for record in records)
+    assert longest > limit > 0
+    assert ZetaCombination.from_records(records) == combo
+    # the limit stays in force for everyone else
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        int("1" * (limit + 1))
+    # malformed long text is still refused as Fraction refuses it
+    with pytest.raises(ValueError):
+        ZetaCombination.from_records([{"kind": "one", "coeff": "1" * (limit + 1) + "x"}])
 
 
 def test_format_text() -> None:

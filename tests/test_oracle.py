@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
@@ -74,12 +75,211 @@ def test_tanh_sinh_engine_basics() -> None:
     assert abs(value - target) < 1e-13
 
 
+
+
+def _level_by_level_tanh_sinh(f):
+    """The tanh-sinh engine as it was before the levels shared their nodes.
+
+    Every level recomputes its nodes and calls ``f`` at each of them and at
+    the midpoint; the engine must return the same ``value`` and ``error``
+    bit for bit.
+    """
+    half_pi = 0.5 * math.pi
+    previous = None
+    value = 0.0
+    error = math.inf
+    evaluations = 0
+    for level in range(4, oracle._MAX_LEVEL + 1):
+        step = 2.0 ** (2 - level)
+        midpoint = f(0.5, 0.5)
+        if not math.isfinite(midpoint):
+            raise ValueError("integrand returned a non-finite value at x=0.5")
+        total = 0.25 * math.pi * midpoint
+        evaluations += 1
+        j = 1
+        tiny_run = 0
+        while True:
+            t = j * step
+            if t > oracle._T_MAX:
+                break
+            u = half_pi * math.sinh(t)
+            eu = math.exp(-2.0 * u)
+            x = 1.0 / (1.0 + eu)
+            cx = eu / (1.0 + eu)
+            weight = math.pi * math.cosh(t) * x * cx
+            pair = f(x, cx) + f(cx, x)
+            evaluations += 2
+            if not math.isfinite(pair):
+                raise ValueError("integrand returned a non-finite value near x=%r" % (x,))
+            contribution = weight * pair
+            total += contribution
+            if abs(contribution) <= 1e-280 or abs(contribution) <= abs(total) * 1e-18:
+                tiny_run += 1
+                if tiny_run >= 3 and t >= 3.0:
+                    break
+            else:
+                tiny_run = 0
+            j += 1
+        estimate = step * total
+        if previous is not None:
+            error = abs(estimate - previous)
+            value = estimate
+            if error <= oracle._TARGET * max(1.0, abs(estimate)):
+                return estimate, error, evaluations
+        previous = estimate
+        value = estimate
+    return value, error, evaluations
+
+
+def _bits(result):
+    return result[0].hex(), result[1].hex()
+
+
+# Integrands for the engine alone: one that converges early, one singular at
+# 0, one that reads ``cx`` where ``x`` rounds to 1.0 (singular at 1), one
+# with a kink that runs every level, and one whose zero stretches start and
+# break runs of tiny contributions.
+_ENGINE_INTEGRANDS = {
+    "square": lambda x, cx: x * x,
+    "log-square": lambda x, cx: math.log(x) ** 2,
+    "complement-power": lambda x, cx: cx**-0.5 + math.log(cx),
+    "kink": lambda x, cx: abs(x - 0.3),
+    "windows": lambda x, cx: 1.0 if 0.6 < x < 0.7 or cx < 1e-6 else 0.0,
+}
+
+
+@pytest.mark.parametrize("integrand", list(_ENGINE_INTEGRANDS.values()), ids=list(_ENGINE_INTEGRANDS))
+def test_tanh_sinh_matches_the_level_by_level_engine(integrand) -> None:
+    assert _bits(_tanh_sinh_unit(integrand)) == _bits(_level_by_level_tanh_sinh(integrand))
+
+
 def test_tanh_sinh_engine_rejects_non_finite_samples() -> None:
     def bad(x: float, cx: float) -> float:
         return math.nan if x > 0.9 else 1.0
 
-    with pytest.raises(ValueError):
-        _tanh_sinh_unit(bad)
+    # at the node where the level-by-level engine stops
+    messages = []
+    for engine in (_tanh_sinh_unit, _level_by_level_tanh_sinh):
+        with pytest.raises(ValueError) as refused:
+            engine(bad)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("integrand", list(_ENGINE_INTEGRANDS.values()), ids=list(_ENGINE_INTEGRANDS))
+def test_tanh_sinh_evaluates_each_node_once(integrand) -> None:
+    def spying(calls):
+        def spy(x: float, cx: float) -> float:
+            calls.append((x, cx))
+            return integrand(x, cx)
+
+        return spy
+
+    calls, reference_calls = [], []
+    _, _, evaluations = _tanh_sinh_unit(spying(calls))
+    _level_by_level_tanh_sinh(spying(reference_calls))
+    assert evaluations == len(calls) == len(set(calls))
+    # the nodes the level-by-level engine reaches, each once
+    assert set(calls) == set(reference_calls)
+
+
+def test_tanh_sinh_nodes_near_one_differ_only_in_the_complement() -> None:
+    # why a memo of the integrand keys on (x, cx): x rounds to 1.0 at
+    # many nodes whose complements differ
+    ts, xs, cxs, _ = oracle._tanh_sinh_nodes()
+    assert len(ts) == 3072 and ts[-1] == oracle._T_MAX
+    at_one = [cx for x, cx in zip(xs, cxs) if x == 1.0]
+    assert len(at_one) == 1458 == len(set(at_one))
+
+
+_QUAD_SPECS = [
+    FamilySpec(family, n)
+    for family, smallest in ((Family.ONE, 1), (Family.TWO, 0), (Family.THREE, 1))
+    for n in range(smallest, 7)
+]
+
+
+@pytest.mark.parametrize("spec", _QUAD_SPECS, ids=lambda spec: "%s-%d" % (spec.family.value, spec.n_transforms))
+def test_reduced_integral_matches_the_level_by_level_engine(monkeypatch, spec) -> None:
+    estimate = reduced_integral(spec)
+    monkeypatch.setattr(oracle, "_tanh_sinh_unit", _level_by_level_tanh_sinh)
+    reference = reduced_integral(spec)
+    assert _bits(estimate) == _bits(reference)
+    assert estimate.evaluations <= reference.evaluations
+
+
+_CHECKS = {
+    "kernel-2-3-0": lambda: kernel_integral_check(2.0, 3.0, 0),
+    "kernel-0.5-4-5": lambda: kernel_integral_check(0.5, 4.0, 5),
+    "kernel-0.11-9.7-6": lambda: kernel_integral_check(0.11, 9.7, 6),
+    "kernel-1.3-0.2-1": lambda: kernel_integral_check(1.3, 0.2, 1),
+    "kernel-7.5-2.5-10": lambda: kernel_integral_check(7.5, 2.5, 10),
+    "power-2-3-0.5": lambda: power_kernel_check(2.0, 3.0, 0.5),
+    "power-0.3-1.7-0.95": lambda: power_kernel_check(0.3, 1.7, 0.95),
+    "power-0.3-1.7-0.05": lambda: power_kernel_check(0.3, 1.7, 0.05),
+    **{"zeta-moment-%d" % j: (lambda j=j: zeta_log_moment_check(j)) for j in range(1, 9)},
+    **{"lchi4-moment-%d" % j: (lambda j=j: lchi4_log_moment_check(j)) for j in range(9)},
+    **{"log1p-moment-%d" % h: (lambda h=h: log1p_moment_check(h)) for h in (1, 2, 3)},
+    **{"log-square-moment-%d" % h: (lambda h=h: log_square_moment_check(h)) for h in range(4)},
+    **{"arctangent-moment-%d" % h: (lambda h=h: arctangent_moment_check(h)) for h in range(4)},
+}
+
+
+@pytest.mark.parametrize("check", list(_CHECKS.values()), ids=list(_CHECKS))
+def test_check_pieces_match_the_level_by_level_engine(monkeypatch, check) -> None:
+    engine = oracle._tanh_sinh_unit
+    pieces = []
+
+    def both(f):
+        result = engine(f)
+        pieces.append((_bits(result), _bits(_level_by_level_tanh_sinh(f))))
+        return result
+
+    monkeypatch.setattr(oracle, "_tanh_sinh_unit", both)
+    check()
+    assert pieces
+    for actual, expected in pieces:
+        assert actual == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(Family.ONE, 6), FamilySpec(Family.TWO, 5), FamilySpec(Family.THREE, 5), FamilySpec(Family.THREE, 6)],
+    ids=lambda spec: "%s-%d" % (spec.family.value, spec.n_transforms),
+)
+def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
+    build = oracle._symmetrized_measure
+    engine = oracle._tanh_sinh_unit
+    measured = Counter()
+    calls = []
+
+    def counted_measure(spec):
+        measure = build(spec)
+
+        def counted(x, cx, logx):
+            measured[x, cx] += 1
+            return measure(x, cx, logx)
+
+        return counted
+
+    def counted_engine(f):
+        def counted(x, cx):
+            calls.append((x, cx))
+            return f(x, cx)
+
+        return engine(counted)
+
+    monkeypatch.setattr(oracle, "_symmetrized_measure", counted_measure)
+    monkeypatch.setattr(oracle, "_tanh_sinh_unit", counted_engine)
+    estimate = reduced_integral(spec)
+    assert max(measured.values()) == 1
+    # the integrals share their nodes, and each counts its own calls
+    assert estimate.evaluations == len(calls) > len(measured) == len(set(calls))
+    # the memo lives for one call
+    first = dict(measured)
+    measured.clear()
+    reduced_integral(spec)
+    assert measured == first
 
 
 def test_trilogarithm_kernel_accuracy() -> None:
@@ -403,10 +603,10 @@ def test_inverse_tangent_integral_is_pinned(x, expected) -> None:
 @pytest.mark.parametrize(
     "family, n, value, error, evaluations",
     [
-        (Family.ONE, 2, "0x1.b4825317a654cp-1", "0x1.9f02f6222c721p-53", 211),
-        (Family.TWO, 1, "0x1.87ecede860a20p-1", "0x1.08345eb45d77fp-52", 209),
-        (Family.THREE, 1, "0x1.8bb34183a4f9fp-1", "0x1.37423899a1558p-52", 209),
-        (Family.THREE, 2, "0x1.f8d3d6498e8f1p-1", "0x0.0p+0", 211),
+        (Family.ONE, 2, "0x1.b4825317a654cp-1", "0x1.9f02f6222c721p-53", 121),
+        (Family.TWO, 1, "0x1.87ecede860a20p-1", "0x1.08345eb45d77fp-52", 121),
+        (Family.THREE, 1, "0x1.8bb34183a4f9fp-1", "0x1.37423899a1558p-52", 121),
+        (Family.THREE, 2, "0x1.f8d3d6498e8f1p-1", "0x0.0p+0", 121),
     ],
 )
 def test_reduced_integral_is_pinned(family, n, value, error, evaluations) -> None:
