@@ -80,15 +80,19 @@ def _reduced_matches_closed(family: Family, smallest: int) -> Callable:
 
 
 def _kernel_cases(args: argparse.Namespace) -> bool:
+    """20 seeded log-moment kernel cases, then 20 fractional-power kernel cases."""
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    for _ in range(20):
+    for case in range(40):
         a, b = rng.uniform(0.1, 10.0, size=2)
         while abs(a - b) < 0.15:
             a, b = rng.uniform(0.1, 10.0, size=2)
-        k = int(rng.integers(0, 7))
-        if not oracle.kernel_integral_check(float(a), float(b), k).agree:
+        if case < 20:
+            result = oracle.kernel_integral_check(float(a), float(b), int(rng.integers(0, 7)))
+        else:
+            result = oracle.power_kernel_check(float(a), float(b), float(rng.uniform(0.05, 0.95)))
+        if not result.agree:
             return False
     return True
 

@@ -17,12 +17,17 @@ Three kinds of oracles are provided:
 * direct quasi-Monte Carlo integration of ``log |P|`` over the torus
   (:func:`torus_qmc`).
 
+The five log-moment checks and :func:`reduced_integral` integrate
+``S(x) log^j x / (x^2 +- 1)`` over ``(0, 1)`` through one integrand builder,
+:func:`_log_moments`.  The closed forms are summed in :mod:`decimal` by the
+summation of :mod:`.values`.
+
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
-nodes of ``Ti_2``, and mpmath by :func:`closed_form_measure`, so importing
-this module loads neither.  Each function that reads the check layer's
-exact forms (``P_k`` and the coefficient ladders of :mod:`.check.identities`,
-the moment closed forms of :mod:`.check.reduce`) imports them in its body,
-so :func:`torus_qmc` loads no module of :mod:`mahlerzeta.check`.
+nodes of ``Ti_2``, so importing this module does not load it; no function
+here loads mpmath.  Each function that reads the check layer's exact forms
+(``P_k`` and the coefficient ladders of :mod:`.check.identities`, the
+moment closed forms of :mod:`.check.reduce`) imports them in its body, so
+:func:`torus_qmc` loads no module of :mod:`mahlerzeta.check`.
 
 The QMC kernel is held to a bit-identity contract: every estimate, error
 bar and evaluation count equals, in ``float.hex``, that of the plain
@@ -49,11 +54,12 @@ in equal column chunks of ``min(2**k, 16,384)`` points, so every chunk of a
 block that reaches the elision size reaches it too, and a smaller block is
 one chunk.  The logs of a replicate are written into one row and averaged
 by one ``np.mean``, which keeps its pairwise summation tree.  The
-replicates run in contiguous shares, one per CPU in the process's affinity
-set; each share draws its shifts from its own PCG64 generator at the seed,
-moved with ``advance`` past the shifts of the replicates before it, so it
-draws what the single loop drew for them.  The replicate means are reduced
-in replicate order.  The thread count therefore changes no bit.
+shifts of all replicates are drawn before the work starts, as one block
+from a PCG64 generator at the seed, whose rows are what one draw per
+replicate gives.  The replicates run in contiguous shares, one per CPU in
+the process's affinity set, each reading its rows of that block, and the
+replicate means are reduced in replicate order.  The thread count
+therefore changes no bit.
 
 The contract was verified with numpy 2.4.6 on glibc 2.36, x86-64 with
 AVX-512, Python 3.11.7.  It rests on numpy and libm internals (the scalar
@@ -67,13 +73,14 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from decimal import localcontext
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Tuple
 
 from .combinations import ZetaCombination
 from .exact import bernoulli
 from .formulas import Family, FamilySpec, mahler_measure
-from .values import combination_value
+from .values import _combination_decimal, _pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -266,8 +273,8 @@ def _stable_log(x: float, cx: float) -> float:
     return math.log1p(-cx) if cx < 0.5 else math.log(x)
 
 
-def _log_ratio_minus(x: float, cx: float) -> float:
-    """``log(x) / (x**2 - 1)`` with the removable singularity at 1 filled in.
+def _log_ratio_minus(cx: float, logx: float) -> float:
+    """``log(x) / (x**2 - 1)`` from ``cx = 1 - x`` and ``logx = log x``, filled in at 1.
 
     ``x**2 - 1 = -cx * (2 - cx)`` exactly; within ``|cx| < 1e-3`` the ratio
     is evaluated by the series ``(1 + c/2 + c^2/3 + ...) / (2 - c)`` to avoid
@@ -279,7 +286,40 @@ def _log_ratio_minus(x: float, cx: float) -> float:
             1.0 / 2.0 + c * (1.0 / 3.0 + c * (1.0 / 4.0 + c * (1.0 / 5.0 + c / 6.0)))
         )
         return series / (2.0 - c)
-    return _stable_log(x, cx) / (-c * (2.0 - c))
+    return logx / (-c * (2.0 - c))
+
+
+def _log_moments(
+    measure: Callable[[float, float], float], plus: bool
+) -> Callable[[int], Callable[[float, float], float]]:
+    """``j ->`` the integrand of ``measure(x, log x) log^j x / (x^2 +- 1)`` on ``(0, 1)``.
+
+    The kernel is ``x^2 + 1`` if ``plus``, else ``x^2 - 1`` (then ``j >= 1``).
+    The integrands of one builder share a table, keyed by the node ``(x, cx)``
+    (near 1 many nodes round to ``x == 1.0``), of ``log x``, the measure times
+    the kernel's numerator and the kernel's denominator: ``S`` and ``x^2 + 1``,
+    or ``S log x / (x^2 - 1)`` and 1.  So each is computed once per node,
+    however many integrals visit it.  An integrand returns ``numerator *
+    log^p x / denominator`` with ``p = j``, or ``j - 1`` for ``x^2 - 1``.
+    """
+    table = {}
+
+    def node(x: float, cx: float) -> Tuple[float, float, float]:
+        logx = _stable_log(x, cx)
+        numerator, denominator = (1.0, x * x + 1.0) if plus else (_log_ratio_minus(cx, logx), 1.0)
+        entry = table[x, cx] = (logx, measure(x, logx) * numerator, denominator)
+        return entry
+
+    def integrands(j: int) -> Callable[[float, float], float]:
+        power = j if plus else j - 1
+
+        def integrand(x: float, cx: float) -> float:
+            logx, numerator, denominator = table.get((x, cx)) or node(x, cx)
+            return numerator * logx**power / denominator
+
+        return integrand
+
+    return integrands
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +501,7 @@ def _quadrature_check(
 
 
 def _closed_float(combination: ZetaCombination) -> float:
-    return float(combination_value(combination, digits=_CLOSED_FORM_DIGITS))
+    return float(_combination_decimal(combination, _CLOSED_FORM_DIGITS, None))
 
 
 def kernel_integral_check(a: float, b: float, k: int) -> CheckResult:
@@ -535,13 +575,7 @@ def zeta_log_moment_check(j: int) -> CheckResult:
     from .check.reduce import zeta_log_moment_closed
 
     closed = _closed_float(zeta_log_moment_closed(j))
-
-    def integrand(x: float, cx: float) -> float:
-        ratio = _log_ratio_minus(x, cx)
-        if j == 1:
-            return ratio
-        return ratio * _stable_log(x, cx) ** (j - 1)
-
+    integrand = _log_moments(lambda x, logx: 1.0, False)(j)
     return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
 
@@ -552,10 +586,7 @@ def lchi4_log_moment_check(j: int) -> CheckResult:
     from .check.reduce import lchi4_log_moment_closed
 
     closed = _closed_float(lchi4_log_moment_closed(j))
-
-    def integrand(x: float, cx: float) -> float:
-        return _stable_log(x, cx) ** j / (x * x + 1.0)
-
+    integrand = _log_moments(lambda x, logx: 1.0, True)(j)
     return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
 
@@ -567,13 +598,7 @@ def log1p_moment_check(h: int) -> CheckResult:
     from .check.reduce import log1p_moment_closed
 
     closed = _closed_float(log1p_moment_closed(h))
-
-    def integrand(x: float, cx: float) -> float:
-        ratio = _log_ratio_minus(x, cx)
-        if h == 1:
-            return math.log1p(x) * ratio
-        return math.log1p(x) * ratio * _stable_log(x, cx) ** (2 * h - 2)
-
+    integrand = _log_moments(lambda x, logx: math.log1p(x), False)(2 * h - 1)
     return _quadrature_check(closed, _MOMENT_TOLERANCE, integrand)
 
 
@@ -585,15 +610,8 @@ def log_square_moment_check(h: int) -> CheckResult:
     from .check.reduce import log_square_moment_closed
 
     closed = _closed_float(log_square_moment_closed(h))
-
-    def lower(x: float, cx: float) -> float:
-        logx = _stable_log(x, cx)
-        return math.log1p(x * x) * logx ** (2 * h) / (x * x + 1.0)
-
-    def upper(y: float, cy: float) -> float:
-        logy = _stable_log(y, cy)
-        return (math.log1p(y * y) - 2.0 * logy) * logy ** (2 * h) / (1.0 + y * y)
-
+    lower = _log_moments(lambda x, logx: math.log1p(x * x), True)(2 * h)
+    upper = _log_moments(lambda y, logy: math.log1p(y * y) - 2.0 * logy, True)(2 * h)
     return _quadrature_check(closed, _MOMENT_TOLERANCE, lower, upper)
 
 
@@ -605,16 +623,10 @@ def arctangent_moment_check(h: int) -> CheckResult:
     from .check.reduce import arctangent_moment_closed
 
     closed = _closed_float(arctangent_moment_closed(h))
-
-    def lower(x: float, cx: float) -> float:
-        logx = _stable_log(x, cx)
-        return _inverse_tangent_integral(x) * logx ** (2 * h) / (x * x + 1.0)
-
-    def upper(y: float, cy: float) -> float:
-        logy = _stable_log(y, cy)
-        inverted = _inverse_tangent_integral(y) - 0.5 * math.pi * logy
-        return inverted * logy ** (2 * h) / (1.0 + y * y)
-
+    lower = _log_moments(lambda x, logx: _inverse_tangent_integral(x), True)(2 * h)
+    upper = _log_moments(
+        lambda y, logy: _inverse_tangent_integral(y) - 0.5 * math.pi * logy, True
+    )(2 * h)
     return _quadrature_check(closed, _MOMENT_TOLERANCE, lower, upper)
 
 
@@ -622,7 +634,7 @@ def arctangent_moment_check(h: int) -> CheckResult:
 # reduced one-dimensional representation
 # ---------------------------------------------------------------------------
 
-def _symmetrized_measure(spec: FamilySpec) -> Callable[[float, float, float], float]:
+def _symmetrized_measure(spec: FamilySpec) -> Callable[[float, float], float]:
     """Return ``S(x) = M(x) + M(1/x)`` on ``(0, 1)`` for the family's base measure.
 
     ``M`` is the (pi-scaled) base measure of the one-parameter polynomial the
@@ -634,33 +646,17 @@ def _symmetrized_measure(spec: FamilySpec) -> Callable[[float, float, float], fl
     """
     family = spec.family
     if family is Family.ONE:
-
-        def symmetrized(x: float, cx: float, logx: float) -> float:
-            return -logx
-
-    elif family is Family.TWO:
-
-        def symmetrized(x: float, cx: float, logx: float) -> float:
-            return 4.0 * _script_l3(x) - _PI_SQUARED * logx
-
-    elif spec.parity == 0:
+        return lambda x, logx: -logx
+    if family is Family.TWO:
+        return lambda x, logx: 4.0 * _script_l3(x) - _PI_SQUARED * logx
+    if spec.parity == 0:
         # even transform count: the parameter is real and takes both signs
         # symmetrically, so the effective measure is the sign average
-
-        def symmetrized(x: float, cx: float, logx: float) -> float:
-            return math.log1p(x) - logx
-
-    else:
-        # odd transform count: purely imaginary parameter mode
-
-        def symmetrized(x: float, cx: float, logx: float) -> float:
-            return (
-                0.5 * math.pi * math.log1p(x * x)
-                + 2.0 * _inverse_tangent_integral(x)
-                - math.pi * logx
-            )
-
-    return symmetrized
+        return lambda x, logx: math.log1p(x) - logx
+    # odd transform count: purely imaginary parameter mode
+    return lambda x, logx: (
+        0.5 * math.pi * math.log1p(x * x) + 2.0 * _inverse_tangent_integral(x) - math.pi * logx
+    )
 
 
 def _measure_pi_scale(spec: FamilySpec) -> int:
@@ -679,8 +675,10 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
     ``int_0^inf S(x) log^j x / (x^2 -+ 1) dx`` with weights ``coeff_a`` /
     ``coeff_b`` (even/odd transform counts) and ``S`` the symmetrized base
     measure; each integral is folded onto ``(0, 1)`` and evaluated by
-    adaptive tanh-sinh quadrature.  The integrals run on the same nodes, so
-    ``S`` is computed once per node for the call and shared between them.
+    adaptive tanh-sinh quadrature.  The integrals come from one
+    :func:`_log_moments` builder and run on the same nodes, so ``log x``,
+    ``S`` and the kernel are computed once per node for the call and shared
+    between them.
 
     Parameters
     ----------
@@ -701,51 +699,22 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
         )
     from .check.identities import coeff_a, coeff_b
 
-    measure = _symmetrized_measure(spec)
-    # Keyed by ``(x, cx)``: near 1 many nodes round to ``x == 1.0`` while
-    # their complements differ.
-    measured = {}
-
-    def symmetrized(x: float, cx: float, logx: float) -> float:
-        value = measured.get((x, cx))
-        if value is None:
-            value = measured[x, cx] = measure(x, cx, logx)
-        return value
-
-    scale = math.pi ** _measure_pi_scale(spec)
     transforms = spec.n_transforms
+    odd = transforms % 2
+    coeff = coeff_b if odd else coeff_a
+    integrands = _log_moments(_symmetrized_measure(spec), odd == 1)
     total = 0.0
     error = 0.0
     evaluations = 0
-    if transforms % 2 == 0:
-        n = transforms // 2
-        for h in range(1, n + 1):
-
-            def integrand(x: float, cx: float, h: int = h) -> float:
-                logx = _stable_log(x, cx)
-                ratio = _log_ratio_minus(x, cx)
-                power = logx ** (2 * h - 2) if h > 1 else 1.0
-                return symmetrized(x, cx, logx) * ratio * power
-
-            value, err, count = _tanh_sinh_unit(integrand)
-            weight = float(coeff_a(n, h - 1)) * (2.0 / math.pi) ** (2 * h)
-            total += weight * value
-            error += abs(weight) * err
-            evaluations += count
-    else:
-        n = (transforms - 1) // 2
-        for h in range(n + 1):
-
-            def integrand(x: float, cx: float, h: int = h) -> float:
-                logx = _stable_log(x, cx)
-                power = logx ** (2 * h) if h > 0 else 1.0
-                return symmetrized(x, cx, logx) * power / (x * x + 1.0)
-
-            value, err, count = _tanh_sinh_unit(integrand)
-            weight = float(coeff_b(n, h)) * (2.0 / math.pi) ** (2 * h + 1)
-            total += weight * value
-            error += abs(weight) * err
-            evaluations += count
+    # log powers 1, 3, ..., n - 1 over x^2 - 1 for even n; 0, 2, ..., n - 1
+    # over x^2 + 1 for odd n
+    for j in range(1 - odd, transforms, 2):
+        weight = float(coeff(transforms // 2, j // 2)) * (2.0 / math.pi) ** (j + 1)
+        value, err, count = _tanh_sinh_unit(integrands(j))
+        total += weight * value
+        error += abs(weight) * err
+        evaluations += count
+    scale = math.pi ** _measure_pi_scale(spec)
     return IntegralEstimate(
         total / scale, error / scale, "adaptive_quadrature", evaluations
     )
@@ -754,8 +723,9 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
 def closed_form_measure(spec: FamilySpec) -> float:
     """Float value of the closed-form measure ``m`` for comparison purposes.
 
-    Evaluates the exact combination at 25 working digits, divides by
-    ``pi**pi_normalization`` and rounds to float64.
+    Sums the exact combination at 25 working digits (35 significant digits,
+    in :mod:`decimal`), divides by ``pi**pi_normalization`` in a 35-digit
+    context and rounds to float64.
 
     Parameters
     ----------
@@ -767,12 +737,11 @@ def closed_form_measure(spec: FamilySpec) -> float:
     float
         The measure ``m``.
     """
-    import mpmath as mp
-
     result = mahler_measure(spec)
-    with mp.workdps(_CLOSED_FORM_DIGITS + 10):
-        value = combination_value(result.combination, digits=_CLOSED_FORM_DIGITS)
-        return float(value / mp.pi**result.pi_normalization)
+    value = _combination_decimal(result.combination, _CLOSED_FORM_DIGITS, None)
+    with localcontext() as context:
+        context.prec = _CLOSED_FORM_DIGITS + 10
+        return float(value / _pi(context.prec) ** result.pi_normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -902,12 +871,14 @@ def _replicated_mean_log(
     means.  ``samples`` must lie in ``[1, 1e9]`` and ``replicates`` be at
     least 2; both are checked before any point is built.
 
-    The replicates run in contiguous shares, one per CPU this process may
-    use: the calling thread runs the first, worker threads the rest (numpy
-    releases the GIL inside its loops).  Each share starts its own PCG64
-    stream at the seed, advanced past the shifts of the replicates before
-    it, and works through each replicate in equal column chunks of at most
-    ``_CHUNK`` points, in buffers allocated once per call.
+    The shifts of all replicates are drawn up front, as one ``(replicates,
+    dim)`` block from a PCG64 generator at the seed, which equals drawing
+    them one replicate after the other.  The replicates run in contiguous
+    shares, one per CPU this process may use: the calling thread runs the
+    first, worker threads the rest (numpy releases the GIL inside its
+    loops).  Each share reads its replicates' rows of the shifts and works
+    through each replicate in equal column chunks of at most ``_CHUNK``
+    points, in buffers allocated once per call.
     """
     if not 1 <= samples <= 10**9:
         raise ValueError("samples must lie in [1, 1e9]")
@@ -923,9 +894,9 @@ def _replicated_mean_log(
     means = [0.0] * replicates
     used = [0] * replicates
 
+    shifts = np.random.default_rng(seed).random((replicates, dim))
+
     def run_share(first: int, stop: int) -> None:
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(first * dim)
         values = kernel(width)
         angles = np.empty((dim, width))
         roots = np.empty((dim, width), dtype=complex)
@@ -933,7 +904,7 @@ def _replicated_mean_log(
         logs = np.empty(count)
         finite = np.empty(count, dtype=bool)
         for replicate in range(first, stop):
-            shift = rng.random(dim)[:, None]
+            shift = shifts[replicate][:, None]
             for lo in range(0, count, width):
                 # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
                 np.add(base[:, lo : lo + width], shift, out=angles)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -223,6 +224,28 @@ def test_verify_failure_emits_machine_readable_list(monkeypatch, capsys) -> None
     assert "FAIL oracle/reduced-vs-closed-family-i" in out
     payload = json.loads(out.splitlines()[-1])
     assert "oracle/reduced-vs-closed-family-i" in payload["failures"]
+
+
+def test_verify_kernel_cases_run_the_power_kernel(monkeypatch) -> None:
+    from mahlerzeta.check import registry
+
+    check = mahlerzeta.oracle.power_kernel_check
+    cases = []
+
+    def recorded(a, b, alpha):
+        cases.append((a, b, alpha))
+        return check(a, b, alpha)
+
+    monkeypatch.setattr(mahlerzeta.oracle, "power_kernel_check", recorded)
+    assert registry._kernel_cases(argparse.Namespace(seed=42))
+    assert len(cases) == 20
+    assert all(abs(a - b) >= 0.15 and 0.05 <= alpha <= 0.95 for a, b, alpha in cases)
+    monkeypatch.setattr(
+        mahlerzeta.oracle,
+        "power_kernel_check",
+        lambda a, b, alpha: check(a, b, alpha)._replace(agree=False),
+    )
+    assert not registry._kernel_cases(argparse.Namespace(seed=42))
 
 
 def test_verify_rejects_bad_parameters(capsys) -> None:
@@ -569,6 +592,7 @@ def _run_fresh(code: str) -> str:
         "verify-tables",
         "torus-qmc",
         "reduced-integral",
+        "closed-form",
     ],
 )
 def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
@@ -592,6 +616,9 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "reduced-integral": (
             "import mahlerzeta as mz; mz.reduced_integral(mz.FamilySpec(mz.Family.ONE, 2))"
         ),
+        "closed-form": (
+            "import mahlerzeta as mz; mz.closed_form_measure(mz.FamilySpec(mz.Family.TWO, 3))"
+        ),
     }.get(probe, "import mahlerzeta.cli; code = mahlerzeta.cli.main(%r)" % (argv,))
     # measured before the report itself imports json
     report = (
@@ -606,12 +633,13 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
         "print(json.dumps({'code': globals().get('code', 0), 'registered': registered, "
         "'pending': pending, 'loaded': loaded, 'checks': checks}))" % (LAZY, CHECK_MODULES)
     )
-    # constants are computed in integer fixed point, and the oracle imports
-    # mpmath only in closed_form_measure; no module defines a dataclass
+    # constants are computed in integer fixed point, and the oracle sums its
+    # closed forms in decimal, so it loads no mpmath; no module defines a
+    # dataclass
     assert json.loads(_run_fresh(setup + "\n" + report)) == {
         "code": 0,
         "registered": ["oracle"],
-        "pending": [] if probe in ("torus-qmc", "reduced-integral") else ["oracle"],
+        "pending": [] if probe in ("torus-qmc", "reduced-integral", "closed-form") else ["oracle"],
         "loaded": [],
         "checks": {
             "verify-tables": ["check", "check.identities", "check.registry", "check.tables"],

@@ -256,9 +256,9 @@ def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     def counted_measure(spec):
         measure = build(spec)
 
-        def counted(x, cx, logx):
-            measured[x, cx] += 1
-            return measure(x, cx, logx)
+        def counted(x, logx):
+            measured[x, logx] += 1
+            return measure(x, logx)
 
         return counted
 
@@ -280,6 +280,82 @@ def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     measured.clear()
     reduced_integral(spec)
     assert measured == first
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(Family.ONE, 6), FamilySpec(Family.TWO, 5), FamilySpec(Family.THREE, 5), FamilySpec(Family.THREE, 6)],
+    ids=lambda spec: "%s-%d" % (spec.family.value, spec.n_transforms),
+)
+def test_reduced_integral_computes_each_log_once(monkeypatch, spec) -> None:
+    stable_log = oracle._stable_log
+    log_ratio = oracle._log_ratio_minus
+    engine = oracle._tanh_sinh_unit
+    logs = Counter()
+    ratios = []
+    nodes = set()
+
+    def counted_log(x, cx):
+        logs[x, cx] += 1
+        return stable_log(x, cx)
+
+    def counted_ratio(cx, logx):
+        ratios.append(cx)
+        return log_ratio(cx, logx)
+
+    def counted_engine(f):
+        def counted(x, cx):
+            nodes.add((x, cx))
+            return f(x, cx)
+
+        return engine(counted)
+
+    monkeypatch.setattr(oracle, "_stable_log", counted_log)
+    monkeypatch.setattr(oracle, "_log_ratio_minus", counted_ratio)
+    monkeypatch.setattr(oracle, "_tanh_sinh_unit", counted_engine)
+    reduced_integral(spec)
+    # the integrals of one call share each node's log and kernel
+    assert set(logs) == nodes
+    assert max(logs.values()) == 1
+    assert len(ratios) == (len(nodes) if spec.parity == 0 else 0)
+
+
+# quadrature.hex() of the moment checks that ``verify`` runs
+_MOMENT_PINS = {
+    "zeta-moment-1": (lambda: zeta_log_moment_check(1), "0x1.3bd3cc9be45e0p+0"),
+    "zeta-moment-2": (lambda: zeta_log_moment_check(2), "-0x1.0d42c0452055dp+1"),
+    "zeta-moment-3": (lambda: zeta_log_moment_check(3), "0x1.85a2e8c290827p+2"),
+    "zeta-moment-4": (lambda: zeta_log_moment_check(4), "-0x1.81bcb437e3d5cp+4"),
+    "zeta-moment-5": (lambda: zeta_log_moment_check(5), "0x1.e0b1d11856df6p+6"),
+    "zeta-moment-6": (lambda: zeta_log_moment_check(6), "-0x1.682b753a7e8dfp+9"),
+    "lchi4-moment-0": (lambda: lchi4_log_moment_check(0), "0x1.921fb54442d1cp-1"),
+    "lchi4-moment-1": (lambda: lchi4_log_moment_check(1), "-0x1.d4f9713e8135fp-1"),
+    "lchi4-moment-2": (lambda: lchi4_log_moment_check(2), "0x1.f019b59389d7bp+0"),
+    "lchi4-moment-3": (lambda: lchi4_log_moment_check(3), "-0x1.7bc13488ed9a9p+2"),
+    "lchi4-moment-4": (lambda: lchi4_log_moment_check(4), "0x1.7e864c93de442p+4"),
+    "lchi4-moment-5": (lambda: lchi4_log_moment_check(5), "-0x1.df5e70aacccecp+6"),
+    "lchi4-moment-6": (lambda: lchi4_log_moment_check(6), "0x1.67d6f185c153ap+9"),
+    "log1p-moment-1": (lambda: log1p_moment_check(1), "0x1.512348e066e7ep-2"),
+    "log1p-moment-2": (lambda: log1p_moment_check(2), "0x1.7a8236fd9d2bdp-2"),
+    "log1p-moment-3": (lambda: log1p_moment_check(3), "0x1.d46acf7a0ab51p+0"),
+    "log-square-moment-0": (lambda: log_square_moment_check(0), "0x1.16bb24190a0b6p+1"),
+    "log-square-moment-1": (lambda: log_square_moment_check(1), "0x1.7f69860d1fe80p+3"),
+    "log-square-moment-2": (lambda: log_square_moment_check(2), "0x1.dfb9d569598e2p+7"),
+    "log-square-moment-3": (lambda: log_square_moment_check(3), "0x1.3af8f89e90654p+13"),
+    "arctangent-moment-0": (lambda: arctangent_moment_check(0), "0x1.0d42c0452055bp+1"),
+    "arctangent-moment-1": (lambda: arctangent_moment_check(1), "0x1.3885c9725ffcfp+3"),
+    "arctangent-moment-2": (lambda: arctangent_moment_check(2), "0x1.7b6723d31ef5dp+7"),
+    "arctangent-moment-3": (lambda: arctangent_moment_check(3), "0x1.ef6c89255ffadp+12"),
+}
+
+
+@pytest.mark.parametrize("check, quadrature", list(_MOMENT_PINS.values()), ids=list(_MOMENT_PINS))
+def test_moment_check_quadrature_is_pinned(check, quadrature) -> None:
+    # The level-by-level comparison runs both engines on the same integrands,
+    # so only a pin sees a change in the integrands themselves.
+    result = check()
+    assert result.quadrature.hex() == quadrature
+    assert result.agree
 
 
 def test_trilogarithm_kernel_accuracy() -> None:
@@ -308,11 +384,11 @@ def test_log_ratio_is_finite_and_accurate_near_one() -> None:
         for exponent in range(1, 13):
             complement = 10.0**-exponent
             x = 1.0 - complement
-            value = _log_ratio_minus(x, complement)
+            value = _log_ratio_minus(complement, _stable_log(x, complement))
             assert math.isfinite(value)
             reference = float(mp.log(mp.mpf(x)) / (mp.mpf(x) ** 2 - 1))
             assert abs(value - reference) < 5e-15
-    assert abs(_log_ratio_minus(0.5, 0.5) - math.log(0.5) / (0.25 - 1.0)) < 1e-15
+    assert abs(_log_ratio_minus(0.5, _stable_log(0.5, 0.5)) - math.log(0.5) / (0.25 - 1.0)) < 1e-15
 
 
 def test_base_measure_one_examples() -> None:
@@ -445,7 +521,7 @@ def test_symmetrized_measure_matches_base_measures() -> None:
         symmetrized = _symmetrized_measure(spec)
         for x in grid:
             expected = direct(spec, x)
-            actual = symmetrized(x, 1.0 - x, math.log(x))
+            actual = symmetrized(x, math.log(x))
             assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12), (spec, x)
 
 
