@@ -210,6 +210,15 @@ def _checks() -> List[Check]:
             "oracle/l3-ii-fold",
             lambda args: all(_l3_ii_fold_matches_engine(b) for b in range(1, args.max_n + 1, 2)),
         ),
+        (
+            "oracle/edgeworth-family-i",
+            lambda args: all(
+                oracle.EDGEWORTH_WINDOW[0]
+                <= oracle.edgeworth_remainder_family_i(n)
+                <= oracle.EDGEWORTH_WINDOW[1]
+                for n in (200, 201)
+            ),
+        ),
     ]
     return checks
 

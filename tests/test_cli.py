@@ -54,6 +54,7 @@ ALL_CHECKS = [
     "oracle/defining-integrals",
     "oracle/torus-qmc-family-i",
     "oracle/l3-ii-fold",
+    "oracle/edgeworth-family-i",
 ]
 
 

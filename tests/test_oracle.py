@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -46,6 +47,18 @@ from mahlerzeta.oracle import (
     _symmetrized_measure,
     _tanh_sinh_unit,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_reduced_moments():
+    """Each test starts and ends with no node table of ``reduced_integral``.
+
+    The tables last for the process, so one warmed by an earlier test would
+    hide the measure, log and kernel calls that tests count.
+    """
+    oracle._reduced_moments.cache_clear()
+    yield
+    oracle._reduced_moments.cache_clear()
 
 
 def test_integral_estimate_validation() -> None:
@@ -208,6 +221,41 @@ def test_reduced_integral_matches_the_level_by_level_engine(monkeypatch, spec) -
     assert estimate.evaluations <= reference.evaluations
 
 
+def _full_bits(estimate):
+    return _bits(estimate) + (estimate.evaluations,)
+
+
+def test_reduced_integral_bits_do_not_depend_on_call_order() -> None:
+    ascending = sorted(_QUAD_SPECS, key=lambda spec: (spec.n_transforms, spec.family.value))
+    cold_up = {spec: _full_bits(reduced_integral(spec)) for spec in ascending}
+    oracle._reduced_moments.cache_clear()
+    cold_down = {spec: _full_bits(reduced_integral(spec)) for spec in reversed(ascending)}
+    warm = {spec: _full_bits(reduced_integral(spec)) for spec in ascending}
+    assert cold_up == cold_down == warm
+
+
+def test_reduced_integral_tables_are_bounded(monkeypatch) -> None:
+    build = oracle._symmetrized_measure
+    entries = Counter()
+
+    def counted_measure(family, odd):
+        measure = build(family, odd)
+
+        def counted(x, logx):
+            entries[family, odd] += 1
+            return measure(x, logx)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_symmetrized_measure", counted_measure)
+    for spec in _QUAD_SPECS:
+        reduced_integral(spec)
+    # one table per family and parity, one entry per node and its mirror
+    # image, plus the midpoint; the measure runs once per entry
+    assert oracle._reduced_moments.cache_info().currsize == len(entries) <= 6
+    assert max(entries.values()) <= 2 * len(oracle._tanh_sinh_nodes()[0]) + 1
+
+
 _CHECKS = {
     "kernel-2-3-0": lambda: kernel_integral_check(2.0, 3.0, 0),
     "kernel-0.5-4-5": lambda: kernel_integral_check(0.5, 4.0, 5),
@@ -253,8 +301,8 @@ def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     measured = Counter()
     calls = []
 
-    def counted_measure(spec):
-        measure = build(spec)
+    def counted_measure(family, odd):
+        measure = build(family, odd)
 
         def counted(x, logx):
             measured[x, logx] += 1
@@ -275,11 +323,19 @@ def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     assert max(measured.values()) == 1
     # the integrals share their nodes, and each counts its own calls
     assert estimate.evaluations == len(calls) > len(measured) == len(set(calls))
-    # the memo lives for one call
+    # the table lasts for the process: a second call measures no node
     first = dict(measured)
-    measured.clear()
-    reduced_integral(spec)
+    first_nodes = set(calls)
+    calls.clear()
+    again = reduced_integral(spec)
     assert measured == first
+    assert again == estimate and again.evaluations == len(calls)
+    # another n of the same family and parity measures only the nodes not seen before
+    calls.clear()
+    other = reduced_integral(FamilySpec(spec.family, spec.n_transforms - 2))
+    assert max(measured.values()) == 1
+    assert len(measured) - len(first) == len(set(calls) - first_nodes)
+    assert other.evaluations == len(calls)
 
 
 @pytest.mark.parametrize(
@@ -518,7 +574,7 @@ def test_symmetrized_measure_matches_base_measures() -> None:
         FamilySpec(Family.THREE, 2),
         FamilySpec(Family.THREE, 3),
     ):
-        symmetrized = _symmetrized_measure(spec)
+        symmetrized = _symmetrized_measure(spec.family, spec.parity)
         for x in grid:
             expected = direct(spec, x)
             actual = symmetrized(x, math.log(x))
@@ -569,6 +625,38 @@ def test_reduced_integral_refinement_invariance() -> None:
 def test_reduced_integral_preconditions() -> None:
     with pytest.raises(ValueError):
         reduced_integral(FamilySpec(Family.ONE, 7))
+
+
+@pytest.mark.parametrize("n", [20, 21, 200, 201, 1000, 1001])
+def test_edgeworth_remainder_of_family_i_is_in_its_window(n) -> None:
+    low, high = oracle.EDGEWORTH_WINDOW
+    assert low <= oracle.edgeworth_remainder_family_i(n) <= high
+
+
+def test_edgeworth_tripwire_catches_a_scaled_coefficient(monkeypatch) -> None:
+    from mahlerzeta.check import registry
+    from mahlerzeta.cli import build_parser
+    from mahlerzeta.combinations import ConstantBasisElement, ZetaCombination
+    from mahlerzeta.formulas import MahlerResult
+
+    check = dict(registry._checks())["oracle/edgeworth-family-i"]
+    args = build_parser().parse_args(["verify", "--max-n", "2"])
+    assert check(args)
+    build = oracle.mahler_measure
+
+    def scaled(spec):
+        result = build(spec)
+        if spec.n_transforms != 200:
+            return result
+        # the pi^198 zeta(3) coefficient times 1 + 1e-4
+        terms = dict(result.combination.terms())
+        terms[ConstantBasisElement("zeta", 3, 198)] *= 1 + Fraction(1, 10**4)
+        return MahlerResult(spec, ZetaCombination(terms))
+
+    monkeypatch.setattr(oracle, "mahler_measure", scaled)
+    low, high = oracle.EDGEWORTH_WINDOW
+    assert not low <= oracle.edgeworth_remainder_family_i(200) <= high
+    assert not check(args)
 
 
 def test_torus_qmc_family_one() -> None:
