@@ -57,10 +57,10 @@ one chunk.  The logs of a replicate are written into one row and averaged
 by one ``np.mean``, which keeps its pairwise summation tree.  The
 shifts of all replicates are drawn before the work starts, as one block
 from a PCG64 generator at the seed, whose rows are what one draw per
-replicate gives.  The replicates run in contiguous shares, one per CPU in
-the process's affinity set, each reading its rows of that block, and the
-replicate means are reduced in replicate order.  The thread count
-therefore changes no bit.
+replicate gives.  The replicates run in shares, one per CPU in the
+process's affinity set, each taking the next replicate from one counter and
+writing its mean by index; the means are reduced in replicate order.  So
+neither the thread count nor which share ran a replicate changes a bit.
 
 The contract was verified with numpy 2.4.6 on glibc 2.36, x86-64 with
 AVX-512, Python 3.11.7.  It rests on numpy and libm internals (the scalar
@@ -795,7 +795,7 @@ def _torus_polynomial_values(
     n = spec.n_transforms
     plus = np.ones(width, dtype=complex)
     minus = np.ones(width, dtype=complex)
-    scratch = np.empty((6, width))
+    scratch = np.empty((5, width))
 
     def values(roots: np.ndarray) -> np.ndarray:
         if n:
@@ -822,24 +822,26 @@ def _unit_factor_product(
     Reducing along a contiguous axis, ``np.prod`` multiplies in a scalar
     loop that rounds ``(a c - b d, a d + b c)`` term by term.  numpy's
     elementwise complex multiply fuses those terms and differs in the last
-    bit, so the product is built here from real operations.
+    bit, so the product is built here from real operations.  After the
+    first factor, the sign of ``d = sign * root.imag`` goes into the add or
+    subtract that takes each cross term, which rounds as the negated
+    operand would (negation commutes with rounding, signed zeros
+    included): 7 array passes per factor, and ``d`` is the row itself.
     """
     import numpy as np
 
-    real, imag, c, d, cross, twisted = scratch
-    np.multiply(roots[0].real, sign, out=real)
-    np.add(real, 1.0, out=real)
+    away, towards = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
+    real, imag, c, cross, twisted = scratch
+    away(1.0, roots[0].real, out=real)
     np.multiply(roots[0].imag, sign, out=imag)
     for root in roots[1:]:
-        np.multiply(root.real, sign, out=c)
-        np.add(c, 1.0, out=c)
-        np.multiply(root.imag, sign, out=d)
-        np.multiply(real, d, out=cross)
+        away(1.0, root.real, out=c)
+        np.multiply(real, root.imag, out=cross)
         np.multiply(real, c, out=real)
-        np.multiply(imag, d, out=twisted)
-        np.subtract(real, twisted, out=real)
+        np.multiply(imag, root.imag, out=twisted)
+        towards(real, twisted, out=real)
         np.multiply(imag, c, out=imag)
-        np.add(imag, cross, out=imag)
+        away(imag, cross, out=imag)
     out.real = real
     out.imag = imag
 
@@ -899,24 +901,29 @@ def _replicated_mean_log(
     own buffers, which maps a ``(dim, width)`` block of unit roots
     ``exp(2 pi i u)`` to ``|P|``.  Samples on zeros of ``values`` are
     skipped.  The error estimate is the standard error of the replicate
-    means.  ``samples`` must lie in ``[1, 1e9]`` and ``replicates`` be at
-    least 2; both are checked before any point is built.
+    means.  ``samples`` must lie in ``[1, 1e9]`` and ``replicates`` in
+    ``[2, samples]``; both are checked before any point or shift is built.
 
     The shifts of all replicates are drawn up front, as one ``(replicates,
     dim)`` block from a PCG64 generator at the seed, which equals drawing
-    them one replicate after the other.  The replicates run in contiguous
-    shares, one per CPU this process may use: the calling thread runs the
-    first, worker threads the rest (numpy releases the GIL inside its
-    loops).  Each share reads its replicates' rows of the shifts and works
-    through each replicate in equal column chunks of at most ``_CHUNK``
-    points, in buffers allocated once per call.
+    them one replicate after the other.  The replicates run in shares, one
+    per CPU this process may use: the calling thread runs the first, worker
+    threads the rest (numpy releases the GIL inside its loops).  Each share
+    allocates its buffers once, then takes the next replicate from a shared
+    counter until none is left, so a share on a slower CPU takes fewer.  It
+    works through each replicate in equal column chunks of at most
+    ``_CHUNK`` points and writes its mean by index.  After the first
+    exception no share takes another replicate, and that exception reaches
+    the caller.
     """
     if not 1 <= samples <= 10**9:
         raise ValueError("samples must lie in [1, 1e9]")
-    if replicates < 2:
-        raise ValueError("at least 2 replicates are needed for an error estimate")
-    import numpy as np
+    if not 2 <= replicates <= samples:
+        raise ValueError("replicates must lie in [2, samples]: at least 2 for an error estimate")
+    import threading
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
 
     per_replicate = -(-samples // replicates)
     base = _sobol_base2(dim, max(1, (per_replicate - 1).bit_length())).T.copy()
@@ -924,44 +931,55 @@ def _replicated_mean_log(
     width = min(count, _CHUNK)
     means = [0.0] * replicates
     used = [0] * replicates
+    pending = iter(range(replicates))
+    lock = threading.Lock()
+    errors: list = []
 
     shifts = np.random.default_rng(seed).random((replicates, dim))
 
-    def run_share(first: int, stop: int) -> None:
-        values = kernel(width)
-        angles = np.empty((dim, width))
-        roots = np.empty((dim, width), dtype=complex)
-        wrapped = np.empty((dim, width), dtype=bool)
-        logs = np.empty(count)
-        finite = np.empty(count, dtype=bool)
-        for replicate in range(first, stop):
-            shift = shifts[replicate][:, None]
-            for lo in range(0, count, width):
-                # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
-                np.add(base[:, lo : lo + width], shift, out=angles)
-                np.greater_equal(angles, 1.0, out=wrapped)
-                np.subtract(angles, wrapped, out=angles)
-                angles *= 2.0 * math.pi
-                # np.exp(1j * angles) bit for bit, without its complex temporaries
-                np.cos(angles, out=roots.real)
-                np.sin(angles, out=roots.imag)
-                with np.errstate(divide="ignore"):
-                    np.log(values(roots), out=logs[lo : lo + width])
-            np.isfinite(logs, out=finite)
-            kept = int(np.count_nonzero(finite))
-            if kept == 0:
-                raise ValueError("all samples fell on zeros of the polynomial")
-            means[replicate] = float(np.mean(logs if kept == count else logs[finite]))
-            used[replicate] = kept
+    def run_share() -> None:
+        try:
+            values = kernel(width)
+            angles = np.empty((dim, width))
+            roots = np.empty((dim, width), dtype=complex)
+            wrapped = np.empty((dim, width), dtype=bool)
+            logs = np.empty(count)
+            finite = np.empty(count, dtype=bool)
+            while True:
+                with lock:
+                    replicate = None if errors else next(pending, None)
+                if replicate is None:
+                    return
+                shift = shifts[replicate][:, None]
+                for lo in range(0, count, width):
+                    # (base + shift) % 1.0, exactly: the sum lies in [0, 2)
+                    np.add(base[:, lo : lo + width], shift, out=angles)
+                    np.greater_equal(angles, 1.0, out=wrapped)
+                    np.subtract(angles, wrapped, out=angles)
+                    angles *= 2.0 * math.pi
+                    # np.exp(1j * angles) bit for bit, without its complex temporaries
+                    np.cos(angles, out=roots.real)
+                    np.sin(angles, out=roots.imag)
+                    with np.errstate(divide="ignore"):
+                        np.log(values(roots), out=logs[lo : lo + width])
+                np.isfinite(logs, out=finite)
+                kept = int(np.count_nonzero(finite))
+                if kept == 0:
+                    raise ValueError("all samples fell on zeros of the polynomial")
+                means[replicate] = float(np.mean(logs if kept == count else logs[finite]))
+                used[replicate] = kept
+        except BaseException as error:
+            with lock:
+                errors.append(error)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     shares = min(cpus or 1, replicates)
-    edges = [replicates * share // shares for share in range(shares + 1)]
     with ThreadPoolExecutor(max(1, shares - 1)) as pool:
-        futures = [pool.submit(run_share, *edge) for edge in zip(edges[1:-1], edges[2:])]
-        run_share(edges[0], edges[1])
-        for future in futures:
-            future.result()
+        for _ in range(shares - 1):
+            pool.submit(run_share)
+        run_share()
+    if errors:
+        raise errors[0]
     value = float(np.mean(means))
     sigma = float(np.std(means, ddof=1) / math.sqrt(replicates))
     return IntegralEstimate(value, max(sigma, 5e-17), "qmc", sum(used))
@@ -991,7 +1009,7 @@ def torus_qmc(
     seed : int
         Seed for the shift generator.
     replicates : int
-        Number of shifted replicates (at least 2).
+        Number of shifted replicates, in ``[2, samples]``.
 
     Returns
     -------
@@ -1031,7 +1049,7 @@ def imaginary_measure_qmc(
     seed : int
         Seed for the shift generator.
     replicates : int
-        Number of shifted replicates (at least 2).
+        Number of shifted replicates, in ``[2, samples]``.
 
     Returns
     -------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +47,7 @@ from mahlerzeta.oracle import (
     _stable_log,
     _symmetrized_measure,
     _tanh_sinh_unit,
+    _unit_factor_product,
 )
 
 
@@ -715,6 +717,32 @@ def test_qmc_rejects_samples_out_of_range_before_building_points(
         run(samples)
 
 
+@pytest.mark.parametrize("replicates", [1, 5, 10**12])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda replicates: torus_qmc(FamilySpec(Family.ONE, 1), samples=4, replicates=replicates),
+        lambda replicates: imaginary_measure_qmc(0.7, samples=4, replicates=replicates),
+    ],
+    ids=["torus", "imaginary"],
+)
+def test_qmc_rejects_replicates_out_of_range_before_building_points(
+    monkeypatch, run, replicates
+) -> None:
+    # more replicates than samples would evaluate a point set per replicate
+    # past the budget, and draw a shift block as long as ``replicates``
+    def no_points(dim: int, exponent: int) -> np.ndarray:
+        raise AssertionError("a point set was built")
+
+    def no_shifts(seed: int) -> np.random.Generator:
+        raise AssertionError("a shift generator was made")
+
+    monkeypatch.setattr(oracle, "_sobol_base2", no_points)
+    monkeypatch.setattr(np.random, "default_rng", no_shifts)
+    with pytest.raises(ValueError, match=r"replicates must lie in \[2, samples\]"):
+        run(replicates)
+
+
 def test_imaginary_measure_sign_symmetry() -> None:
     positive = imaginary_measure_qmc(0.7, samples=1 << 19, seed=5)
     negative = imaginary_measure_qmc(-0.7, samples=1 << 19, seed=6)
@@ -962,6 +990,47 @@ def test_imaginary_measure_matches_reference_kernel(alpha, points) -> None:
     assert actual == expected
 
 
+def _scalar_unit_product(roots, sign):
+    """``prod_k (1 + sign * roots[k])`` in Python floats, one factor at a time.
+
+    Each factor is ``(1 + sign * re, sign * im)`` and each product rounds
+    ``(a c - b d, a d + b c)`` term by term, as the docstring of
+    ``_unit_factor_product`` states; the signs of zero parts are kept.
+    """
+    real, imag = 1.0 + sign * roots[0].real, sign * roots[0].imag
+    for root in roots[1:]:
+        c, d = 1.0 + sign * root.real, sign * root.imag
+        real, imag = real * c - imag * d, real * d + imag * c
+    return complex(real, imag)
+
+
+# Roots that cosines and sines of shifted Sobol points never give: exact
+# +-1 and +-i, and parts that are +0.0 or -0.0.
+_EDGE_ROOTS = [
+    1, -1, 1j, -1j, complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(1.0, -0.0), complex(-1.0, -0.0), complex(0.6, -0.0), complex(-0.0, 0.8), complex(0.0, -0.8),
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("factors", [1, 2, 3, 4])
+def test_unit_factor_product_on_edge_roots(factors, sign) -> None:
+    rng = np.random.default_rng(factors)
+    pool = np.array(_EDGE_ROOTS + list(np.exp(2j * math.pi * rng.random(16))))
+    roots = pool[rng.integers(0, len(pool), size=(factors, 1024))]
+    out = np.empty(1024, dtype=complex)
+    _unit_factor_product(roots, sign, out, np.empty((5, 1024)))
+    expected = np.array([_scalar_unit_product(column, sign) for column in roots.T.tolist()])
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    # np.prod along a contiguous axis, the plain kernel's product, differs
+    # from that only in the sign of a zero part: numpy widens 1.0 to 1 + 0j
+    # and multiplies from the identity 1 + 0j, and adding +0.0 turns a -0.0
+    # into +0.0.  |P| does not see the sign of a zero.
+    points = np.ascontiguousarray(roots.T)
+    plain = np.prod(1.0 + points if sign > 0 else 1.0 - points, axis=1)
+    assert np.array_equal((out + 0.0).view(np.uint64), (plain + 0.0).view(np.uint64))
+
+
 def _cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
@@ -1043,6 +1112,64 @@ def test_qmc_share_error_reaches_the_caller(monkeypatch) -> None:
     assert errors == ["all samples fell on zeros of the polynomial"]
     assert len(set(threads)) == 2 and runner.ident in threads
     assert set(threading.enumerate()) == before
+
+
+class _ShareFailure(RuntimeError):
+    pass
+
+
+def test_qmc_share_error_stops_the_other_shares(monkeypatch) -> None:
+    _cpus(monkeypatch, 3)
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    events = []
+
+    def kernel(width):
+        def values(roots):
+            thread = threading.get_ident()
+            with lock:
+                fail = thread != caller and not any(kind == "fail" for _, kind in events)
+                events.append((thread, "fail" if fail else "start"))
+            if fail:
+                raise _ShareFailure("a worker's first replicate")
+            time.sleep(1e-3)
+            return np.ones(roots.shape[1])
+
+        return values
+
+    with pytest.raises(_ShareFailure):
+        _replicated_mean_log(kernel, 2, 64 * 64, 0, 64)
+    failures = [index for index, (_, kind) in enumerate(events) if kind == "fail"]
+    assert len(failures) == 1
+    # a share that took a replicate before the failure was recorded may
+    # start it; none takes another
+    later = Counter(thread for thread, _ in events[failures[0] + 1 :])
+    assert events[failures[0]][0] not in later
+    assert all(count <= 1 for count in later.values())
+
+
+def test_qmc_slow_share_does_not_stall_the_call(monkeypatch) -> None:
+    caller = threading.get_ident()
+    runs = []
+
+    def kernel(width):
+        def values(roots):
+            runs.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                time.sleep(1e-3)
+            return np.abs(2.0 + roots[0] * roots[1])
+
+        return values
+
+    results = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        runs.clear()
+        estimate = _replicated_mean_log(kernel, 2, 64 * 64, 0, 64)
+        results.append((estimate.value.hex(), estimate.error_estimate.hex(), estimate.evaluations))
+    assert results[0] == results[1]
+    # one chunk per replicate; fixed halves would give the caller exactly 32
+    assert len(runs) == 64 and runs.count(caller) > 32
 
 
 def test_default_torus_qmc_runs_in_bounded_memory() -> None:
