@@ -13,7 +13,9 @@ docstring and its range check in the body; the ``identities`` suite of the
 The module also holds the routes that only cross-check production: the
 rational coefficient ladders :func:`coeff_a` and :func:`coeff_b`, which
 turn the iterated arctangent-density integrals into one-dimensional log
-moments (the reduced-integral oracle weighs its integrals with them); the
+moments (the reduced-integral oracle weighs its integrals with them; a
+whole row at one ``n`` comes from :func:`coeff_a_row` or :func:`coeff_b_row`,
+one ladder each, and the single weights are read from those rows); the
 ladder identities ``reduction_ab``/``reduction_ba`` between them and their
 raw symmetric-sum forms ``reduction_induction_ab``/``reduction_induction_ba``;
 and the paper's Bernoulli- and Euler-weighted forms of family ``ii`` at even
@@ -54,7 +56,9 @@ __all__ = [
     "log_moment_poly",
     "log_moment_poly_at_i",
     "coeff_a",
+    "coeff_a_row",
     "coeff_b",
+    "coeff_b_row",
     "reduction_ab",
     "reduction_ba",
     "reduction_induction_ab",
@@ -272,11 +276,18 @@ def coeff_a(n: int, h: int) -> Fraction:
     Fraction
         The exact coefficient.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    row = coeff_a_row(n)
     if not 0 <= h <= n - 1:
         raise ValueError("h must lie in [0, n-1]")
-    return Fraction(symmetric_ladder(even_squares(n - 1))[n - 1 - h], factorial(2 * n - 1))
+    return row[h]
+
+
+def coeff_a_row(n: int) -> Tuple[Fraction, ...]:
+    """The weights ``(a(n, 0), ..., a(n, n - 1))`` of :func:`coeff_a`, from one ladder."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    evens, scale = symmetric_ladder(even_squares(n - 1)), factorial(2 * n - 1)
+    return tuple(Fraction(evens[n - 1 - h], scale) for h in range(n))
 
 
 def coeff_b(n: int, h: int) -> Fraction:
@@ -297,11 +308,18 @@ def coeff_b(n: int, h: int) -> Fraction:
     Fraction
         The exact coefficient.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    row = coeff_b_row(n)
     if not 0 <= h <= n:
         raise ValueError("h must lie in [0, n]")
-    return Fraction(symmetric_ladder(odd_squares(n))[n - h], factorial(2 * n))
+    return row[h]
+
+
+def coeff_b_row(n: int) -> Tuple[Fraction, ...]:
+    """The weights ``(b(n, 0), ..., b(n, n))`` of :func:`coeff_b`, from one ladder."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    odds, scale = symmetric_ladder(odd_squares(n)), factorial(2 * n)
+    return tuple(Fraction(odds[n - h], scale) for h in range(n + 1))
 
 
 def reduction_ab(n: int) -> bool:
@@ -316,12 +334,12 @@ def reduction_ab(n: int) -> bool:
     if n < 1:
         raise ValueError("requires n >= 1")
     lhs = PolyQ.zero()
-    for h in range(n + 1):
-        lhs = lhs + PolyQ.monomial(2 * h, coeff_b(n, h))
+    for h, weight in enumerate(coeff_b_row(n)):
+        lhs = lhs + PolyQ.monomial(2 * h, weight)
     rhs = PolyQ.zero()
-    for h in range(1, n + 1):
+    for h, weight in enumerate(coeff_a_row(n), 1):
         shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-        rhs = rhs + shifted * coeff_a(n, h - 1)
+        rhs = rhs + shifted * weight
     return lhs == rhs
 
 
@@ -333,11 +351,11 @@ def reduction_ba(n: int) -> bool:
     if n < 0:
         raise ValueError("requires n >= 0")
     lhs = PolyQ.zero()
-    for h in range(1, n + 2):
-        lhs = lhs + PolyQ.monomial(2 * h - 1, coeff_a(n + 1, h - 1))
+    for h, weight in enumerate(coeff_a_row(n + 1), 1):
+        lhs = lhs + PolyQ.monomial(2 * h - 1, weight)
     rhs = PolyQ.zero()
-    for h in range(n + 1):
-        rhs = rhs + log_moment_poly(2 * h) * coeff_b(n, h)
+    for h, weight in enumerate(coeff_b_row(n)):
+        rhs = rhs + log_moment_poly(2 * h) * weight
     return lhs == rhs
 
 

@@ -63,16 +63,19 @@ def _erratum_pinned(row: tables.TableRow) -> Callable:
     return run
 
 
-# Absolute agreement of the reduced integral with the closed-form measure.
-_REDUCED_TOLERANCE = 1e-7
+# Relative agreement of the reduced integral with the closed-form measure.
+_REDUCED_TOLERANCE = 1e-12
 
 
 def _reduced_matches_closed(family: Family, smallest: int) -> Callable:
+    """Every ``n <= min(max_n, oracle.REDUCED_MAX_TRANSFORMS)`` of the family."""
+
     def run(args: argparse.Namespace) -> bool:
-        for transforms in range(smallest, min(args.max_n, 4) + 1):
+        for transforms in range(smallest, min(args.max_n, oracle.REDUCED_MAX_TRANSFORMS) + 1):
             spec = FamilySpec(family, transforms)
             estimate = oracle.reduced_integral(spec).value
-            if abs(estimate - oracle.closed_form_measure(spec)) > _REDUCED_TOLERANCE:
+            closed = oracle.closed_form_measure(spec)
+            if abs(estimate - closed) > _REDUCED_TOLERANCE * abs(closed):
                 return False
         return True
 

@@ -19,9 +19,9 @@ Three kinds of oracles are provided:
 
 The five log-moment checks and :func:`reduced_integral` integrate
 ``S(x) log^j x / (x^2 +- 1)`` over ``(0, 1)`` through one integrand builder,
-:func:`_log_moments`, which :func:`reduced_integral` keeps per family and
-parity for the process.  The closed forms are summed in :mod:`decimal` by
-the summation of :mod:`.values`.
+:func:`_log_moments`; :func:`reduced_integral` keeps one per family and
+parity for the process, with each integral it has computed.  The closed
+forms are summed in :mod:`decimal` by the summation of :mod:`.values`.
 
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
 nodes of ``Ti_2``, so importing this module does not load it; no function
@@ -138,7 +138,10 @@ class IntegralEstimate(_IntegralEstimateFields):
     evaluations : int
         Number of integrand (or sample) evaluations consumed: for
         ``adaptive_quadrature``, the calls of the integrands, each node
-        counted once however many refinement levels use it.
+        counted once however many refinement levels use it.  Each integral
+        counts the calls its quadrature took when the process computed it,
+        so :func:`reduced_integral` reports the same count warm or cold,
+        though a warm call makes no integrand call at all.
     """
 
     __slots__ = ()
@@ -638,6 +641,12 @@ def arctangent_moment_check(h: int) -> CheckResult:
 # reduced one-dimensional representation
 # ---------------------------------------------------------------------------
 
+# The largest transform count at which every family's integrands stay finite
+# at every node the quadrature reaches: from n = 115 on, the integrand
+# S(x) log^(n-1) x overflows float64 at the smallest nodes it reaches.
+REDUCED_MAX_TRANSFORMS = 114
+
+
 def _symmetrized_measure(family: Family, odd: int) -> Callable[[float, float], float]:
     """Return ``S(x) = M(x) + M(1/x)`` on ``(0, 1)`` for the family's base measure.
 
@@ -664,9 +673,22 @@ def _symmetrized_measure(family: Family, odd: int) -> Callable[[float, float], f
 
 
 @lru_cache(maxsize=None)
-def _reduced_moments(family: Family, odd: int) -> Callable[[int], Callable[[float, float], float]]:
-    """The process's :func:`_log_moments` builder of ``S log^j x / (x^2 -+ 1)``."""
-    return _log_moments(_symmetrized_measure(family, odd), odd == 1)
+def _reduced_moments(family: Family, odd: int) -> Callable[[int], Tuple[float, float, int]]:
+    """``j ->`` ``(value, error, evaluations)`` of ``int_0^1 S log^j x / (x^2 -+ 1)``.
+
+    The integrands come from one :func:`_log_moments` builder; each moment is
+    integrated by :func:`_tanh_sinh_unit` the first time it is asked for, and
+    that result is kept for the process.
+    """
+    integrands = _log_moments(_symmetrized_measure(family, odd), odd == 1)
+    moments = {}
+
+    def moment(j: int) -> Tuple[float, float, int]:
+        if j not in moments:
+            moments[j] = _tanh_sinh_unit(integrands(j))
+        return moments[j]
+
+    return moment
 
 
 def _measure_pi_scale(spec: FamilySpec) -> int:
@@ -683,45 +705,59 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
 
     The multi-variable torus integral collapses to rational combinations of
     ``int_0^inf S(x) log^j x / (x^2 -+ 1) dx`` with weights ``coeff_a`` /
-    ``coeff_b`` (even/odd transform counts) and ``S`` the symmetrized base
-    measure; each integral is folded onto ``(0, 1)`` and evaluated by
-    adaptive tanh-sinh quadrature.  The integrals come from one
-    :func:`_log_moments` builder per family and parity, which
-    :func:`_reduced_moments` keeps for the process, so ``log x``, ``S`` and
-    the kernel are computed once per node and process, shared by every call
-    at that family and parity; a warm table changes no bit.
+    ``coeff_b`` (even/odd transform counts; one row of them per call) and
+    ``S`` the symmetrized base measure; each integral is folded onto
+    ``(0, 1)`` and evaluated by adaptive tanh-sinh quadrature.  The
+    integrals depend on the family, the parity of ``n`` and ``j`` only, so
+    :func:`_reduced_moments` keeps each one for the process: a call
+    computes only the integrals not seen before, and those share each
+    node's ``log x``, ``S`` and kernel with every earlier integral of the
+    family and parity.  A warm process returns the same estimate, bit for
+    bit, as a cold one.
 
     Parameters
     ----------
     spec : FamilySpec
-        Family member with at most 6 transforms.
+        Family member with at most :data:`REDUCED_MAX_TRANSFORMS` transforms.
 
     Returns
     -------
     IntegralEstimate
-        An estimate of the measure ``m`` itself (no pi normalization).
+        An estimate of the measure ``m`` itself (no pi normalization).  Its
+        ``evaluations`` sums the integrand calls that each integral's
+        quadrature took when the process computed it.
+
+    Raises
+    ------
+    ValueError
+        For more than :data:`REDUCED_MAX_TRANSFORMS` transforms, before any
+        quadrature runs.
     """
-    if spec.n_transforms > 6:
-        raise ValueError("reduced_integral supports at most 6 transforms")
-    if spec.family is Family.TWO and spec.n_transforms == 0:
+    transforms = spec.n_transforms
+    if transforms > REDUCED_MAX_TRANSFORMS:
+        raise ValueError(
+            "reduced_integral supports at most %d transforms, not %d"
+            % (REDUCED_MAX_TRANSFORMS, transforms)
+        )
+    if spec.family is Family.TWO and transforms == 0:
         # transform-free base case: evaluate the pi^2-scaled base measure at 1
         return IntegralEstimate(
             base_measure_two(1.0) / _PI_SQUARED, 5e-15, "series", 1
         )
-    from .check.identities import coeff_a, coeff_b
+    from .check.identities import coeff_a_row, coeff_b_row
 
-    transforms = spec.n_transforms
     odd = transforms % 2
-    coeff = coeff_b if odd else coeff_a
-    integrands = _reduced_moments(spec.family, odd)
+    weights = (coeff_b_row if odd else coeff_a_row)(transforms // 2)
+    moments = _reduced_moments(spec.family, odd)
     total = 0.0
     error = 0.0
     evaluations = 0
-    # log powers 1, 3, ..., n - 1 over x^2 - 1 for even n; 0, 2, ..., n - 1
-    # over x^2 + 1 for odd n
-    for j in range(1 - odd, transforms, 2):
-        weight = float(coeff(transforms // 2, j // 2)) * (2.0 / math.pi) ** (j + 1)
-        value, err, count = _tanh_sinh_unit(integrands(j))
+    # log powers j = 1, 3, ..., n - 1 over x^2 - 1 for even n; 0, 2, ..., n - 1
+    # over x^2 + 1 for odd n; weight h belongs to j = 2h + 1 - odd
+    for h, coefficient in enumerate(weights):
+        j = 2 * h + 1 - odd
+        weight = float(coefficient) * (2.0 / math.pi) ** (j + 1)
+        value, err, count = moments(j)
         total += weight * value
         error += abs(weight) * err
         evaluations += count

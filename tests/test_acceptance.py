@@ -182,14 +182,14 @@ def test_criterion_4_double_polylog_reduction_matches_series() -> None:
 
 
 def test_criterion_5_reduced_integrals_match_closed_forms() -> None:
-    """One-dimensional reduced integrals reproduce every closed form, n <= 4."""
+    """One-dimensional reduced integrals reproduce every closed form, n <= 20."""
     start = time.perf_counter()
     for family, first_n in ((Family.ONE, 1), (Family.TWO, 0), (Family.THREE, 1)):
-        for n_transforms in range(first_n, 5):
+        for n_transforms in range(first_n, 21):
             spec = FamilySpec(family, n_transforms)
             estimate = reduced_integral(spec)
             closed = closed_form_measure(spec)
-            assert abs(estimate.value - closed) < 1e-7, (
+            assert abs(estimate.value - closed) <= 1e-12 * abs(closed), (
                 f"{spec}: integral {estimate.value!r} vs closed {closed!r}"
             )
     assert time.perf_counter() - start < 300.0

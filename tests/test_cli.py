@@ -249,6 +249,39 @@ def test_verify_kernel_cases_run_the_power_kernel(monkeypatch) -> None:
     assert not registry._kernel_cases(argparse.Namespace(seed=42))
 
 
+@pytest.mark.parametrize(
+    "family, smallest",
+    [(Family.ONE, 1), (Family.TWO, 0), (Family.THREE, 1)],
+    ids=["i", "ii", "iii"],
+)
+def test_verify_compares_the_reduced_integral_at_every_n(monkeypatch, family, smallest) -> None:
+    from mahlerzeta.check import registry
+
+    check = registry._reduced_matches_closed(family, smallest)
+    args = argparse.Namespace(max_n=20, seed=42)
+    assert check(args)
+    # a relative 1e-11 at the largest n alone fails the check
+    closed = mahlerzeta.oracle.closed_form_measure
+    monkeypatch.setattr(
+        mahlerzeta.oracle,
+        "closed_form_measure",
+        lambda spec: closed(spec) * (1.0 + 1e-11 * (spec.n_transforms == 20)),
+    )
+    assert not check(args)
+    # past the quadrature's bound the check stops at the bound
+    compared = []
+
+    def recorded(spec):
+        compared.append(spec.n_transforms)
+        return 1.0
+
+    estimate = mahlerzeta.oracle.IntegralEstimate(1.0, 0.0, "series", 1)
+    monkeypatch.setattr(mahlerzeta.oracle, "closed_form_measure", recorded)
+    monkeypatch.setattr(mahlerzeta.oracle, "reduced_integral", lambda spec: estimate)
+    assert check(argparse.Namespace(max_n=200, seed=42))
+    assert compared == list(range(smallest, mahlerzeta.oracle.REDUCED_MAX_TRANSFORMS + 1))
+
+
 def test_verify_rejects_bad_parameters(capsys) -> None:
     for option, value in (("--max-n", "0"), ("--seed", "-1")):
         code, out, err = run_cli(["verify", option, value], capsys)

@@ -28,7 +28,9 @@ from mahlerzeta.formulas import (
 )
 from mahlerzeta.check.identities import (
     coeff_a,
+    coeff_a_row,
     coeff_b,
+    coeff_b_row,
     family_three_rewritings,
     family_two_bernoulli_form,
     reduction_ab,
@@ -187,6 +189,9 @@ def test_coeff_ladders_are_brute_force_symmetric_sums() -> None:
         odds = [(2 * k - 1) ** 2 for k in range(1, n + 1)]
         for h in range(n + 1):
             assert coeff_b(n, h) == Fraction(_elementary_symmetric(odds, n - h), factorial(2 * n))
+        assert coeff_b_row(n) == tuple(coeff_b(n, h) for h in range(n + 1))
+        if n:
+            assert coeff_a_row(n) == tuple(coeff_a(n, h) for h in range(n))
 
 
 def test_reduction_identity() -> None:

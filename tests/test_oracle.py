@@ -218,6 +218,8 @@ _QUAD_SPECS = [
 def test_reduced_integral_matches_the_level_by_level_engine(monkeypatch, spec) -> None:
     estimate = reduced_integral(spec)
     monkeypatch.setattr(oracle, "_tanh_sinh_unit", _level_by_level_tanh_sinh)
+    # the integrals last for the process: drop them so the reference engine runs
+    oracle._reduced_moments.cache_clear()
     reference = reduced_integral(spec)
     assert _bits(estimate) == _bits(reference)
     assert estimate.evaluations <= reference.evaluations
@@ -325,19 +327,18 @@ def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     assert max(measured.values()) == 1
     # the integrals share their nodes, and each counts its own calls
     assert estimate.evaluations == len(calls) > len(measured) == len(set(calls))
-    # the table lasts for the process: a second call measures no node
+    # the integrals last for the process: a repeat call and the call at
+    # n - 2, whose integrals are a subset, measure no node and make no
+    # integrand call, and return the estimate a cold process does
     first = dict(measured)
-    first_nodes = set(calls)
+    smaller = FamilySpec(spec.family, spec.n_transforms - 2)
     calls.clear()
     again = reduced_integral(spec)
-    assert measured == first
-    assert again == estimate and again.evaluations == len(calls)
-    # another n of the same family and parity measures only the nodes not seen before
-    calls.clear()
-    other = reduced_integral(FamilySpec(spec.family, spec.n_transforms - 2))
-    assert max(measured.values()) == 1
-    assert len(measured) - len(first) == len(set(calls) - first_nodes)
-    assert other.evaluations == len(calls)
+    other = reduced_integral(smaller)
+    assert measured == first and calls == []
+    assert _full_bits(again) == _full_bits(estimate)
+    oracle._reduced_moments.cache_clear()
+    assert _full_bits(other) == _full_bits(reduced_integral(smaller))
 
 
 @pytest.mark.parametrize(
@@ -624,9 +625,30 @@ def test_reduced_integral_refinement_invariance() -> None:
         assert reduced_integral(spec).error_estimate < 1e-10
 
 
-def test_reduced_integral_preconditions() -> None:
-    with pytest.raises(ValueError):
-        reduced_integral(FamilySpec(Family.ONE, 7))
+def test_reduced_integral_preconditions(monkeypatch) -> None:
+    assert oracle.REDUCED_MAX_TRANSFORMS == 114
+    assert reduced_integral(FamilySpec(Family.ONE, 7)).value == pytest.approx(
+        closed_form_measure(FamilySpec(Family.ONE, 7)), rel=1e-12
+    )
+
+    def no_quadrature(f):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(oracle, "_tanh_sinh_unit", no_quadrature)
+    for family in Family:
+        with pytest.raises(ValueError, match="at most 114 transforms, not 115"):
+            reduced_integral(FamilySpec(family, 115))
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+def test_reduced_integral_warm_scan_equals_cold_calls(family) -> None:
+    specs = [FamilySpec(family, n) for n in (40, 41, 113, 114)]
+    warm = [_full_bits(reduced_integral(spec)) for spec in specs]
+    cold = []
+    for spec in specs:
+        oracle._reduced_moments.cache_clear()
+        cold.append(_full_bits(reduced_integral(spec)))
+    assert warm == cold
 
 
 @pytest.mark.parametrize("n", [20, 21, 200, 201, 1000, 1001])
