@@ -13,9 +13,10 @@ docstring and its range check in the body; the ``identities`` suite of the
 The module also holds the routes that only cross-check production: the
 rational coefficient ladders :func:`coeff_a` and :func:`coeff_b`, which
 turn the iterated arctangent-density integrals into one-dimensional log
-moments (the reduced-integral oracle weighs its integrals with them; a
-whole row at one ``n`` comes from :func:`coeff_a_row` or :func:`coeff_b_row`,
-one ladder each, and the single weights are read from those rows); the
+moments (a whole row at one ``n`` comes from :func:`coeff_a_row` or
+:func:`coeff_b_row`, one ladder each, and the single weights are read from
+those rows; the reduced-integral oracle converts each row to floats once
+per process, one table for the three families); the
 ladder identities ``reduction_ab``/``reduction_ba`` between them and their
 raw symmetric-sum forms ``reduction_induction_ab``/``reduction_induction_ba``;
 and the paper's Bernoulli- and Euler-weighted forms of family ``ii`` at even

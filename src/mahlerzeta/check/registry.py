@@ -75,7 +75,8 @@ def _reduced_matches_closed(family: Family, smallest: int) -> Callable:
             spec = FamilySpec(family, transforms)
             estimate = oracle.reduced_integral(spec).value
             closed = oracle.closed_form_measure(spec)
-            if abs(estimate - closed) > _REDUCED_TOLERANCE * abs(closed):
+            # written so that a NaN on either side fails
+            if not abs(estimate - closed) <= _REDUCED_TOLERANCE * abs(closed):
                 return False
         return True
 

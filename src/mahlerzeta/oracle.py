@@ -20,7 +20,8 @@ Three kinds of oracles are provided:
 The five log-moment checks and :func:`reduced_integral` integrate
 ``S(x) log^j x / (x^2 +- 1)`` over ``(0, 1)`` through one integrand builder,
 :func:`_log_moments`; :func:`reduced_integral` keeps one per family and
-parity for the process, with each integral it has computed.  The closed
+parity for the process, with each integral it has computed, and one float
+row of weights per parity and ``n // 2``, shared by the families.  The closed
 forms are summed in :mod:`decimal` by the summation of :mod:`.values`.
 
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
@@ -81,7 +82,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Tuple
 from .combinations import ZetaCombination
 from .exact import bernoulli
 from .formulas import Family, FamilySpec, mahler_measure
-from .values import _combination_decimal, _pi
+from .values import _combination_decimal, _l3_ii_fold, _pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -691,6 +692,25 @@ def _reduced_moments(family: Family, odd: int) -> Callable[[int], Tuple[float, f
     return moment
 
 
+@lru_cache(maxsize=None)
+def _reduced_weights(odd: int, half: int) -> Tuple[Tuple[int, float], ...]:
+    """``(j, weight)`` of every log power ``j`` in the row of ``n = 2 half + odd``.
+
+    Log powers ``j = 1, 3, ..., n - 1`` over ``x^2 - 1`` for even ``n``, ``0,
+    2, ..., n - 1`` over ``x^2 + 1`` for odd ``n``: weight ``h`` of the row
+    belongs to ``j = 2h + 1 - odd`` and is ``coeff_* (2/pi)^(j + 1)`` in
+    float.  A row depends only on the parity and ``n // 2``, so the three
+    families share it, and it is built once per process.
+    """
+    from .check.identities import coeff_a_row, coeff_b_row
+
+    weights = []
+    for h, coefficient in enumerate((coeff_b_row if odd else coeff_a_row)(half)):
+        j = 2 * h + 1 - odd
+        weights.append((j, float(coefficient) * (2.0 / math.pi) ** (j + 1)))
+    return tuple(weights)
+
+
 def _measure_pi_scale(spec: FamilySpec) -> int:
     """Power of pi carried by the family's base measure."""
     if spec.family is Family.ONE:
@@ -705,15 +725,16 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
 
     The multi-variable torus integral collapses to rational combinations of
     ``int_0^inf S(x) log^j x / (x^2 -+ 1) dx`` with weights ``coeff_a`` /
-    ``coeff_b`` (even/odd transform counts; one row of them per call) and
-    ``S`` the symmetrized base measure; each integral is folded onto
-    ``(0, 1)`` and evaluated by adaptive tanh-sinh quadrature.  The
-    integrals depend on the family, the parity of ``n`` and ``j`` only, so
-    :func:`_reduced_moments` keeps each one for the process: a call
-    computes only the integrals not seen before, and those share each
-    node's ``log x``, ``S`` and kernel with every earlier integral of the
-    family and parity.  A warm process returns the same estimate, bit for
-    bit, as a cold one.
+    ``coeff_b`` (even/odd transform counts) and ``S`` the symmetrized base
+    measure; each integral is folded onto ``(0, 1)`` and evaluated by
+    adaptive tanh-sinh quadrature.  The integrals depend on the family, the
+    parity of ``n`` and ``j`` only, so :func:`_reduced_moments` keeps each
+    one for the process: a call computes only the integrals not seen
+    before, and those share each node's ``log x``, ``S`` and kernel with
+    every earlier integral of the family and parity.  The weights depend on
+    the parity and ``n // 2`` only, so :func:`_reduced_weights` keeps each
+    row, in float, for the process, and the three families share it.  A
+    warm process returns the same estimate, bit for bit, as a cold one.
 
     Parameters
     ----------
@@ -744,19 +765,12 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
         return IntegralEstimate(
             base_measure_two(1.0) / _PI_SQUARED, 5e-15, "series", 1
         )
-    from .check.identities import coeff_a_row, coeff_b_row
-
     odd = transforms % 2
-    weights = (coeff_b_row if odd else coeff_a_row)(transforms // 2)
     moments = _reduced_moments(spec.family, odd)
     total = 0.0
     error = 0.0
     evaluations = 0
-    # log powers j = 1, 3, ..., n - 1 over x^2 - 1 for even n; 0, 2, ..., n - 1
-    # over x^2 + 1 for odd n; weight h belongs to j = 2h + 1 - odd
-    for h, coefficient in enumerate(weights):
-        j = 2 * h + 1 - odd
-        weight = float(coefficient) * (2.0 / math.pi) ** (j + 1)
+    for j, weight in _reduced_weights(odd, transforms // 2):
         value, err, count = moments(j)
         total += weight * value
         error += abs(weight) * err
@@ -770,9 +784,14 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
 def closed_form_measure(spec: FamilySpec) -> float:
     """Float value of the closed-form measure ``m`` for comparison purposes.
 
-    Sums the exact combination at 25 working digits (35 significant digits,
-    in :mod:`decimal`), divides by ``pi**pi_normalization`` in a 35-digit
-    context and rounds to float64.
+    Each ``l3_ii(b)`` term is first expanded through its fold
+    (``values._l3_ii_fold``) into ``L(chi_-4, s)`` terms, so each
+    ``L(chi_-4, s)`` is computed once per member however many folds hold it.
+    By identity A the merged coefficients are all positive (family ``ii`` at
+    odd ``n`` maps family ``i``'s ``L(chi_-4, s)`` terms to ``L(chi_-4, s +
+    2)`` ones), so the sum does not cancel.  It is summed at 25 working
+    digits (35 significant digits, in :mod:`decimal`), divided by
+    ``pi**pi_normalization`` in a 35-digit context and rounded to float64.
 
     Parameters
     ----------
@@ -785,7 +804,16 @@ def closed_form_measure(spec: FamilySpec) -> float:
         The measure ``m``.
     """
     result = mahler_measure(spec)
-    value = _combination_decimal(result.combination, _CLOSED_FORM_DIGITS, None)
+    terms = []
+    for elem, coeff in result.combination.terms():
+        if elem.kind == "l3_ii":
+            terms += [
+                (part.shifted(elem.pi_power), coeff * weight)
+                for part, weight in _l3_ii_fold(elem.arg).terms()
+            ]
+        else:
+            terms.append((elem, coeff))
+    value = _combination_decimal(ZetaCombination(terms), _CLOSED_FORM_DIGITS, None)
     with localcontext() as context:
         context.prec = _CLOSED_FORM_DIGITS + 10
         return float(value / _pi(context.prec) ** result.pi_normalization)

@@ -282,6 +282,27 @@ def test_verify_compares_the_reduced_integral_at_every_n(monkeypatch, family, sm
     assert compared == list(range(smallest, mahlerzeta.oracle.REDUCED_MAX_TRANSFORMS + 1))
 
 
+@pytest.mark.parametrize("side", ["reduced_integral", "closed_form_measure"])
+def test_verify_reduced_check_fails_on_a_nan(monkeypatch, side) -> None:
+    from mahlerzeta.check import registry
+
+    check = registry._reduced_matches_closed(Family.ONE, 1)
+    args = argparse.Namespace(max_n=3, seed=42)
+    assert check(args)
+    original = getattr(mahlerzeta.oracle, side)
+
+    def nan_at_two(spec):
+        result = original(spec)
+        if spec.n_transforms != 2:
+            return result
+        if side == "reduced_integral":
+            return result._replace(value=float("nan"))
+        return float("nan")
+
+    monkeypatch.setattr(mahlerzeta.oracle, side, nan_at_two)
+    assert not check(args)
+
+
 def test_verify_rejects_bad_parameters(capsys) -> None:
     for option, value in (("--max-n", "0"), ("--seed", "-1")):
         code, out, err = run_cli(["verify", option, value], capsys)

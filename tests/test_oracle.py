@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from decimal import localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from mahlerzeta import oracle
-from mahlerzeta.formulas import Family, FamilySpec
+from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
 from mahlerzeta.oracle import (
     CheckResult,
     IntegralEstimate,
@@ -49,18 +50,22 @@ from mahlerzeta.oracle import (
     _tanh_sinh_unit,
     _unit_factor_product,
 )
+from mahlerzeta.values import _combination_decimal, _pi
 
 
 @pytest.fixture(autouse=True)
 def cold_reduced_moments():
-    """Each test starts and ends with no node table of ``reduced_integral``.
+    """Each test starts and ends with no node table or weight row of ``reduced_integral``.
 
-    The tables last for the process, so one warmed by an earlier test would
-    hide the measure, log and kernel calls that tests count.
+    The tables and rows last for the process, so one warmed by an earlier
+    test would hide the measure, log, kernel and ladder calls that tests
+    count.
     """
     oracle._reduced_moments.cache_clear()
+    oracle._reduced_weights.cache_clear()
     yield
     oracle._reduced_moments.cache_clear()
+    oracle._reduced_weights.cache_clear()
 
 
 def test_integral_estimate_validation() -> None:
@@ -647,8 +652,76 @@ def test_reduced_integral_warm_scan_equals_cold_calls(family) -> None:
     cold = []
     for spec in specs:
         oracle._reduced_moments.cache_clear()
+        oracle._reduced_weights.cache_clear()
         cold.append(_full_bits(reduced_integral(spec)))
     assert warm == cold
+
+
+@pytest.mark.parametrize("odd", [0, 1], ids=["even", "odd"])
+def test_reduced_weights_are_the_coefficient_rows(odd) -> None:
+    from mahlerzeta.check.identities import coeff_a_row, coeff_b_row
+
+    for half in range(1 - odd, 58):
+        row = (coeff_b_row if odd else coeff_a_row)(half)
+        expected = tuple(
+            (2 * h + 1 - odd, float(c) * (2 / math.pi) ** (2 * h + 2 - odd))
+            for h, c in enumerate(row)
+        )
+        assert oracle._reduced_weights(odd, half) == expected, (odd, half)
+
+
+def test_reduced_weights_are_one_table_for_the_three_families(monkeypatch) -> None:
+    from mahlerzeta.check import identities
+
+    for family, smallest in ((Family.ONE, 1), (Family.TWO, 0), (Family.THREE, 1)):
+        for n in range(smallest, oracle.REDUCED_MAX_TRANSFORMS + 1):
+            reduced_integral(FamilySpec(family, n))
+    # one row per parity and n // 2: even n = 2 .. 114 and odd n = 1 .. 113
+    assert oracle._reduced_weights.cache_info().currsize == 114
+    rows = []
+    for name in ("coeff_a_row", "coeff_b_row"):
+        build = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda half, build=build: rows.append(half) or build(half)
+        )
+    for family in Family:
+        reduced_integral(FamilySpec(family, 57))
+        reduced_integral(FamilySpec(family, 114))
+        with pytest.raises(ValueError, match="at most 114 transforms"):
+            reduced_integral(FamilySpec(family, 115))
+    assert rows == []
+    assert oracle._reduced_weights.cache_info().currsize == 114
+
+
+def test_closed_form_measure_equals_the_route_through_each_l3_ii_value() -> None:
+    # the route before the folds were merged: each l3_ii constant summed on its own
+    for n in range(1, 42, 2):
+        spec = FamilySpec(Family.TWO, n)
+        result = mahler_measure(spec)
+        assert any(elem.kind == "l3_ii" for elem, _ in result.combination.terms())
+        value = _combination_decimal(result.combination, 25, None)
+        with localcontext() as context:
+            context.prec = 35
+            expected = float(value / _pi(35) ** result.pi_normalization)
+        assert closed_form_measure(spec) == expected, n
+
+
+def test_closed_form_measure_computes_each_l_value_once(monkeypatch) -> None:
+    import mahlerzeta.values as values
+
+    evaluate = values.dirichlet_l_chi4
+    calls = Counter()
+
+    def counted(s, digits):
+        calls[s, digits] += 1
+        return evaluate(s, digits)
+
+    monkeypatch.setattr(values, "dirichlet_l_chi4", counted)
+    for n in (5, 41, 113):
+        calls.clear()
+        closed_form_measure(FamilySpec(Family.TWO, n))
+        assert len(calls) >= (n + 1) // 2
+        assert max(calls.values()) == 1, n
 
 
 @pytest.mark.parametrize("n", [20, 21, 200, 201, 1000, 1001])
