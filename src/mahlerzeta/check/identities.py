@@ -11,12 +11,11 @@ docstring and its range check in the body; the ``identities`` suite of the
 ``verify`` registry (:mod:`mahlerzeta.check.registry`) runs them all.
 
 The module also holds the routes that only cross-check production: the
-rational coefficient ladders :func:`coeff_a` and :func:`coeff_b`, which
-turn the iterated arctangent-density integrals into one-dimensional log
-moments (a whole row at one ``n`` comes from :func:`coeff_a_row` or
-:func:`coeff_b_row`, one ladder each, and the single weights are read from
-those rows; the reduced-integral oracle converts each row to floats once
-per process, one table for the three families); the
+rational coefficient ladders, whose rows :func:`coeff_a_row` and
+:func:`coeff_b_row` (one ladder each) turn the iterated arctangent-density
+integrals into one-dimensional log moments (the reduced-integral oracle
+converts each row to floats once per process, one table for the three
+families); the
 ladder identities ``reduction_ab``/``reduction_ba`` between them and their
 raw symmetric-sum forms ``reduction_induction_ab``/``reduction_induction_ba``;
 and the paper's Bernoulli- and Euler-weighted forms of family ``ii`` at even
@@ -56,9 +55,7 @@ __all__ = [
     "PolyQ",
     "log_moment_poly",
     "log_moment_poly_at_i",
-    "coeff_a",
     "coeff_a_row",
-    "coeff_b",
     "coeff_b_row",
     "reduction_ab",
     "reduction_ba",
@@ -259,64 +256,28 @@ def log_moment_poly_at_i(l: int) -> Fraction:
     return sign * Fraction((2 ** (2 * l) - 1), l) * bernoulli(2 * l)
 
 
-def coeff_a(n: int, h: int) -> Fraction:
-    """Rational weight ``a(n, h)`` for the even-count reduction.
+def coeff_a_row(n: int) -> Tuple[Fraction, ...]:
+    """The rational weights ``(a(n, 0), ..., a(n, n - 1))`` of the even-count reduction.
 
     ``a(n, h)`` is the elementary symmetric polynomial of degree ``n - 1 - h``
-    in the even squares ``2^2, 4^2, ..., (2n - 2)^2`` divided by ``(2n - 1)!``.
-
-    Parameters
-    ----------
-    n : int
-        Half the (even) number of transforms; at least 1.
-    h : int
-        Log-moment index, ``0 <= h <= n - 1``.
-
-    Returns
-    -------
-    Fraction
-        The exact coefficient.
+    in the even squares ``2^2, 4^2, ..., (2n - 2)^2`` divided by ``(2n - 1)!``;
+    ``n`` is half the (even) number of transforms, at least 1.  The whole row
+    comes from one ladder.
     """
-    row = coeff_a_row(n)
-    if not 0 <= h <= n - 1:
-        raise ValueError("h must lie in [0, n-1]")
-    return row[h]
-
-
-def coeff_a_row(n: int) -> Tuple[Fraction, ...]:
-    """The weights ``(a(n, 0), ..., a(n, n - 1))`` of :func:`coeff_a`, from one ladder."""
     if n < 1:
         raise ValueError("n must be at least 1")
     evens, scale = symmetric_ladder(even_squares(n - 1)), factorial(2 * n - 1)
     return tuple(Fraction(evens[n - 1 - h], scale) for h in range(n))
 
 
-def coeff_b(n: int, h: int) -> Fraction:
-    """Rational weight ``b(n, h)`` for the odd-count reduction.
+def coeff_b_row(n: int) -> Tuple[Fraction, ...]:
+    """The rational weights ``(b(n, 0), ..., b(n, n))`` of the odd-count reduction.
 
     ``b(n, h)`` is the elementary symmetric polynomial of degree ``n - h`` in
-    the odd squares ``1^2, 3^2, ..., (2n - 1)^2`` divided by ``(2n)!``.
-
-    Parameters
-    ----------
-    n : int
-        ``(transforms - 1) / 2`` for an odd transform count; at least 0.
-    h : int
-        Log-moment index, ``0 <= h <= n``.
-
-    Returns
-    -------
-    Fraction
-        The exact coefficient.
+    the odd squares ``1^2, 3^2, ..., (2n - 1)^2`` divided by ``(2n)!``; ``n``
+    is ``(transforms - 1) / 2`` for an odd transform count, at least 0.  The
+    whole row comes from one ladder.
     """
-    row = coeff_b_row(n)
-    if not 0 <= h <= n:
-        raise ValueError("h must lie in [0, n]")
-    return row[h]
-
-
-def coeff_b_row(n: int) -> Tuple[Fraction, ...]:
-    """The weights ``(b(n, 0), ..., b(n, n))`` of :func:`coeff_b`, from one ladder."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     odds, scale = symmetric_ladder(odd_squares(n)), factorial(2 * n)
@@ -328,9 +289,9 @@ def reduction_ab(n: int) -> bool:
 
         sum_h b(n, h) x^(2h) == sum_h a(n, h-1) (P_(2h-1)(x) - P_(2h-1)(i))
 
-    where ``a``, ``b`` are :func:`coeff_a` and :func:`coeff_b` and ``P_k``
-    the log-moment polynomials.  This is an exact ``PolyQ`` comparison over
-    the rationals.
+    where ``a``, ``b`` are the rows :func:`coeff_a_row` and
+    :func:`coeff_b_row` and ``P_k`` the log-moment polynomials.  This is an
+    exact ``PolyQ`` comparison over the rationals.
     """
     if n < 1:
         raise ValueError("requires n >= 1")

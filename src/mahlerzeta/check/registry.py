@@ -102,12 +102,10 @@ def _kernel_cases(args: argparse.Namespace) -> bool:
 
 
 def _torus_sample(args: argparse.Namespace) -> bool:
-    import mpmath as mp
-
-    estimate = oracle.torus_qmc(FamilySpec(Family.ONE, 1), samples=200_000, seed=args.seed)
-    with mp.workdps(30):
-        truth = float(2 * mp.catalan / mp.pi)
-    return abs(estimate.value - truth) <= 4 * estimate.error_estimate + 1e-5
+    spec = FamilySpec(Family.ONE, 1)
+    estimate = oracle.torus_qmc(spec, samples=200_000, seed=args.seed)
+    closed = oracle.closed_form_measure(spec)
+    return abs(estimate.value - closed) <= 4 * estimate.error_estimate + 1e-5
 
 
 def _l3_ii_fold_matches_engine(b: int) -> bool:

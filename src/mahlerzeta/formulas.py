@@ -43,9 +43,10 @@ as it makes the term's element and its one ``Fraction``: the normal form of
 So the evaluators skip the second walk over the terms that
 :class:`MahlerResult`'s constructor makes for any other caller.
 
-The paper's Bernoulli forms, the coefficient ladders ``coeff_a`` and
-``coeff_b`` and the links between them (``reduction_ab``, ``reduction_ba``)
-live in the check layer, :mod:`mahlerzeta.check.identities`.
+The paper's Bernoulli forms, the rows of the coefficient ladders
+(``coeff_a_row``, ``coeff_b_row``) and the links between them
+(``reduction_ab``, ``reduction_ba``) live in the check layer,
+:mod:`mahlerzeta.check.identities`.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ Three kinds of oracles are provided:
   (:func:`torus_qmc`).
 
 The five log-moment checks and :func:`reduced_integral` integrate
-``S(x) log^j x / (x^2 +- 1)`` over ``(0, 1)`` through one integrand builder,
-:func:`_log_moments`; :func:`reduced_integral` keeps one per family and
-parity for the process, with each integral it has computed, and one float
-row of weights per parity and ``n // 2``, shared by the families.  The closed
+``S(x) log^j x / (x^2 +- 1)`` over ``(0, 1)`` through one integrand,
+:func:`_log_moment`.  What lasts for the process is
+:func:`reduced_integral`'s: each moment integral, per family, parity and
+``j``, and each float row of weights, per parity and ``n // 2``.  The closed
 forms are summed in :mod:`decimal` by the summation of :mod:`.values`.
 
 numpy is imported on first use, by the QMC routines and the Gauss-Legendre
@@ -295,39 +295,22 @@ def _log_ratio_minus(cx: float, logx: float) -> float:
     return logx / (-c * (2.0 - c))
 
 
-def _log_moments(
-    measure: Callable[[float, float], float], plus: bool
-) -> Callable[[int], Callable[[float, float], float]]:
-    """``j ->`` the integrand of ``measure(x, log x) log^j x / (x^2 +- 1)`` on ``(0, 1)``.
+def _log_moment(
+    measure: Callable[[float, float], float], plus: bool, j: int
+) -> Callable[[float, float], float]:
+    """The integrand of ``measure(x, log x) log^j x / (x^2 +- 1)`` on ``(0, 1)``.
 
-    The kernel is ``x^2 + 1`` if ``plus``, else ``x^2 - 1`` (then ``j >= 1``).
-    The integrands of one builder share a table, keyed by the node ``(x, cx)``
-    (near 1 many nodes round to ``x == 1.0``), of ``log x``, the measure times
-    the kernel's numerator and the kernel's denominator: ``S`` and ``x^2 + 1``,
-    or ``S log x / (x^2 - 1)`` and 1.  So each is computed once per node,
-    however many integrals visit it while the builder lives (a moment check,
-    or the process for :func:`_reduced_moments`).  An integrand returns
-    ``numerator * log^p x / denominator`` with ``p = j``, or ``j - 1`` for
-    ``x^2 - 1``.
+    The kernel is ``x^2 + 1`` if ``plus``, else ``x^2 - 1`` (then ``j >= 1``,
+    and ``log x / (x^2 - 1)`` is filled in at 1).  Each call computes
+    ``log x`` once and passes it to the measure.
     """
-    table = {}
-
-    def node(x: float, cx: float) -> Tuple[float, float, float]:
+    def integrand(x: float, cx: float) -> float:
         logx = _stable_log(x, cx)
-        numerator, denominator = (1.0, x * x + 1.0) if plus else (_log_ratio_minus(cx, logx), 1.0)
-        entry = table[x, cx] = (logx, measure(x, logx) * numerator, denominator)
-        return entry
+        if plus:
+            return measure(x, logx) * logx**j / (x * x + 1.0)
+        return measure(x, logx) * _log_ratio_minus(cx, logx) * logx ** (j - 1)
 
-    def integrands(j: int) -> Callable[[float, float], float]:
-        power = j if plus else j - 1
-
-        def integrand(x: float, cx: float) -> float:
-            logx, numerator, denominator = table.get((x, cx)) or node(x, cx)
-            return numerator * logx**power / denominator
-
-        return integrand
-
-    return integrands
+    return integrand
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +566,7 @@ def zeta_log_moment_check(j: int) -> CheckResult:
     from .check.reduce import zeta_log_moment_closed
 
     closed = _closed_float(zeta_log_moment_closed(j))
-    integrand = _log_moments(lambda x, logx: 1.0, False)(j)
+    integrand = _log_moment(lambda x, logx: 1.0, False, j)
     return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
 
@@ -594,7 +577,7 @@ def lchi4_log_moment_check(j: int) -> CheckResult:
     from .check.reduce import lchi4_log_moment_closed
 
     closed = _closed_float(lchi4_log_moment_closed(j))
-    integrand = _log_moments(lambda x, logx: 1.0, True)(j)
+    integrand = _log_moment(lambda x, logx: 1.0, True, j)
     return _quadrature_check(closed, _UNIT_MOMENT_TOLERANCE, integrand)
 
 
@@ -606,7 +589,7 @@ def log1p_moment_check(h: int) -> CheckResult:
     from .check.reduce import log1p_moment_closed
 
     closed = _closed_float(log1p_moment_closed(h))
-    integrand = _log_moments(lambda x, logx: math.log1p(x), False)(2 * h - 1)
+    integrand = _log_moment(lambda x, logx: math.log1p(x), False, 2 * h - 1)
     return _quadrature_check(closed, _MOMENT_TOLERANCE, integrand)
 
 
@@ -618,8 +601,8 @@ def log_square_moment_check(h: int) -> CheckResult:
     from .check.reduce import log_square_moment_closed
 
     closed = _closed_float(log_square_moment_closed(h))
-    lower = _log_moments(lambda x, logx: math.log1p(x * x), True)(2 * h)
-    upper = _log_moments(lambda y, logy: math.log1p(y * y) - 2.0 * logy, True)(2 * h)
+    lower = _log_moment(lambda x, logx: math.log1p(x * x), True, 2 * h)
+    upper = _log_moment(lambda y, logy: math.log1p(y * y) - 2.0 * logy, True, 2 * h)
     return _quadrature_check(closed, _MOMENT_TOLERANCE, lower, upper)
 
 
@@ -631,10 +614,10 @@ def arctangent_moment_check(h: int) -> CheckResult:
     from .check.reduce import arctangent_moment_closed
 
     closed = _closed_float(arctangent_moment_closed(h))
-    lower = _log_moments(lambda x, logx: _inverse_tangent_integral(x), True)(2 * h)
-    upper = _log_moments(
-        lambda y, logy: _inverse_tangent_integral(y) - 0.5 * math.pi * logy, True
-    )(2 * h)
+    lower = _log_moment(lambda x, logx: _inverse_tangent_integral(x), True, 2 * h)
+    upper = _log_moment(
+        lambda y, logy: _inverse_tangent_integral(y) - 0.5 * math.pi * logy, True, 2 * h
+    )
     return _quadrature_check(closed, _MOMENT_TOLERANCE, lower, upper)
 
 
@@ -674,22 +657,12 @@ def _symmetrized_measure(family: Family, odd: int) -> Callable[[float, float], f
 
 
 @lru_cache(maxsize=None)
-def _reduced_moments(family: Family, odd: int) -> Callable[[int], Tuple[float, float, int]]:
-    """``j ->`` ``(value, error, evaluations)`` of ``int_0^1 S log^j x / (x^2 -+ 1)``.
+def _reduced_moment(family: Family, odd: int, j: int) -> Tuple[float, float, int]:
+    """``(value, error, evaluations)`` of ``int_0^1 S log^j x / (x^2 -+ 1)``.
 
-    The integrands come from one :func:`_log_moments` builder; each moment is
-    integrated by :func:`_tanh_sinh_unit` the first time it is asked for, and
-    that result is kept for the process.
+    Each integral is computed once per process, by :func:`_tanh_sinh_unit`.
     """
-    integrands = _log_moments(_symmetrized_measure(family, odd), odd == 1)
-    moments = {}
-
-    def moment(j: int) -> Tuple[float, float, int]:
-        if j not in moments:
-            moments[j] = _tanh_sinh_unit(integrands(j))
-        return moments[j]
-
-    return moment
+    return _tanh_sinh_unit(_log_moment(_symmetrized_measure(family, odd), odd == 1, j))
 
 
 @lru_cache(maxsize=None)
@@ -724,17 +697,16 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
     """Mahler measure via the reduced one-dimensional integral representation.
 
     The multi-variable torus integral collapses to rational combinations of
-    ``int_0^inf S(x) log^j x / (x^2 -+ 1) dx`` with weights ``coeff_a`` /
-    ``coeff_b`` (even/odd transform counts) and ``S`` the symmetrized base
-    measure; each integral is folded onto ``(0, 1)`` and evaluated by
-    adaptive tanh-sinh quadrature.  The integrals depend on the family, the
-    parity of ``n`` and ``j`` only, so :func:`_reduced_moments` keeps each
-    one for the process: a call computes only the integrals not seen
-    before, and those share each node's ``log x``, ``S`` and kernel with
-    every earlier integral of the family and parity.  The weights depend on
-    the parity and ``n // 2`` only, so :func:`_reduced_weights` keeps each
-    row, in float, for the process, and the three families share it.  A
-    warm process returns the same estimate, bit for bit, as a cold one.
+    ``int_0^inf S(x) log^j x / (x^2 -+ 1) dx`` with weights from the rows
+    ``coeff_a_row`` / ``coeff_b_row`` of :mod:`.check.identities` (even/odd
+    transform counts) and ``S`` the symmetrized base measure; each integral
+    is folded onto ``(0, 1)`` and evaluated by adaptive tanh-sinh quadrature.  The integrals depend on the family, the
+    parity of ``n`` and ``j`` only, so :func:`_reduced_moment` keeps each
+    one for the process and a call computes only the integrals not seen
+    before.  The weights depend on the parity and ``n // 2`` only, so
+    :func:`_reduced_weights` keeps each row, in float, for the process, and
+    the three families share it.  A warm process returns the same estimate,
+    bit for bit, as a cold one.
 
     Parameters
     ----------
@@ -766,12 +738,11 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
             base_measure_two(1.0) / _PI_SQUARED, 5e-15, "series", 1
         )
     odd = transforms % 2
-    moments = _reduced_moments(spec.family, odd)
     total = 0.0
     error = 0.0
     evaluations = 0
     for j, weight in _reduced_weights(odd, transforms // 2):
-        value, err, count = moments(j)
+        value, err, count = _reduced_moment(spec.family, odd, j)
         total += weight * value
         error += abs(weight) * err
         evaluations += count

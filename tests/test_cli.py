@@ -303,6 +303,19 @@ def test_verify_reduced_check_fails_on_a_nan(monkeypatch, side) -> None:
     assert not check(args)
 
 
+def test_verify_torus_check_compares_with_the_closed_form(monkeypatch) -> None:
+    from mahlerzeta.check import registry
+
+    check = dict(registry._checks())["oracle/torus-qmc-family-i"]
+    args = argparse.Namespace(max_n=3, seed=42)
+    assert check(args)
+    original = mahlerzeta.oracle.closed_form_measure
+    monkeypatch.setattr(
+        mahlerzeta.oracle, "closed_form_measure", lambda spec: original(spec) * (1 + 1e-3)
+    )
+    assert not check(args)
+
+
 def test_verify_rejects_bad_parameters(capsys) -> None:
     for option, value in (("--max-n", "0"), ("--seed", "-1")):
         code, out, err = run_cli(["verify", option, value], capsys)
@@ -718,7 +731,7 @@ def test_package_serves_every_public_name_from_its_module() -> None:
     assert "oracle" in dir(mahlerzeta)
     # the check subpackage's names are served by its modules alone
     moved = {
-        "identities": ("coeff_a", "coeff_b", "log_moment_poly", "monomial_from_log_moment_polys"),
+        "identities": ("coeff_a_row", "coeff_b_row", "log_moment_poly", "monomial_from_log_moment_polys"),
         "reduce": ("double_polylog_reduce",),
         "tables": ("TableRow", "errata_rows", "reproduce_tables", "table_rows"),
     }

@@ -27,9 +27,7 @@ from mahlerzeta.formulas import (
     mahler_measure,
 )
 from mahlerzeta.check.identities import (
-    coeff_a,
     coeff_a_row,
-    coeff_b,
     coeff_b_row,
     family_three_rewritings,
     family_two_bernoulli_form,
@@ -154,25 +152,17 @@ def test_spec_and_result_validate_on_every_route(build: str) -> None:
 
 
 def test_coeff_a_values() -> None:
-    assert coeff_a(1, 0) == 1
-    assert coeff_a(2, 1) == Fraction(1, 6)
-    assert coeff_a(2, 0) == Fraction(2, 3)
+    assert coeff_a_row(1) == (1,)
+    assert coeff_a_row(2) == (Fraction(2, 3), Fraction(1, 6))
     with pytest.raises(ValueError):
-        coeff_a(0, 0)
-    with pytest.raises(ValueError):
-        coeff_a(2, 2)
-    with pytest.raises(ValueError):
-        coeff_a(2, -1)
+        coeff_a_row(0)
 
 
 def test_coeff_b_values() -> None:
-    assert coeff_b(0, 0) == 1
-    assert coeff_b(1, 0) == Fraction(1, 2)
-    assert coeff_b(1, 1) == Fraction(1, 2)
+    assert coeff_b_row(0) == (1,)
+    assert coeff_b_row(1) == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
-        coeff_b(-1, 0)
-    with pytest.raises(ValueError):
-        coeff_b(1, 2)
+        coeff_b_row(-1)
 
 
 def _elementary_symmetric(values, degree: int) -> int:
@@ -182,16 +172,16 @@ def _elementary_symmetric(values, degree: int) -> int:
 def test_coeff_ladders_are_brute_force_symmetric_sums() -> None:
     for n in range(1, 9):
         evens = [(2 * k) ** 2 for k in range(1, n)]
-        for h in range(n):
-            expected = Fraction(_elementary_symmetric(evens, n - 1 - h), factorial(2 * n - 1))
-            assert coeff_a(n, h) == expected, (n, h)
+        expected = tuple(
+            Fraction(_elementary_symmetric(evens, n - 1 - h), factorial(2 * n - 1)) for h in range(n)
+        )
+        assert coeff_a_row(n) == expected, n
     for n in range(9):
         odds = [(2 * k - 1) ** 2 for k in range(1, n + 1)]
-        for h in range(n + 1):
-            assert coeff_b(n, h) == Fraction(_elementary_symmetric(odds, n - h), factorial(2 * n))
-        assert coeff_b_row(n) == tuple(coeff_b(n, h) for h in range(n + 1))
-        if n:
-            assert coeff_a_row(n) == tuple(coeff_a(n, h) for h in range(n))
+        expected = tuple(
+            Fraction(_elementary_symmetric(odds, n - h), factorial(2 * n)) for h in range(n + 1)
+        )
+        assert coeff_b_row(n) == expected, n
 
 
 def test_reduction_identity() -> None:

@@ -55,16 +55,16 @@ from mahlerzeta.values import _combination_decimal, _pi
 
 @pytest.fixture(autouse=True)
 def cold_reduced_moments():
-    """Each test starts and ends with no node table or weight row of ``reduced_integral``.
+    """Each test starts and ends with no moment integral or weight row of ``reduced_integral``.
 
-    The tables and rows last for the process, so one warmed by an earlier
-    test would hide the measure, log, kernel and ladder calls that tests
-    count.
+    The integrals and rows last for the process, so one computed by an
+    earlier test would hide the integrand, measure, log and ladder calls
+    that tests count.
     """
-    oracle._reduced_moments.cache_clear()
+    oracle._reduced_moment.cache_clear()
     oracle._reduced_weights.cache_clear()
     yield
-    oracle._reduced_moments.cache_clear()
+    oracle._reduced_moment.cache_clear()
     oracle._reduced_weights.cache_clear()
 
 
@@ -204,8 +204,8 @@ def test_tanh_sinh_evaluates_each_node_once(integrand) -> None:
 
 
 def test_tanh_sinh_nodes_near_one_differ_only_in_the_complement() -> None:
-    # why a memo of the integrand keys on (x, cx): x rounds to 1.0 at
-    # many nodes whose complements differ
+    # why an integrand takes the complement cx as well as x: x rounds to
+    # 1.0 at many nodes whose complements differ
     ts, xs, cxs, _ = oracle._tanh_sinh_nodes()
     assert len(ts) == 3072 and ts[-1] == oracle._T_MAX
     at_one = [cx for x, cx in zip(xs, cxs) if x == 1.0]
@@ -224,7 +224,7 @@ def test_reduced_integral_matches_the_level_by_level_engine(monkeypatch, spec) -
     estimate = reduced_integral(spec)
     monkeypatch.setattr(oracle, "_tanh_sinh_unit", _level_by_level_tanh_sinh)
     # the integrals last for the process: drop them so the reference engine runs
-    oracle._reduced_moments.cache_clear()
+    oracle._reduced_moment.cache_clear()
     reference = reduced_integral(spec)
     assert _bits(estimate) == _bits(reference)
     assert estimate.evaluations <= reference.evaluations
@@ -237,32 +237,32 @@ def _full_bits(estimate):
 def test_reduced_integral_bits_do_not_depend_on_call_order() -> None:
     ascending = sorted(_QUAD_SPECS, key=lambda spec: (spec.n_transforms, spec.family.value))
     cold_up = {spec: _full_bits(reduced_integral(spec)) for spec in ascending}
-    oracle._reduced_moments.cache_clear()
+    oracle._reduced_moment.cache_clear()
     cold_down = {spec: _full_bits(reduced_integral(spec)) for spec in reversed(ascending)}
     warm = {spec: _full_bits(reduced_integral(spec)) for spec in ascending}
     assert cold_up == cold_down == warm
 
 
-def test_reduced_integral_tables_are_bounded(monkeypatch) -> None:
-    build = oracle._symmetrized_measure
-    entries = Counter()
-
-    def counted_measure(family, odd):
-        measure = build(family, odd)
-
-        def counted(x, logx):
-            entries[family, odd] += 1
-            return measure(x, logx)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "_symmetrized_measure", counted_measure)
+def test_reduced_integral_tables_are_bounded() -> None:
+    # one moment integral per family, parity and log power j that a member
+    # needs: j = 1, 3, ..., n - 1 at even n and 0, 2, ..., n - 1 at odd n
+    needed = {
+        (spec.family, spec.parity, j)
+        for spec in _QUAD_SPECS
+        for j in range(1 - spec.parity, spec.n_transforms, 2)
+    }
     for spec in _QUAD_SPECS:
         reduced_integral(spec)
-    # one table per family and parity, one entry per node and its mirror
-    # image, plus the midpoint; the measure runs once per entry
-    assert oracle._reduced_moments.cache_info().currsize == len(entries) <= 6
-    assert max(entries.values()) <= 2 * len(oracle._tanh_sinh_nodes()[0]) + 1
+    assert oracle._reduced_moment.cache_info().currsize == len(needed)
+    # every member the reduced integral takes needs at most 57 log powers
+    # per family and parity
+    for family, smallest in ((Family.ONE, 1), (Family.TWO, 0), (Family.THREE, 1)):
+        for n in range(smallest, oracle.REDUCED_MAX_TRANSFORMS + 1):
+            reduced_integral(FamilySpec(family, n))
+    assert oracle._reduced_moment.cache_info().currsize == 6 * 57
+    with pytest.raises(ValueError, match="at most 114 transforms"):
+        reduced_integral(FamilySpec(Family.TWO, 115))
+    assert oracle._reduced_moment.cache_info().currsize == 6 * 57
 
 
 _CHECKS = {
@@ -307,21 +307,24 @@ def test_check_pieces_match_the_level_by_level_engine(monkeypatch, check) -> Non
 def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     build = oracle._symmetrized_measure
     engine = oracle._tanh_sinh_unit
-    measured = Counter()
-    calls = []
+    measured = []
+    integrals = []
 
     def counted_measure(family, odd):
         measure = build(family, odd)
 
         def counted(x, logx):
-            measured[x, logx] += 1
+            measured.append(x)
             return measure(x, logx)
 
         return counted
 
     def counted_engine(f):
+        nodes = []
+        integrals.append(nodes)
+
         def counted(x, cx):
-            calls.append((x, cx))
+            nodes.append((x, cx))
             return f(x, cx)
 
         return engine(counted)
@@ -329,20 +332,23 @@ def test_reduced_integral_measures_each_node_once(monkeypatch, spec) -> None:
     monkeypatch.setattr(oracle, "_symmetrized_measure", counted_measure)
     monkeypatch.setattr(oracle, "_tanh_sinh_unit", counted_engine)
     estimate = reduced_integral(spec)
-    assert max(measured.values()) == 1
-    # the integrals share their nodes, and each counts its own calls
-    assert estimate.evaluations == len(calls) > len(measured) == len(set(calls))
+    calls = [node for nodes in integrals for node in nodes]
+    # one integral per log power, each visiting each node once, and the
+    # measure runs once per integrand call
+    assert len(integrals) == len(range(1 - spec.parity, spec.n_transforms, 2))
+    assert all(len(set(nodes)) == len(nodes) for nodes in integrals)
+    assert measured == [x for x, _ in calls]
+    assert estimate.evaluations == len(calls)
     # the integrals last for the process: a repeat call and the call at
-    # n - 2, whose integrals are a subset, measure no node and make no
-    # integrand call, and return the estimate a cold process does
-    first = dict(measured)
+    # n - 2, whose integrals are a subset, make no integrand call and
+    # return the estimate a cold process does
     smaller = FamilySpec(spec.family, spec.n_transforms - 2)
-    calls.clear()
+    integrals.clear()
     again = reduced_integral(spec)
     other = reduced_integral(smaller)
-    assert measured == first and calls == []
+    assert integrals == [] and len(measured) == len(calls)
     assert _full_bits(again) == _full_bits(estimate)
-    oracle._reduced_moments.cache_clear()
+    oracle._reduced_moment.cache_clear()
     assert _full_bits(other) == _full_bits(reduced_integral(smaller))
 
 
@@ -355,12 +361,12 @@ def test_reduced_integral_computes_each_log_once(monkeypatch, spec) -> None:
     stable_log = oracle._stable_log
     log_ratio = oracle._log_ratio_minus
     engine = oracle._tanh_sinh_unit
-    logs = Counter()
+    logs = []
     ratios = []
-    nodes = set()
+    calls = []
 
     def counted_log(x, cx):
-        logs[x, cx] += 1
+        logs.append((x, cx))
         return stable_log(x, cx)
 
     def counted_ratio(cx, logx):
@@ -369,7 +375,7 @@ def test_reduced_integral_computes_each_log_once(monkeypatch, spec) -> None:
 
     def counted_engine(f):
         def counted(x, cx):
-            nodes.add((x, cx))
+            calls.append((x, cx))
             return f(x, cx)
 
         return engine(counted)
@@ -378,10 +384,10 @@ def test_reduced_integral_computes_each_log_once(monkeypatch, spec) -> None:
     monkeypatch.setattr(oracle, "_log_ratio_minus", counted_ratio)
     monkeypatch.setattr(oracle, "_tanh_sinh_unit", counted_engine)
     reduced_integral(spec)
-    # the integrals of one call share each node's log and kernel
-    assert set(logs) == nodes
-    assert max(logs.values()) == 1
-    assert len(ratios) == (len(nodes) if spec.parity == 0 else 0)
+    # each integrand call computes its node's log x once, and the kernel of
+    # x^2 - 1 (even n) once from it
+    assert logs == calls
+    assert ratios == ([cx for _, cx in calls] if spec.parity == 0 else [])
 
 
 # quadrature.hex() of the moment checks that ``verify`` runs
@@ -651,7 +657,7 @@ def test_reduced_integral_warm_scan_equals_cold_calls(family) -> None:
     warm = [_full_bits(reduced_integral(spec)) for spec in specs]
     cold = []
     for spec in specs:
-        oracle._reduced_moments.cache_clear()
+        oracle._reduced_moment.cache_clear()
         oracle._reduced_weights.cache_clear()
         cold.append(_full_bits(reduced_integral(spec)))
     assert warm == cold
