@@ -15,9 +15,8 @@ rational coefficient ladders, whose rows :func:`coeff_a_row` and
 :func:`coeff_b_row` (one ladder each) turn the iterated arctangent-density
 integrals into one-dimensional log moments (the reduced-integral oracle
 converts each row to floats once per process, one table for the three
-families); the
-ladder identities ``reduction_ab``/``reduction_ba`` between them and their
-raw symmetric-sum forms ``reduction_induction_ab``/``reduction_induction_ba``;
+families); the ladder identities ``reduction_ab``/``reduction_ba`` between
+them, which cleared of factorials are the paper's symmetric-sum statements;
 and the paper's Bernoulli- and Euler-weighted forms of family ``ii`` at even
 ``n`` (:func:`family_two_bernoulli_form`) and of family ``iii``'s third sum
 (:func:`family_three_rewritings`).  :mod:`mahlerzeta.formulas` builds both
@@ -59,8 +58,6 @@ __all__ = [
     "coeff_b_row",
     "reduction_ab",
     "reduction_ba",
-    "reduction_induction_ab",
-    "reduction_induction_ba",
     "family_two_bernoulli_form",
     "family_three_rewritings",
     "check_symmetric_transfer_first",
@@ -291,7 +288,12 @@ def reduction_ab(n: int) -> bool:
 
     where ``a``, ``b`` are the rows :func:`coeff_a_row` and
     :func:`coeff_b_row` and ``P_k`` the log-moment polynomials.  This is an
-    exact ``PolyQ`` comparison over the rationals.
+    exact ``PolyQ`` comparison over the rationals, which also holds the rows
+    that the reduced-integral oracle weighs its moments with.  Times ``(2n)!``
+    it is the same identity in symmetric sums::
+
+        sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
+            == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
     """
     if n < 1:
         raise ValueError("requires n >= 1")
@@ -308,7 +310,11 @@ def reduction_ab(n: int) -> bool:
 def reduction_ba(n: int) -> bool:
     """Check ``sum_h a(n+1, h-1) x^(2h-1) == sum_h b(n, h) P_(2h)(x)``, for ``n >= 0``.
 
-    ``a``, ``b`` and ``P_k`` are those of :func:`reduction_ab`.
+    ``a``, ``b`` and ``P_k`` are those of :func:`reduction_ab`.  Times
+    ``(2n+1)!`` it is the same identity in symmetric sums::
+
+        sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
+            == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
     """
     if n < 0:
         raise ValueError("requires n >= 0")
@@ -319,45 +325,6 @@ def reduction_ba(n: int) -> bool:
     for h, weight in enumerate(coeff_b_row(n)):
         rhs = rhs + log_moment_poly(2 * h) * weight
     return lhs == rhs
-
-
-def reduction_induction_ab(n: int) -> bool:
-    """:func:`reduction_ab` cleared of factorials, in symmetric sums (``n >= 1``)::
-
-        sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
-            == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
-    """
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    odds = symmetric_ladder(odd_squares(n))
-    evens = symmetric_ladder(even_squares(n - 1))
-    lhs = PolyQ.zero()
-    for h in range(n + 1):
-        lhs = lhs + PolyQ.monomial(2 * h, odds[n - h])
-    rhs = PolyQ.zero()
-    for h in range(1, n + 1):
-        shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-        rhs = rhs + shifted * evens[n - h]
-    return lhs == rhs * (2 * n)
-
-
-def reduction_induction_ba(n: int) -> bool:
-    """:func:`reduction_ba` cleared of factorials, in symmetric sums (``n >= 0``)::
-
-        sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
-            == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
-    """
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    evens = symmetric_ladder(even_squares(n))
-    odds = symmetric_ladder(odd_squares(n))
-    lhs = PolyQ.zero()
-    for h in range(n + 1):
-        lhs = lhs + PolyQ.monomial(2 * h + 1, evens[n - h])
-    rhs = PolyQ.zero()
-    for h in range(n + 1):
-        rhs = rhs + log_moment_poly(2 * h) * odds[n - h]
-    return lhs == rhs * (2 * n + 1)
 
 
 def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable) -> Fraction:

@@ -79,6 +79,9 @@ class Family(Enum):
     TWO = "ii"
     THREE = "iii"
 
+    # Members are singletons, so identity hashing keeps equality, in C.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_label(cls, label: str) -> "Family":
         """Return the family whose label matches ``label`` (case-insensitive).

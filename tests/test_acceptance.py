@@ -25,29 +25,10 @@ from typing import List, Tuple
 import mpmath as mp
 import numpy as np
 
+from mahlerzeta.check.registry import _checks
+from mahlerzeta.cli import build_parser
 from mahlerzeta.combinations import ZetaCombination
 from mahlerzeta.formulas import Family, FamilySpec, mahler_measure
-from mahlerzeta.check.identities import PolyQ, log_moment_poly
-from mahlerzeta.check.identities import (
-    check_bernoulli_euler_transfer,
-    check_bernoulli_halving,
-    check_bernoulli_recurrence,
-    check_bernoulli_factorial_sum,
-    check_bernoulli_transfer_first,
-    check_bernoulli_transfer_second,
-    check_bernoulli_transfer_third,
-    check_euler_factorial_sum,
-    check_euler_shifted_factorial_sum,
-    check_log_moment_poly_properties,
-    check_symmetric_transfer_first,
-    check_symmetric_transfer_second,
-    log_moment_poly_bernoulli_form,
-    monomial_from_log_moment_polys,
-    reduction_ab,
-    reduction_ba,
-    reduction_induction_ab,
-    reduction_induction_ba,
-)
 from mahlerzeta.oracle import (
     arctangent_moment_check,
     closed_form_measure,
@@ -96,36 +77,13 @@ def test_criterion_1_tables_reproduced_exactly() -> None:
 
 
 def test_criterion_2_identity_suites_exact() -> None:
-    """Every combinatorial identity holds exactly for n, k <= 20 (polynomials to 40)."""
+    """Every registered identity holds exactly for n, k <= 20 (polynomials to 40)."""
     start = time.perf_counter()
-    for n in range(1, 21):
-        for l in range(1, n + 1):
-            assert check_symmetric_transfer_first(n, l)
-            assert check_bernoulli_transfer_first(n, l)
-            assert check_bernoulli_euler_transfer(n, l)
-        assert check_bernoulli_transfer_second(n)
-        assert check_bernoulli_factorial_sum(n)
-        assert reduction_ab(n)
-        assert reduction_induction_ab(n)
-    for n in range(0, 21):
-        for l in range(0, n + 1):
-            assert check_symmetric_transfer_second(n, l)
-            assert check_bernoulli_transfer_third(n, l)
-        assert check_euler_factorial_sum(n)
-        assert check_euler_shifted_factorial_sum(n)
-        assert reduction_ba(n)
-        assert reduction_induction_ba(n)
-    for k in range(0, 41):
-        assert check_log_moment_poly_properties(k)
-        assert log_moment_poly(k) == log_moment_poly_bernoulli_form(k)
-        assert check_bernoulli_halving(k)
-    for k in range(1, 41):
-        assert check_bernoulli_recurrence(k)
-    for degree in range(1, 41):
-        rebuilt = PolyQ.zero()
-        for k, coefficient in monomial_from_log_moment_polys(degree):
-            rebuilt = rebuilt + log_moment_poly(k) * coefficient
-        assert rebuilt == PolyQ.monomial(degree)
+    args = build_parser().parse_args(["verify", "--suite", "identities", "--max-n", "20"])
+    checks = [(name, run) for name, run in _checks() if name.startswith("identities/")]
+    assert checks
+    for name, run in checks:
+        assert run(args), name
     assert time.perf_counter() - start < 30.0
 
 

@@ -27,8 +27,6 @@ from mahlerzeta.store import ConstantStore
 ALL_CHECKS = [
     "identities/reduction-ab",
     "identities/reduction-ba",
-    "identities/reduction-induction-ab",
-    "identities/reduction-induction-ba",
     "identities/symmetric-transfer-first",
     "identities/symmetric-transfer-second",
     "identities/bernoulli-transfer-first",
@@ -584,6 +582,33 @@ def test_verify_l3_ii_fold_catches_a_perturbed_coefficient(monkeypatch) -> None:
 
     monkeypatch.setattr(values, "_l3_ii_fold", perturbed)
     assert not check(args)
+
+
+def test_verify_l3_ii_fold_takes_two_double_polylogarithms_per_b(monkeypatch) -> None:
+    import mahlerzeta.check.registry as registry
+    from mahlerzeta.values import multiple_polylog
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return multiple_polylog(*args)
+
+    monkeypatch.setattr(registry, "multiple_polylog", spy)
+    check = dict(registry._checks())["oracle/l3-ii-fold"]
+    assert check(mahlerzeta.cli.build_parser().parse_args(["verify", "--max-n", "9"]))
+    assert calls == [(3, b, 1j, f * 1j, 20) for b in (1, 3, 5, 7, 9) for f in (1, -1)]
+
+
+@pytest.mark.parametrize("b", [1, 3, 57, 113])
+def test_verify_l3_ii_reference_is_the_four_term_definition(b: int) -> None:
+    from mahlerzeta.check.registry import _l3_ii_engine
+    from series_oracle import script_l_double
+
+    with mp.workdps(40):
+        # l3_ii(b) = i scriptL_{3,b}(i, i), all four Li_{3,b} terms summed
+        reference = (1j * script_l_double(3, b, 1j, 1j, 20)).real
+        assert abs(_l3_ii_engine(b) - reference) <= mp.mpf(10) ** -28 * abs(reference)
 
 
 def test_eval_unwritable_store_exits_2(tmp_path, capsys) -> None:

@@ -33,8 +33,6 @@ from mahlerzeta.check.identities import (
     family_two_bernoulli_form,
     reduction_ab,
     reduction_ba,
-    reduction_induction_ab,
-    reduction_induction_ba,
 )
 from mahlerzeta.values import combination_value
 
@@ -196,17 +194,6 @@ def test_reduction_identity() -> None:
         reduction_ab(0)
     with pytest.raises(ValueError):
         reduction_ba(-1)
-
-
-def test_reduction_induction_identity() -> None:
-    for n in range(1, 16):
-        assert reduction_induction_ab(n)
-    for n in range(0, 16):
-        assert reduction_induction_ba(n)
-    with pytest.raises(ValueError):
-        reduction_induction_ab(0)
-    with pytest.raises(ValueError):
-        reduction_induction_ba(-1)
 
 
 # SHA-256 of the canonical JSON of ``to_records()``, as computed by the

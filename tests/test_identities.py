@@ -164,7 +164,7 @@ def _perturb_p2(k: int) -> PolyQ:
 def test_no_identity_check_is_vacuous(monkeypatch) -> None:
     """Each identity check fails when one input it rests on is slightly wrong."""
     names = {name for name, _ in registry._checks() if name.startswith("identities/")}
-    assert len(names) == 18
+    assert len(names) == 16
     assert _failing_identity_checks() == set()
     perturbations = {
         "ladder s_1 + 1": [
@@ -192,3 +192,18 @@ def test_no_identity_check_is_vacuous(monkeypatch) -> None:
     assert polynomial_checks <= caught["P_2 + x"]
     assert set().union(*caught.values()) == names
     assert _failing_identity_checks() == set()
+
+
+@pytest.mark.parametrize("row", ["coeff_a_row", "coeff_b_row"])
+def test_reduction_checks_catch_a_scaled_row(monkeypatch, row: str) -> None:
+    """A row off by a factor ``2n + 1`` fails both reduction checks and nothing else.
+
+    The reduced-integral oracle weighs its moments with these rows, and the
+    factorial-cleared symmetric-sum form of each identity reads no row, so
+    the row forms are the registry's only hold on them.
+    """
+    correct = getattr(identities, row)
+    monkeypatch.setattr(
+        identities, row, lambda n: tuple(weight / (2 * n + 1) for weight in correct(n))
+    )
+    assert _failing_identity_checks() == {"identities/reduction-ab", "identities/reduction-ba"}
