@@ -24,26 +24,33 @@ families from family ``i``'s terms instead, so these are the identities
 among Bernoulli numbers and symmetric functions that the closed forms rest
 on.
 
-The module also builds the log-moment kernel polynomials ``P_k``
-(:func:`log_moment_poly`, over the dense rational polynomials
-:class:`PolyQ`), which express the moment integrals
+The module also builds the log-moment kernel polynomials ``P_k``, which
+express the moment integrals
 
     integral_0^inf x * log^k(x) / ((x^2 + a^2) (x^2 + b^2)) dx
         = (pi/2)^(k+1) * (P_k(2 log(a)/pi) - P_k(2 log(b)/pi)) / (a^2 - b^2)
 
-in closed form.  A polynomial's value at ``i`` comes as its exact real and
-imaginary parts (:meth:`PolyQ.at_i`).
+in closed form.  A polynomial is the tuple of its coefficients, that of
+``x^j`` at index ``j``, and ``P_k`` comes cleared of its denominators as
+``R_k = (k+1)! P_k`` (:func:`log_moment_poly`), whose coefficients are
+integers.  The polynomial identities (the reductions, the monomial
+decomposition, the Bernoulli form) multiply through by a factorial and
+compare integer coefficient lists, each side summed in one pass; the
+value at ``i`` comes as its exact real and imaginary parts
+(:func:`value_at_i`).
 
-Each check builds the ladders it needs once, with
+Each check builds the ladders it needs once per ``n``, with
 :func:`~mahlerzeta.exact.symmetric_ladder`, and indexes them: ``evens[j]`` is
-``s_j`` of the even squares and ``odds[j]`` that of the odd squares.
+``s_j`` of the even squares and ``odds[j]`` that of the odd squares.  A
+transfer check takes one ``n`` and checks every ``l`` from that pair of
+ladders.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from ..combinations import ZetaCombination
@@ -51,9 +58,9 @@ from ..exact import Rational, bernoulli, euler_number, even_squares, odd_squares
 from ..formulas import Family, FamilySpec, MahlerResult, family_one
 
 __all__ = [
-    "PolyQ",
     "log_moment_poly",
     "log_moment_poly_at_i",
+    "value_at_i",
     "coeff_a_row",
     "coeff_b_row",
     "reduction_ab",
@@ -73,6 +80,7 @@ __all__ = [
     "check_bernoulli_halving",
     "check_log_moment_poly_properties",
     "monomial_from_log_moment_polys",
+    "check_monomial_decomposition",
     "log_moment_poly_bernoulli_form",
 ]
 
@@ -80,147 +88,24 @@ __all__ = [
 # The log-moment cache is grow-only and guarded by a lock, so concurrent
 # readers are safe once a prefix has been initialized.
 _LOG_MOMENT_LOCK = threading.Lock()
-_LOG_MOMENT: List["PolyQ"] = []
+_LOG_MOMENT: List[Tuple[int, ...]] = []
 
 
-class PolyQ:
-    """Dense univariate polynomial with exact rational coefficients.
+def log_moment_poly(k: int) -> Tuple[int, ...]:
+    """The integer coefficients of ``R_k = (k+1)! P_k``, ``P_k`` the k-th log-moment polynomial.
 
-    Coefficients are indexed by degree; trailing zeros are trimmed so the
-    degree always equals the index of the last nonzero coefficient (the zero
-    polynomial has degree -1 by convention).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    @staticmethod
-    def zero() -> "PolyQ":
-        return PolyQ()
-
-    @staticmethod
-    def monomial(degree: int, coeff: Rational = 1) -> "PolyQ":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return PolyQ([0] * degree + [coeff])
-
-    @staticmethod
-    def x() -> "PolyQ":
-        return PolyQ.monomial(1)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PolyQ):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.coeffs))
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(
-            [self.coefficient(j) + other.coefficient(j) for j in range(n)]
-        )
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(
-            [self.coefficient(j) - other.coefficient(j) for j in range(n)]
-        )
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ([-c for c in self.coeffs])
-
-    def __mul__(self, other: object) -> "PolyQ":
-        if isinstance(other, PolyQ):
-            if not self.coeffs or not other.coeffs:
-                return PolyQ()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return PolyQ(out)
-        if isinstance(other, (int, Fraction)):
-            return PolyQ([c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "PolyQ":
-        return PolyQ([j * c for j, c in enumerate(self.coeffs)][1:])
-
-    def drop_constant(self) -> "PolyQ":
-        """The polynomial with its degree-0 coefficient removed (reduction mod x)."""
-        if not self.coeffs:
-            return PolyQ()
-        return PolyQ([Fraction(0)] + self.coeffs[1:])
-
-    def monomial_degrees(self) -> List[int]:
-        return [j for j, c in enumerate(self.coeffs) if c != 0]
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule.
-
-        Works for exact arguments (``int``, ``Fraction``) as well as floats
-        and mpmath numbers; the accumulator takes the type of ``x``.
-        """
-        acc = 0 * x
-        exact = isinstance(acc, (int, Fraction))
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if exact else _lift(c, x))
-        return acc
-
-    def at_i(self) -> Tuple[Fraction, Fraction]:
-        """The exact value at ``x = i`` as ``(real part, imaginary part)``.
-
-        The coefficient of ``x^j`` lands on ``i^j``, which cycles through
-        ``1, i, -1, -i`` with ``j mod 4``.
-        """
-        parts = [sum(self.coeffs[r::4], Fraction(0)) for r in range(4)]
-        return parts[0] - parts[2], parts[1] - parts[3]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.coeffs:
-            return "PolyQ(0)"
-        parts = [f"{c}*x^{j}" for j, c in enumerate(self.coeffs) if c != 0]
-        return "PolyQ(" + " + ".join(parts) + ")"
-
-
-def _lift(c: Fraction, like):
-    """Convert an exact coefficient to the numeric type of ``like``."""
-    if isinstance(like, complex):
-        return complex(c)
-    if isinstance(like, float):
-        return float(c)
-    # mpmath types divide integers exactly at working precision
-    return (0 * like + c.numerator) / c.denominator
-
-
-def log_moment_poly(k: int) -> PolyQ:
-    """The k-th log-moment kernel polynomial, built by its recursion.
-
-    P_0(x) = x and, for k >= 1,
+    ``P_k`` is defined by P_0(x) = x and, for k >= 1,
 
         P_k(x) = x^{k+1}/(k+1)
                  + (1/(k+1)) * sum_{j odd, 3 <= j <= k+1}
-                       (-1)^{(j+1)/2} C(k+1, j) P_{k+1-j}(x).
+                       (-1)^{(j+1)/2} C(k+1, j) P_{k+1-j}(x),
 
+    which stays integral for ``R_k``: R_0(x) = x and
+
+        R_k(x) = k! x^{k+1} + sum_{j odd, 3 <= j <= k+1}
+                     (-1)^{(j+1)/2} C(k+1, j) (k!/(k+2-j)!) R_{k+1-j}(x).
+
+    The coefficient of ``x^j`` is entry ``j`` of the ``k + 2`` entries.
     Results are memoized; the cache only grows.
     """
     if k < 0:
@@ -228,16 +113,35 @@ def log_moment_poly(k: int) -> PolyQ:
     if k >= len(_LOG_MOMENT):
         with _LOG_MOMENT_LOCK:
             if not _LOG_MOMENT:
-                _LOG_MOMENT.append(PolyQ.x())
+                _LOG_MOMENT.append((0, 1))
             while len(_LOG_MOMENT) <= k:
                 m = len(_LOG_MOMENT)
-                acc = PolyQ.monomial(m + 1, Fraction(1, m + 1))
+                acc = [0] * (m + 1) + [factorial(m)]
                 for j in range(3, m + 2, 2):
                     sign = -1 if ((j + 1) // 2) % 2 else 1
-                    term = _LOG_MOMENT[m + 1 - j] * Fraction(sign * comb(m + 1, j), m + 1)
-                    acc = acc + term
-                _LOG_MOMENT.append(acc)
+                    weight = sign * comb(m + 1, j) * (factorial(m) // factorial(m + 2 - j))
+                    for d, c in enumerate(_LOG_MOMENT[m + 1 - j]):
+                        acc[d] += weight * c
+                _LOG_MOMENT.append(tuple(acc))
     return _LOG_MOMENT[k]
+
+
+def value_at_i(coeffs: Sequence[Rational]) -> Tuple[Rational, Rational]:
+    """The exact value of ``sum coeffs[j] x^j`` at ``x = i`` as ``(real part, imaginary part)``.
+
+    The coefficient of ``x^j`` lands on ``i^j``, which cycles through
+    ``1, i, -1, -i`` with ``j mod 4``.
+    """
+    return sum(coeffs[0::4]) - sum(coeffs[2::4]), sum(coeffs[1::4]) - sum(coeffs[3::4])
+
+
+def _log_moment_sum(terms: Iterable[Tuple[int, int]], length: int) -> List[int]:
+    """The ``length`` coefficients of ``sum weight * R_k`` over the pairs ``(k, weight)``."""
+    total = [0] * length
+    for k, weight in terms:
+        for j, c in enumerate(log_moment_poly(k)):
+            total[j] += weight * c
+    return total
 
 
 def log_moment_poly_at_i(l: int) -> Fraction:
@@ -281,50 +185,60 @@ def coeff_b_row(n: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(odds[n - h], scale) for h in range(n + 1))
 
 
+def _cleared(*rows: Sequence[Fraction]) -> List[List[int]]:
+    """Each row times the least common denominator of all their weights, in integers."""
+    scale = lcm(*(weight.denominator for row in rows for weight in row))
+    return [[weight.numerator * (scale // weight.denominator) for weight in row] for row in rows]
+
+
 def reduction_ab(n: int) -> bool:
     """Check a polynomial identity linking the coefficient ladders, for ``n >= 1``::
 
         sum_h b(n, h) x^(2h) == sum_h a(n, h-1) (P_(2h-1)(x) - P_(2h-1)(i))
 
     where ``a``, ``b`` are the rows :func:`coeff_a_row` and
-    :func:`coeff_b_row` and ``P_k`` the log-moment polynomials.  This is an
-    exact ``PolyQ`` comparison over the rationals, which also holds the rows
-    that the reduced-integral oracle weighs its moments with.  Times ``(2n)!``
-    it is the same identity in symmetric sums::
+    :func:`coeff_b_row` and ``P_k`` the log-moment polynomials.  The sides
+    are compared as integer polynomials, times the rows' least common
+    denominator and ``(2n)!``, with ``P_(2h-1) = R_(2h-1) / (2h)!``; the
+    right side's shift is the value at ``i`` of its whole sum.  So the rows
+    that the reduced-integral oracle weighs its moments with are held
+    exactly.  Times ``(2n)!`` it is the same identity in symmetric sums::
 
         sum_h s_(n-h)(1^2,...,(2n-1)^2) x^(2h)
             == 2n sum_h s_(n-h)(2^2,...,(2n-2)^2) (P_(2h-1)(x) - P_(2h-1)(i))
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    lhs = PolyQ.zero()
-    for h, weight in enumerate(coeff_b_row(n)):
-        lhs = lhs + PolyQ.monomial(2 * h, weight)
-    rhs = PolyQ.zero()
-    for h, weight in enumerate(coeff_a_row(n), 1):
-        shifted = log_moment_poly(2 * h - 1) - PolyQ.monomial(0, log_moment_poly_at_i(h))
-        rhs = rhs + shifted * weight
-    return lhs == rhs
+    a_row, b_row = _cleared(coeff_a_row(n), coeff_b_row(n))
+    top = factorial(2 * n)
+    lhs = [0] * (2 * n + 1)
+    lhs[::2] = [weight * top for weight in b_row]
+    terms = ((2 * h - 1, weight * (top // factorial(2 * h))) for h, weight in enumerate(a_row, 1))
+    rhs = _log_moment_sum(terms, 2 * n + 1)
+    re, im = value_at_i(rhs)
+    rhs[0] -= re
+    return im == 0 and lhs == rhs
 
 
 def reduction_ba(n: int) -> bool:
     """Check ``sum_h a(n+1, h-1) x^(2h-1) == sum_h b(n, h) P_(2h)(x)``, for ``n >= 0``.
 
-    ``a``, ``b`` and ``P_k`` are those of :func:`reduction_ab`.  Times
-    ``(2n+1)!`` it is the same identity in symmetric sums::
+    ``a``, ``b`` and ``P_k`` are those of :func:`reduction_ab`, and the sides
+    are compared as integer polynomials, times the rows' least common
+    denominator and ``(2n+1)!``.  Times ``(2n+1)!`` it is the same identity
+    in symmetric sums::
 
         sum_h s_(n-h)(2^2,...,(2n)^2) x^(2h+1)
             == (2n+1) sum_h s_(n-h)(1^2,...,(2n-1)^2) P_(2h)(x)
     """
     if n < 0:
         raise ValueError("requires n >= 0")
-    lhs = PolyQ.zero()
-    for h, weight in enumerate(coeff_a_row(n + 1), 1):
-        lhs = lhs + PolyQ.monomial(2 * h - 1, weight)
-    rhs = PolyQ.zero()
-    for h, weight in enumerate(coeff_b_row(n)):
-        rhs = rhs + log_moment_poly(2 * h) * weight
-    return lhs == rhs
+    a_row, b_row = _cleared(coeff_a_row(n + 1), coeff_b_row(n))
+    top = factorial(2 * n + 1)
+    lhs = [0] * (2 * n + 2)
+    lhs[1::2] = [weight * top for weight in a_row]
+    terms = ((2 * h, weight * (top // factorial(2 * h + 1))) for h, weight in enumerate(b_row))
+    return lhs == _log_moment_sum(terms, 2 * n + 2)
 
 
 def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable) -> Fraction:
@@ -332,12 +246,16 @@ def _ladder_sum(ladder: Sequence[int], k: int, h: int, kernel: Callable) -> Frac
 
     This is the one inner sum of the paper's Bernoulli and Euler transfers and
     forms.  A transfer states its binomial as ``C(2(l+h), 2l)``, which names
-    the same number.
+    the same number.  The terms are summed in integers over the kernels'
+    least common denominator, with one ``Fraction`` for the total.
     """
+    kernels = [kernel(l, h) for l in range(k - h + 1)]
+    scale = lcm(*(q.denominator for q in kernels))
     terms = (
-        ladder[k - h - l] * comb(2 * (l + h), 2 * h) * kernel(l, h) for l in range(k - h + 1)
+        ladder[k - h - l] * comb(2 * (l + h), 2 * h) * q.numerator * (scale // q.denominator)
+        for l, q in enumerate(kernels)
     )
-    return sum(terms, Fraction(0))
+    return Fraction(sum(terms), scale)
 
 
 # The kernels of ``_ladder_sum`` in the paper's forms and transfers.
@@ -428,48 +346,55 @@ def family_three_rewritings(spec: FamilySpec) -> List[MahlerResult]:
     return results
 
 
-def check_symmetric_transfer_first(n: int, l: int) -> bool:
-    """Alternating binomial transfer, for ``n >= 1`` and ``1 <= l <= n``:
+def check_symmetric_transfer_first(n: int) -> bool:
+    """Alternating binomial transfer, for ``n >= 1`` and every ``1 <= l <= n``:
 
         2n (-1)^l s_{n-l}(2^2, ..., (2n-2)^2)
             = sum_{h=l}^{n} (-1)^h C(2h, 2l-1) s_{n-h}(1^2, ..., (2n-1)^2)
     """
-    if n < 1 or not 1 <= l <= n:
-        raise ValueError("requires n >= 1 and 1 <= l <= n")
+    if n < 1:
+        raise ValueError("requires n >= 1")
     evens = symmetric_ladder(even_squares(n - 1))
     odds = symmetric_ladder(odd_squares(n))
-    lhs = 2 * n * (-1) ** l * evens[n - l]
-    rhs = sum((-1) ** h * comb(2 * h, 2 * l - 1) * odds[n - h] for h in range(l, n + 1))
-    return lhs == rhs
+    return all(
+        2 * n * (-1) ** l * evens[n - l]
+        == sum((-1) ** h * comb(2 * h, 2 * l - 1) * odds[n - h] for h in range(l, n + 1))
+        for l in range(1, n + 1)
+    )
 
 
-def check_symmetric_transfer_second(n: int, l: int) -> bool:
-    """Alternating binomial transfer, for ``n >= 0`` and ``0 <= l <= n``:
+def check_symmetric_transfer_second(n: int) -> bool:
+    """Alternating binomial transfer, for ``n >= 0`` and every ``0 <= l <= n``:
 
         (2n+1) (-1)^l s_{n-l}(1^2, ..., (2n-1)^2)
             = sum_{h=l}^{n} (-1)^h C(2h+1, 2l) s_{n-h}(2^2, ..., (2n)^2)
     """
-    if n < 0 or not 0 <= l <= n:
-        raise ValueError("requires n >= 0 and 0 <= l <= n")
+    if n < 0:
+        raise ValueError("requires n >= 0")
     odds = symmetric_ladder(odd_squares(n))
     evens = symmetric_ladder(even_squares(n))
-    lhs = (2 * n + 1) * (-1) ** l * odds[n - l]
-    rhs = sum((-1) ** h * comb(2 * h + 1, 2 * l) * evens[n - h] for h in range(l, n + 1))
-    return lhs == rhs
+    return all(
+        (2 * n + 1) * (-1) ** l * odds[n - l]
+        == sum((-1) ** h * comb(2 * h + 1, 2 * l) * evens[n - h] for h in range(l, n + 1))
+        for l in range(n + 1)
+    )
 
 
-def check_bernoulli_transfer_first(n: int, l: int) -> bool:
-    """Bernoulli-kernel transfer, for ``n >= 1`` and ``1 <= l <= n``:
+def check_bernoulli_transfer_first(n: int) -> bool:
+    """Bernoulli-kernel transfer, for ``n >= 1`` and every ``1 <= l <= n``:
 
         s_{n-l}(1^2, ..., (2n-1)^2)
             = n sum_{s=0}^{n-l} s_{n-l-s}(2^2, ..., (2n-2)^2)
                   (1/(l+s)) B_{2s} C(2(l+s), 2s) (2^{2s} - 2) (-1)^{s+1}
     """
-    if n < 1 or not 1 <= l <= n:
-        raise ValueError("requires n >= 1 and 1 <= l <= n")
+    if n < 1:
+        raise ValueError("requires n >= 1")
     evens = symmetric_ladder(even_squares(n - 1))
-    lhs = symmetric_ladder(odd_squares(n))[n - l]
-    return lhs == n * _ladder_sum(evens, n, l, _bernoulli_first_kernel)
+    odds = symmetric_ladder(odd_squares(n))
+    return all(
+        odds[n - l] == n * _ladder_sum(evens, n, l, _bernoulli_first_kernel)
+        for l in range(1, n + 1)
+    )
 
 
 def check_bernoulli_transfer_second(n: int) -> bool:
@@ -497,38 +422,45 @@ def check_bernoulli_transfer_second(n: int) -> bool:
     return lhs == rhs
 
 
-def check_bernoulli_transfer_third(n: int, l: int) -> bool:
-    """Bernoulli-kernel transfer, for ``n >= 0`` and ``0 <= l <= n``:
+def check_bernoulli_transfer_third(n: int) -> bool:
+    """Bernoulli-kernel transfer, for ``n >= 0`` and every ``0 <= l <= n``:
 
         (2l+1) s_{n-l}(2^2, ..., (2n)^2)
             = (2n+1) sum_{s=0}^{n-l} s_{n-l-s}(1^2, ..., (2n-1)^2)
                   B_{2s} C(2(l+s), 2s) (2^{2s} - 2) (-1)^{s+1}
     """
-    if n < 0 or not 0 <= l <= n:
-        raise ValueError("requires n >= 0 and 0 <= l <= n")
+    if n < 0:
+        raise ValueError("requires n >= 0")
     odds = symmetric_ladder(odd_squares(n))
-    lhs = (2 * l + 1) * symmetric_ladder(even_squares(n))[n - l]
-    return lhs == (2 * n + 1) * _ladder_sum(odds, n, l, _bernoulli_third_kernel)
+    evens = symmetric_ladder(even_squares(n))
+    return all(
+        (2 * l + 1) * evens[n - l]
+        == (2 * n + 1) * _ladder_sum(odds, n, l, _bernoulli_third_kernel)
+        for l in range(n + 1)
+    )
 
 
-def check_bernoulli_euler_transfer(n: int, l: int) -> bool:
+def check_bernoulli_euler_transfer(n: int) -> bool:
     """Equality of a Bernoulli-weighted and an Euler-weighted transfer sum.
 
-    For 1 <= l <= n:
+    For ``n >= 1`` and every ``1 <= l <= n``:
 
         n sum_{s=0}^{n-l} s_{n-l-s}(2^2, ..., (2n-2)^2)
               (1/(l+s)) B_{2s} C(2(l+s), 2s) 2^{2s} (2^{2s} - 2) (-1)^{s+1}
         = sum_{k=l}^{n} (-1)^{k+l} C(2k, 2l) s_{n-k}(1^2, ..., (2n-1)^2) E_{2(k-l)}
 
     The identity fails at l = 0 (both sides are then outside its proof), so
-    that case is rejected.
+    that case is left out.
     """
-    if n < 1 or not 1 <= l <= n:
-        raise ValueError("requires n >= 1 and 1 <= l <= n")
+    if n < 1:
+        raise ValueError("requires n >= 1")
     evens = symmetric_ladder(even_squares(n - 1))
     odds = symmetric_ladder(odd_squares(n))
-    lhs = 2 * n * _ladder_sum(evens, n, l, _bernoulli_three_kernel)
-    return lhs == _ladder_sum(odds, n, l, _euler_kernel)
+    return all(
+        2 * n * _ladder_sum(evens, n, l, _bernoulli_three_kernel)
+        == _ladder_sum(odds, n, l, _euler_kernel)
+        for l in range(1, n + 1)
+    )
 
 
 def check_euler_factorial_sum(n: int) -> bool:
@@ -599,33 +531,31 @@ def check_bernoulli_halving(k: int) -> bool:
 def check_log_moment_poly_properties(k: int) -> bool:
     """Structural property suite for the k-th log-moment kernel polynomial.
 
-    Checks: degree k+1 with leading coefficient 1/(k+1); vanishing at 0;
-    monomial parity opposite to k; the derivative ladder
-    P'_{k+1} = (k+1) P_k (modulo the constant term when k is odd); and the
-    value at i (zero for even index >= 2, the exact rational
+    On ``R_k = (k+1)! P_k`` it checks: degree k+1 with leading coefficient
+    ``k!``; vanishing at 0; monomial parity opposite to k; the derivative
+    ladder ``R'_{k+1} = (k+1)(k+2) R_k``, which is ``P'_{k+1} = (k+1) P_k``
+    (modulo the constant term when k is odd); and the value at i (zero for
+    even index >= 2, ``(k+1)!`` times the exact rational
     ``log_moment_poly_at_i`` for odd index).
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    p = log_moment_poly(k)
-    if p.degree != k + 1 or p.coefficient(k + 1) != Fraction(1, k + 1):
+    r = log_moment_poly(k)
+    if len(r) != k + 2 or r[k + 1] != factorial(k) or r[0] != 0:
         return False
-    if p.coefficient(0) != 0:
+    if any(r[k % 2 :: 2]):
         return False
-    want_parity = 1 if k % 2 == 0 else 0
-    if any(d % 2 != want_parity for d in p.monomial_degrees()):
-        return False
-    ladder = log_moment_poly(k + 1).derivative()
+    ladder = [j * c for j, c in enumerate(log_moment_poly(k + 1))][1:]
     if k % 2 == 1:
-        ladder = ladder.drop_constant()
-    if ladder != (k + 1) * p:
+        ladder[0] = 0
+    if ladder != [(k + 1) * (k + 2) * c for c in r]:
         return False
-    re, im = p.at_i()
+    re, im = value_at_i(r)
     if k == 0:
         return (re, im) == (0, 1)
     if k % 2 == 0:
         return re == 0 and im == 0
-    return im == 0 and re == log_moment_poly_at_i((k + 1) // 2)
+    return im == 0 and re == factorial(k + 1) * log_moment_poly_at_i((k + 1) // 2)
 
 
 def monomial_from_log_moment_polys(degree: int) -> List[Tuple[int, int]]:
@@ -652,32 +582,47 @@ def monomial_from_log_moment_polys(degree: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-def log_moment_poly_bernoulli_form(k: int) -> PolyQ:
-    """The k-th log-moment kernel polynomial via Bernoulli polynomials.
+def check_monomial_decomposition(degree: int) -> bool:
+    """``x^degree`` recombines from :func:`monomial_from_log_moment_polys`, for ``degree >= 1``.
+
+    Times ``degree!`` the expansion is one of integer polynomials, each
+    ``P_k`` being ``R_k / (k+1)!``.
+    """
+    top = factorial(degree)
+    terms = (
+        (k, c * (top // factorial(k + 1))) for k, c in monomial_from_log_moment_polys(degree)
+    )
+    return _log_moment_sum(terms, degree + 1) == [0] * degree + [top]
+
+
+def log_moment_poly_bernoulli_form(k: int) -> Tuple[Fraction, ...]:
+    """The k-th log-moment kernel polynomial via Bernoulli polynomials, as ``R_k``'s coefficients.
 
     Evaluates the closed form
 
         P_k(x) = (2 i^{k+1}/(k+1)) (B_{k+1}(x/i) - 2^k B_{k+1}(x/(2i)))
                  + ((2^{k+1} - 2) i^{k+1}/(k+1)) B_{k+1},
 
-    where ``B_m(y) = sum_j C(m, j) B_{m-j} y^j`` is the Bernoulli polynomial.
-    The coefficient of ``x^j`` is a rational times ``i^(k+1) (-i)^j``, a power
-    of ``i`` tracked by its exponent mod 4.  Every odd power must meet a zero
-    rational (the imaginary parts cancel); a violation would indicate a
-    transcription error and raises.
+    where ``B_m(y) = sum_j C(m, j) B_{m-j} y^j`` is the Bernoulli polynomial,
+    and returns the ``k + 2`` coefficients of ``(k+1)! P_k``, which are
+    integers when the form is right.  The coefficient of ``x^j`` is a
+    rational times ``i^(k+1) (-i)^j``, a power of ``i`` tracked by its
+    exponent mod 4.  Every odd power must meet a zero rational (the imaginary
+    parts cancel); a violation would indicate a transcription error and
+    raises.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
     m = k + 1
     coeffs: List[Fraction] = []
     for j in range(m + 1):
-        # [x^j] of 2 i^{k+1}/(k+1) * (B_m(-i x) - 2^k B_m(-i x / 2))
-        scale = comb(m, j) * bernoulli(m - j) * (1 - Fraction(2) ** (k - j))
-        rational = Fraction(2, m) * scale
+        # [x^j] of 2 k! i^{k+1} (B_m(-i x) - 2^k B_m(-i x / 2)), which is m! times
+        # that of 2 i^{k+1}/(k+1) (...)
+        rational = 2 * factorial(k) * comb(m, j) * bernoulli(m - j) * (1 - Fraction(2) ** (k - j))
         if j == 0:
-            rational += Fraction(2**m - 2, m) * bernoulli(m)
+            rational += factorial(k) * (2**m - 2) * bernoulli(m)
         turns = (m + 3 * j) % 4  # i^{k+1} (-i)^j = i^(m + 3j)
         if turns % 2 and rational != 0:
             raise ValueError("imaginary part failed to cancel; transcription bug")
         coeffs.append(rational if turns == 0 else -rational)
-    return PolyQ(coeffs)
+    return tuple(coeffs)

@@ -14,7 +14,6 @@ from .. import oracle
 from ..formulas import Family, FamilySpec, family_three, family_two, mahler_measure
 from ..values import l3_ii_value, multiple_polylog
 from . import identities, tables
-from .identities import PolyQ, log_moment_poly
 
 
 Check = Tuple[str, Callable[[argparse.Namespace], bool]]
@@ -25,23 +24,9 @@ def _each_n(first: int, holds: Callable[[int], bool]) -> Callable:
     return lambda args: all(holds(n) for n in range(first, args.max_n + 1))
 
 
-def _each_pair(first: int, holds: Callable[[int, int], bool]) -> Callable:
-    """A check that ``holds(n, l)`` for every ``first <= l <= n <= max_n``."""
-    return lambda args: all(
-        holds(n, l) for n in range(first, args.max_n + 1) for l in range(first, n + 1)
-    )
-
-
 def _each_degree(first: int, holds: Callable[[int], bool]) -> Callable:
     """A check that ``holds(k)`` for every ``first <= k <= 2 max_n``."""
     return lambda args: all(holds(k) for k in range(first, 2 * args.max_n + 1))
-
-
-def _monomial_recombines(degree: int) -> bool:
-    rebuilt = PolyQ.zero()
-    for k, coefficient in identities.monomial_from_log_moment_polys(degree):
-        rebuilt = rebuilt + log_moment_poly(k) * coefficient
-    return rebuilt == PolyQ.monomial(degree)
 
 
 def _family_two_bernoulli_form_agrees(transforms: int) -> bool:
@@ -140,15 +125,15 @@ def _checks() -> List[Check]:
         ("identities/reduction-ba", _each_n(0, identities.reduction_ba)),
         (
             "identities/symmetric-transfer-first",
-            _each_pair(1, identities.check_symmetric_transfer_first),
+            _each_n(1, identities.check_symmetric_transfer_first),
         ),
         (
             "identities/symmetric-transfer-second",
-            _each_pair(0, identities.check_symmetric_transfer_second),
+            _each_n(0, identities.check_symmetric_transfer_second),
         ),
         (
             "identities/bernoulli-transfer-first",
-            _each_pair(1, identities.check_bernoulli_transfer_first),
+            _each_n(1, identities.check_bernoulli_transfer_first),
         ),
         (
             "identities/bernoulli-transfer-second",
@@ -156,11 +141,11 @@ def _checks() -> List[Check]:
         ),
         (
             "identities/bernoulli-transfer-third",
-            _each_pair(0, identities.check_bernoulli_transfer_third),
+            _each_n(0, identities.check_bernoulli_transfer_third),
         ),
         (
             "identities/bernoulli-euler-transfer",
-            _each_pair(1, identities.check_bernoulli_euler_transfer),
+            _each_n(1, identities.check_bernoulli_euler_transfer),
         ),
         (
             "identities/weighted-factorial-sums",
@@ -180,10 +165,15 @@ def _checks() -> List[Check]:
         (
             "identities/log-moment-poly-bernoulli-form",
             _each_degree(
-                0, lambda k: identities.log_moment_poly_bernoulli_form(k) == log_moment_poly(k)
+                0,
+                lambda k: identities.log_moment_poly_bernoulli_form(k)
+                == identities.log_moment_poly(k),
             ),
         ),
-        ("identities/monomial-decomposition", _each_degree(1, _monomial_recombines)),
+        (
+            "identities/monomial-decomposition",
+            _each_degree(1, identities.check_monomial_decomposition),
+        ),
         ("identities/family-two-bernoulli-form", _each_n(2, _family_two_bernoulli_form_agrees)),
         ("identities/family-three-rewritings", _each_n(1, _family_three_rewritings_agree)),
         (
@@ -231,13 +221,19 @@ def _checks() -> List[Check]:
 
 
 def run_checks(args: argparse.Namespace) -> int:
-    """Run the checks of ``args.suite``, one pass/FAIL line each; 1 if any fails."""
+    """Run the checks of ``args.suite``, one pass/FAIL line each; 1 if any fails.
+
+    A ``ModuleNotFoundError`` is no verdict on a check: it ends the run, and
+    the command reports the missing package.
+    """
     failures: List[str] = []
     for name, run in _checks():
         if args.suite not in ("all", name.split("/")[0]):
             continue
         try:
             passed = bool(run(args))
+        except ModuleNotFoundError:
+            raise
         except Exception as exc:  # a crashed check is a failed check
             print("FAIL %s (raised %s: %s)" % (name, type(exc).__name__, exc))
             failures.append(name)

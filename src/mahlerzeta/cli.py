@@ -12,9 +12,11 @@ Three subcommands are exposed:
 
 Exit codes are uniform across commands: 0 on success, 1 when a verification
 check fails, 2 on usage errors, 3 when a numeric evaluation fails (a constant
-does not reach the requested digits).  Commands raise; :func:`main` alone
-turns an ``OSError``/``ValueError`` (2) or ``RuntimeError`` (3) into one
-``error:`` line and its exit code.
+does not reach the requested digits), 4 when a third-party package that the
+command needs is not installed (``verify``'s oracle suite imports numpy and
+mpmath).  Commands raise; :func:`main` alone turns an ``OSError``/
+``ValueError`` (2), ``RuntimeError`` (3) or ``ModuleNotFoundError`` (4) into
+one ``error:`` line and its exit code.
 """
 
 from __future__ import annotations
@@ -195,6 +197,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except ModuleNotFoundError as exc:
+        print(
+            "error: %s needs the package %s, which is not installed"
+            % (args.command, exc.name or exc),
+            file=sys.stderr,
+        )
+        return 4
 
 
 if __name__ == "__main__":

@@ -512,7 +512,13 @@ def kernel_integral_check(a: float, b: float, k: int) -> CheckResult:
         raise ValueError("k must lie in [0, 10]")
     from .check.identities import log_moment_poly
 
-    poly = log_moment_poly(k)
+    def poly(y: float) -> float:
+        """``P_k(y)``: Horner's rule on ``R_k = (k+1)! P_k``, then the division."""
+        acc = 0.0
+        for c in reversed(log_moment_poly(k)):
+            acc = acc * y + c
+        return acc / math.factorial(k + 1)
+
     closed = (
         (0.5 * math.pi) ** (k + 1)
         * (poly(2.0 * math.log(a) / math.pi) - poly(2.0 * math.log(b) / math.pi))

@@ -77,9 +77,9 @@ def test_criterion_1_tables_reproduced_exactly() -> None:
 
 
 def test_criterion_2_identity_suites_exact() -> None:
-    """Every registered identity holds exactly for n, k <= 20 (polynomials to 40)."""
+    """Every registered identity holds exactly for n, k <= 40 (polynomials to 80)."""
     start = time.perf_counter()
-    args = build_parser().parse_args(["verify", "--suite", "identities", "--max-n", "20"])
+    args = build_parser().parse_args(["verify", "--suite", "identities", "--max-n", "40"])
     checks = [(name, run) for name, run in _checks() if name.startswith("identities/")]
     assert checks
     for name, run in checks:

@@ -225,6 +225,59 @@ def test_verify_failure_emits_machine_readable_list(monkeypatch, capsys) -> None
     assert "oracle/reduced-vs-closed-family-i" in payload["failures"]
 
 
+def test_verify_reports_a_missing_package_with_its_own_exit_code(monkeypatch, capsys) -> None:
+    from mahlerzeta.check import registry
+
+    def missing(args):
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+
+    monkeypatch.setattr(registry, "_torus_sample", missing)
+    code, out, err = run_cli(["verify", "--suite", "oracle", "--max-n", "2"], capsys)
+    assert code == 4
+    assert err == "error: verify needs the package numpy, which is not installed\n"
+    # the checks before it report as usual; the run ends there, with no FAIL line
+    names = [name for name in ALL_CHECKS if name.startswith("oracle/")]
+    ran = names[: names.index("oracle/torus-qmc-family-i")]
+    assert out.splitlines() == ["pass " + name for name in ran]
+
+
+TRANSFER_CHECKS = {
+    "identities/symmetric-transfer-first": 1,
+    "identities/symmetric-transfer-second": 0,
+    "identities/bernoulli-transfer-first": 1,
+    "identities/bernoulli-transfer-third": 0,
+    "identities/bernoulli-euler-transfer": 1,
+}
+
+
+def test_verify_transfer_checks_build_two_ladders_per_n(monkeypatch, capsys) -> None:
+    from mahlerzeta import exact
+    from mahlerzeta.check import identities, registry
+
+    running = [None]
+    built = {name: 0 for name in TRANSFER_CHECKS}
+    checks = registry._checks
+
+    def spy(values):
+        if running[0] in built:
+            built[running[0]] += 1
+        return exact.symmetric_ladder(values)
+
+    def tagged(name, run):
+        def tagged_run(args):
+            running[0] = name
+            return run(args)
+
+        return tagged_run
+
+    monkeypatch.setattr(identities, "symmetric_ladder", spy)
+    monkeypatch.setattr(registry, "_checks", lambda: [(n, tagged(n, r)) for n, r in checks()])
+    code, out, _ = run_cli(["verify", "--suite", "identities", "--max-n", "12"], capsys)
+    assert code == 0 and "FAIL" not in out
+    for name, first in TRANSFER_CHECKS.items():
+        assert 0 < built[name] <= 2 * len(range(first, 13)), name
+
+
 def test_verify_kernel_cases_run_the_power_kernel(monkeypatch) -> None:
     from mahlerzeta.check import registry
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
 
-import mpmath as mp
 import pytest
 
 from mahlerzeta.exact import (
@@ -18,7 +17,7 @@ from mahlerzeta.exact import (
     odd_squares,
     symmetric_ladder,
 )
-from mahlerzeta.check.identities import PolyQ, log_moment_poly, log_moment_poly_at_i
+from mahlerzeta.check.identities import log_moment_poly, log_moment_poly_at_i, value_at_i
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
@@ -178,14 +177,21 @@ def test_symmetric_ladder_matches_brute_force_sums() -> None:
                 assert entry == brute
 
 
+def _poly_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def test_symmetric_ladder_is_the_product_polynomial() -> None:
     rng = random.Random(7)
     for values in _random_vectors(rng):
-        product = PolyQ([1])
+        product = [1]
         for v in values:
-            product = product * PolyQ([1, v])
-        ladder = symmetric_ladder(values)
-        assert [product.coefficient(j) for j in range(len(ladder))] == list(ladder)
+            product = _poly_product(product, [1, v])
+        assert symmetric_ladder(values) == tuple(product)
 
 
 def test_symmetric_ladder_keeps_integers() -> None:
@@ -210,71 +216,24 @@ def test_symmetric_ladders_grow_every_prefix() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rational polynomials
+# Coefficient lists at i
 # ---------------------------------------------------------------------------
 
 
-def test_polyq_basic_structure() -> None:
-    p = PolyQ([1, 0, Fraction(3, 2), 0])
-    assert p.degree == 2
-    assert p.coefficient(0) == 1
-    assert p.coefficient(2) == Fraction(3, 2)
-    assert p.coefficient(5) == 0
-    assert p.monomial_degrees() == [0, 2]
-    assert PolyQ.zero().degree == -1
-    assert PolyQ.x() == PolyQ.monomial(1)
-    with pytest.raises(ValueError):
-        PolyQ.monomial(-1)
-
-
-def test_polyq_arithmetic() -> None:
-    p = PolyQ([1, 2, 3])
-    q = PolyQ([0, -2, -3, 4])
-    assert p + q == PolyQ([1, 0, 0, 4])
-    assert p - p == PolyQ.zero()
-    assert -p == PolyQ([-1, -2, -3])
-    assert p * PolyQ([0, 1]) == PolyQ([0, 1, 2, 3])
-    assert (p * q).degree == 5
-    assert 2 * p == PolyQ([2, 4, 6])
-    assert p * Fraction(1, 2) == PolyQ([Fraction(1, 2), 1, Fraction(3, 2)])
-    assert (PolyQ.zero() * p) == PolyQ.zero()
-
-
-def test_polyq_derivative_and_drop_constant() -> None:
-    p = PolyQ([5, 1, 2, 3])
-    assert p.derivative() == PolyQ([1, 4, 9])
-    assert p.drop_constant() == PolyQ([0, 1, 2, 3])
-    assert PolyQ.zero().derivative() == PolyQ.zero()
-    assert PolyQ.zero().drop_constant() == PolyQ.zero()
-
-
-def test_polyq_evaluation_type_dispatch() -> None:
-    p = PolyQ([1, 0, Fraction(1, 2)])  # 1 + x^2/2
-    assert p(Fraction(2)) == Fraction(3)
-    assert p(2) == Fraction(3)
-    assert p(0.5) == pytest.approx(1.125)
-    assert p(1j) == pytest.approx(0.5)
-    assert p.at_i() == (Fraction(1, 2), 0)
-    with mp.workdps(30):
-        val = p(mp.mpf(2))
-        assert mp.almosteq(val, mp.mpf(3))
-    assert PolyQ.zero()(Fraction(7)) == 0
-
-
-def test_polyq_at_i_cycles_through_powers_of_i() -> None:
+def test_value_at_i_cycles_through_powers_of_i() -> None:
     powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     for j in range(12):
-        assert PolyQ.monomial(j).at_i() == powers[j % 4]
-        assert PolyQ.monomial(j, Fraction(-2, 3)).at_i() == tuple(
+        assert value_at_i([0] * j + [1]) == powers[j % 4]
+        assert value_at_i([0] * j + [Fraction(-2, 3)]) == tuple(
             Fraction(-2, 3) * part for part in powers[j % 4]
         )
-    assert PolyQ([1, 2, 3, 4, 5]).at_i() == (3, -2)
-    assert PolyQ.zero().at_i() == (0, 0)
-    re, im = PolyQ([Fraction(1, 3), 1]).at_i()
-    assert isinstance(re, Fraction) and isinstance(im, Fraction)
+    assert value_at_i((1, 2, 3, 4, 5)) == (3, -2)
+    assert value_at_i(()) == (0, 0)
+    re, im = value_at_i([Fraction(1, 3), 1])
+    assert isinstance(re, Fraction) and isinstance(im, int)
 
 
-def test_polyq_at_i_matches_gaussian_horner() -> None:
+def test_value_at_i_matches_gaussian_horner() -> None:
     # Horner's rule on exact (re, im) pairs, with multiplication by i as the
     # quarter turn (re, im) -> (-im, re).
     rng = random.Random(11)
@@ -283,52 +242,58 @@ def test_polyq_at_i_matches_gaussian_horner() -> None:
         re, im = Fraction(0), Fraction(0)
         for c in reversed(coeffs):
             re, im = -im + c, re
-        assert PolyQ(coeffs).at_i() == (re, im)
+        assert value_at_i(coeffs) == (re, im)
 
 
 # ---------------------------------------------------------------------------
-# Log-moment kernel polynomials
+# Log-moment kernel polynomials, as R_k = (k+1)! P_k
 # ---------------------------------------------------------------------------
 
 
 def test_log_moment_poly_small_literals() -> None:
-    x = PolyQ.x()
-    assert log_moment_poly(0) == x
-    assert log_moment_poly(1) == PolyQ([0, 0, Fraction(1, 2)])
-    assert log_moment_poly(2) == PolyQ([0, Fraction(1, 3), 0, Fraction(1, 3)])
-    assert log_moment_poly(3) == PolyQ([0, 0, Fraction(1, 2), 0, Fraction(1, 4)])
-    assert log_moment_poly(4) == PolyQ(
-        [0, Fraction(7, 15), 0, Fraction(2, 3), 0, Fraction(1, 5)]
-    )
-    assert log_moment_poly(5) == PolyQ(
-        [0, 0, Fraction(7, 6), 0, Fraction(5, 6), 0, Fraction(1, 6)]
-    )
+    # P_0 = x, P_1 = x^2/2, P_2 = x/3 + x^3/3, P_3 = x^2/2 + x^4/4,
+    # P_4 = 7x/15 + 2x^3/3 + x^5/5 and P_5 = 7x^2/6 + 5x^4/6 + x^6/6
+    assert log_moment_poly(0) == (0, 1)
+    assert log_moment_poly(1) == (0, 0, 1)
+    assert log_moment_poly(2) == (0, 2, 0, 2)
+    assert log_moment_poly(3) == (0, 0, 12, 0, 6)
+    assert log_moment_poly(4) == (0, 56, 0, 80, 0, 24)
+    assert log_moment_poly(5) == (0, 0, 840, 0, 600, 0, 120)
+    assert all(type(c) is int for k in range(41) for c in log_moment_poly(k))
 
 
 def test_log_moment_poly_structural_properties() -> None:
     for k in range(41):
-        p = log_moment_poly(k)
-        assert p.degree == k + 1
-        assert p.coefficient(0) == 0  # vanishes at the origin
+        r = log_moment_poly(k)
+        assert len(r) == k + 2  # degree k + 1
+        assert r[0] == 0  # vanishes at the origin
         # Parity: even k gives odd polynomials, odd k gives even ones.
         want_parity = 1 if k % 2 == 0 else 0
-        assert all(d % 2 == want_parity for d in p.monomial_degrees())
-        assert p.coefficient(k + 1) == Fraction(1, k + 1)
+        assert all(d % 2 == want_parity for d, c in enumerate(r) if c)
+        assert Fraction(r[k + 1], factorial(k + 1)) == Fraction(1, k + 1)
+
+
+def _derivative(coeffs):
+    return [j * c for j, c in enumerate(coeffs)][1:]
 
 
 def test_log_moment_poly_derivative_ladder() -> None:
+    # P'_{k+1} = (k+1) P_k is R'_{k+1} = (k+1)(k+2) R_k
     for l in range(1, 21):
-        assert log_moment_poly(2 * l + 1).derivative() == (2 * l + 1) * log_moment_poly(2 * l)
+        k = 2 * l
+        scaled = [(k + 1) * (k + 2) * c for c in log_moment_poly(k)]
+        assert _derivative(log_moment_poly(k + 1)) == scaled
         # The even derivative picks up a constant term that must be dropped.
-        assert log_moment_poly(2 * l).derivative().drop_constant() == (
-            2 * l
-        ) * log_moment_poly(2 * l - 1)
+        k = 2 * l - 1
+        scaled = [(k + 1) * (k + 2) * c for c in log_moment_poly(k)]
+        assert [0] + _derivative(log_moment_poly(k + 1))[1:] == scaled
 
 
 def test_log_moment_poly_values_at_i() -> None:
     for l in range(1, 21):
-        assert log_moment_poly(2 * l).at_i() == (0, 0)
-        assert log_moment_poly(2 * l - 1).at_i() == (log_moment_poly_at_i(l), 0)
+        assert value_at_i(log_moment_poly(2 * l)) == (0, 0)
+        expected = factorial(2 * l) * log_moment_poly_at_i(l)
+        assert value_at_i(log_moment_poly(2 * l - 1)) == (expected, 0)
     assert log_moment_poly_at_i(1) == Fraction(-1, 2)
     assert log_moment_poly_at_i(2) == Fraction(-1, 4)
     assert log_moment_poly_at_i(3) == Fraction(-1, 2)
@@ -336,25 +301,28 @@ def test_log_moment_poly_values_at_i() -> None:
         log_moment_poly_at_i(0)
 
 
+def _p(k: int):
+    """P_k's rational coefficients."""
+    return [Fraction(c, factorial(k + 1)) for c in log_moment_poly(k)]
+
+
 def test_monomials_expand_in_log_moment_basis() -> None:
     # x^{2h}   = sum_{k=0}^{h-1} (-1)^k C(2h, 2k+1)   P_{2h-2k-1}(x)
     # x^{2h+1} = sum_{k=0}^{h}   (-1)^k C(2h+1, 2k+1) P_{2h-2k}(x)
     for h in range(1, 13):
-        even_sum = PolyQ.zero()
+        even_sum = [Fraction(0)] * (2 * h + 1)
         for k in range(h):
             sign = -1 if k % 2 else 1
-            even_sum = even_sum + sign * comb(2 * h, 2 * k + 1) * log_moment_poly(
-                2 * h - 2 * k - 1
-            )
-        assert even_sum == PolyQ.monomial(2 * h)
+            for j, c in enumerate(_p(2 * h - 2 * k - 1)):
+                even_sum[j] += sign * comb(2 * h, 2 * k + 1) * c
+        assert even_sum == [0] * (2 * h) + [1]
     for h in range(13):
-        odd_sum = PolyQ.zero()
+        odd_sum = [Fraction(0)] * (2 * h + 2)
         for k in range(h + 1):
             sign = -1 if k % 2 else 1
-            odd_sum = odd_sum + sign * comb(2 * h + 1, 2 * k + 1) * log_moment_poly(
-                2 * h - 2 * k
-            )
-        assert odd_sum == PolyQ.monomial(2 * h + 1)
+            for j, c in enumerate(_p(2 * h - 2 * k)):
+                odd_sum[j] += sign * comb(2 * h + 1, 2 * k + 1) * c
+        assert odd_sum == [0] * (2 * h + 1) + [1]
 
 
 def test_log_moment_poly_rejects_negative_index() -> None:

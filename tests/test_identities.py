@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction
+from math import factorial
 from typing import Set
 
 import pytest
 
 from mahlerzeta import exact, formulas
 from mahlerzeta.check import identities, registry
-from mahlerzeta.check.identities import PolyQ, log_moment_poly
+from mahlerzeta.check.identities import log_moment_poly
 from mahlerzeta.check.identities import (
     check_bernoulli_euler_transfer,
     check_bernoulli_halving,
@@ -22,6 +23,7 @@ from mahlerzeta.check.identities import (
     check_euler_factorial_sum,
     check_euler_shifted_factorial_sum,
     check_log_moment_poly_properties,
+    check_monomial_decomposition,
     check_symmetric_transfer_first,
     check_symmetric_transfer_second,
     log_moment_poly_bernoulli_form,
@@ -30,52 +32,47 @@ from mahlerzeta.check.identities import (
 
 
 def test_symmetric_transfer_all_small_cases() -> None:
+    # each check takes one n and covers every l of it
     for n in range(1, 13):
-        for l in range(1, n + 1):
-            assert check_symmetric_transfer_first(n, l)
+        assert check_symmetric_transfer_first(n)
     for n in range(13):
-        for l in range(n + 1):
-            assert check_symmetric_transfer_second(n, l)
+        assert check_symmetric_transfer_second(n)
 
 
 def test_symmetric_transfer_rejects_bad_input() -> None:
     with pytest.raises(ValueError):
-        check_symmetric_transfer_first(3, 0)
+        check_symmetric_transfer_first(0)
     with pytest.raises(ValueError):
-        check_symmetric_transfer_second(3, 4)
+        check_symmetric_transfer_second(-1)
 
 
 def test_bernoulli_transfer_all_small_cases() -> None:
     for n in range(1, 13):
-        for l in range(1, n + 1):
-            assert check_bernoulli_transfer_first(n, l)
+        assert check_bernoulli_transfer_first(n)
         assert check_bernoulli_transfer_second(n)
     for n in range(13):
-        for l in range(n + 1):
-            assert check_bernoulli_transfer_third(n, l)
+        assert check_bernoulli_transfer_third(n)
 
 
 def test_bernoulli_transfer_rejects_bad_input() -> None:
     with pytest.raises(ValueError):
-        check_bernoulli_transfer_first(3, 0)
+        check_bernoulli_transfer_first(0)
     with pytest.raises(ValueError):
         check_bernoulli_transfer_second(0)
     with pytest.raises(ValueError):
-        check_bernoulli_transfer_third(3, -1)
+        check_bernoulli_transfer_third(-1)
 
 
 def test_bernoulli_euler_transfer_valid_range() -> None:
     for n in range(1, 13):
-        for l in range(1, n + 1):
-            assert check_bernoulli_euler_transfer(n, l)
+        assert check_bernoulli_euler_transfer(n)
 
 
 def test_bernoulli_euler_transfer_rejects_l_zero() -> None:
-    # The identity genuinely fails at l = 0, so the input is rejected.
+    # The identity is outside its proof at l = 0, so the check leaves it out,
+    # and n = 0, whose only l is 0, is rejected.
     with pytest.raises(ValueError):
-        check_bernoulli_euler_transfer(3, 0)
-    with pytest.raises(ValueError):
-        check_bernoulli_euler_transfer(0, 1)
+        check_bernoulli_euler_transfer(0)
 
 
 def test_weighted_factorial_sums() -> None:
@@ -110,10 +107,13 @@ def test_log_moment_poly_property_suite() -> None:
 
 def test_monomial_expansion_coefficients() -> None:
     for degree in range(1, 26):
-        total = PolyQ.zero()
+        assert check_monomial_decomposition(degree)
+        # the same sum over P_k = R_k / (k+1)!, in rationals
+        total = [Fraction(0)] * (degree + 1)
         for k, c in monomial_from_log_moment_polys(degree):
-            total = total + c * log_moment_poly(k)
-        assert total == PolyQ.monomial(degree)
+            for j, r in enumerate(log_moment_poly(k)):
+                total[j] += Fraction(c * r, factorial(k + 1))
+        assert total == [0] * degree + [1]
     assert monomial_from_log_moment_polys(1) == [(0, 1)]
     assert monomial_from_log_moment_polys(2) == [(1, 2)]
     with pytest.raises(ValueError):
@@ -128,7 +128,8 @@ def test_bernoulli_polynomial_form_matches() -> None:
 
 
 def test_bernoulli_polynomial_form_small_literal() -> None:
-    assert log_moment_poly_bernoulli_form(1) == PolyQ([0, 0, Fraction(1, 2)])
+    # R_1 = 2! P_1 = 2! x^2 / 2
+    assert log_moment_poly_bernoulli_form(1) == (0, 0, 1)
 
 
 def _failing_identity_checks() -> Set[str]:
@@ -156,9 +157,9 @@ def _shift_b4(n: int) -> Fraction:
     return exact.bernoulli(n) + (1 if n == 4 else 0)
 
 
-def _perturb_p2(k: int) -> PolyQ:
+def _perturb_r2(k: int) -> tuple:
     poly = log_moment_poly(k)  # the unpatched original, bound at this module's import
-    return poly + PolyQ.monomial(1) if k == 2 else poly
+    return poly[:1] + (poly[1] + 6,) + poly[2:] if k == 2 else poly
 
 
 def test_no_identity_check_is_vacuous(monkeypatch) -> None:
@@ -172,10 +173,8 @@ def test_no_identity_check_is_vacuous(monkeypatch) -> None:
             (formulas, "symmetric_ladder", _bump_s1),
         ],
         "B_4 + 1": [(identities, "bernoulli", _shift_b4)],
-        "P_2 + x": [
-            (identities, "log_moment_poly", _perturb_p2),
-            (registry, "log_moment_poly", _perturb_p2),
-        ],
+        # P_2 + x, on R_2 = 3! P_2
+        "R_2 + 3! x": [(identities, "log_moment_poly", _perturb_r2)],
     }
     caught = {}
     for label, patches in perturbations.items():
@@ -189,7 +188,7 @@ def test_no_identity_check_is_vacuous(monkeypatch) -> None:
         "identities/log-moment-poly-properties",
         "identities/monomial-decomposition",
     }
-    assert polynomial_checks <= caught["P_2 + x"]
+    assert polynomial_checks <= caught["R_2 + 3! x"]
     assert set().union(*caught.values()) == names
     assert _failing_identity_checks() == set()
 
