@@ -73,8 +73,7 @@ __all__ = [
     "check_bernoulli_transfer_second",
     "check_bernoulli_transfer_third",
     "check_bernoulli_euler_transfer",
-    "check_euler_factorial_sum",
-    "check_euler_shifted_factorial_sum",
+    "check_euler_factorial_sums",
     "check_bernoulli_factorial_sum",
     "check_bernoulli_recurrence",
     "check_bernoulli_halving",
@@ -463,27 +462,20 @@ def check_bernoulli_euler_transfer(n: int) -> bool:
     )
 
 
-def check_euler_factorial_sum(n: int) -> bool:
-    """``sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^h E_{2h} = (2n)!`` for ``n >= 0``."""
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    odds = symmetric_ladder(odd_squares(n))
-    lhs = sum((odds[n - h] * (-1) ** h * euler_number(2 * h) for h in range(n + 1)), Fraction(0))
-    return lhs == factorial(2 * n)
+def check_euler_factorial_sums(n: int) -> bool:
+    """Two Euler-weighted sums that collapse to factorials, for ``n >= 0``:
 
+        sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^h E_{2h} = (2n)!
+        sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^{h+1} E_{2h+2} = (2n+1)!
 
-def check_euler_shifted_factorial_sum(n: int) -> bool:
-    """The shifted Euler sum, for ``n >= 0``:
-    ``sum_{h=0}^{n} s_{n-h}(1^2, ..., (2n-1)^2) (-1)^{h+1} E_{2h+2} = (2n+1)!``.
+    both from one ladder, in integers.
     """
     if n < 0:
         raise ValueError("requires n >= 0")
     odds = symmetric_ladder(odd_squares(n))
-    lhs = sum(
-        (odds[n - h] * (-1) ** (h + 1) * euler_number(2 * h + 2) for h in range(n + 1)),
-        Fraction(0),
-    )
-    return lhs == factorial(2 * n + 1)
+    plain = sum(odds[n - h] * (-1) ** h * euler_number(2 * h) for h in range(n + 1))
+    shifted = sum(odds[n - h] * (-1) ** (h + 1) * euler_number(2 * h + 2) for h in range(n + 1))
+    return plain == factorial(2 * n) and shifted == factorial(2 * n + 1)
 
 
 def check_bernoulli_factorial_sum(n: int) -> bool:

@@ -151,8 +151,7 @@ def _checks() -> List[Check]:
             "identities/weighted-factorial-sums",
             _each_n(
                 0,
-                lambda n: identities.check_euler_factorial_sum(n)
-                and identities.check_euler_shifted_factorial_sum(n)
+                lambda n: identities.check_euler_factorial_sums(n)
                 and (n == 0 or identities.check_bernoulli_factorial_sum(n)),
             ),
         ),

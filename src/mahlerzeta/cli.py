@@ -114,7 +114,6 @@ _WARM_TARGETS: Tuple[Tuple[str, int], ...] = (
     tuple(("zeta", s) for s in range(3, 22, 2))
     + tuple(("lchi4", s) for s in range(2, 21, 2))
     + (("log2", 0),)
-    + tuple(("l3_ii", b) for b in (1, 3, 5))
 )
 
 

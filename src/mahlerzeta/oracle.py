@@ -82,7 +82,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Tuple
 from .combinations import ZetaCombination
 from .exact import bernoulli
 from .formulas import Family, FamilySpec, mahler_measure
-from .values import _combination_decimal, _l3_ii_fold, _pi
+from .values import _combination_decimal, _pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -761,13 +761,13 @@ def reduced_integral(spec: FamilySpec) -> IntegralEstimate:
 def closed_form_measure(spec: FamilySpec) -> float:
     """Float value of the closed-form measure ``m`` for comparison purposes.
 
-    Each ``l3_ii(b)`` term is first expanded through its fold
-    (``values._l3_ii_fold``) into ``L(chi_-4, s)`` terms, so each
-    ``L(chi_-4, s)`` is computed once per member however many folds hold it.
-    By identity A the merged coefficients are all positive (family ``ii`` at
-    odd ``n`` maps family ``i``'s ``L(chi_-4, s)`` terms to ``L(chi_-4, s +
-    2)`` ones), so the sum does not cancel.  It is summed at 25 working
-    digits (35 significant digits, in :mod:`decimal`), divided by
+    The one summation of :mod:`.values` expands each ``l3_ii(b)`` term
+    through its fold into ``L(chi_-4, s)`` terms, so each ``L(chi_-4, s)``
+    is computed once per member however many folds hold it.  By identity A
+    the merged coefficients are all positive (family ``ii`` at odd ``n``
+    maps family ``i``'s ``L(chi_-4, s)`` terms to ``L(chi_-4, s + 2)``
+    ones), so the sum does not cancel.  It is summed at 25 working digits
+    (35 significant digits, in :mod:`decimal`), divided by
     ``pi**pi_normalization`` in a 35-digit context and rounded to float64.
 
     Parameters
@@ -781,16 +781,7 @@ def closed_form_measure(spec: FamilySpec) -> float:
         The measure ``m``.
     """
     result = mahler_measure(spec)
-    terms = []
-    for elem, coeff in result.combination.terms():
-        if elem.kind == "l3_ii":
-            terms += [
-                (part.shifted(elem.pi_power), coeff * weight)
-                for part, weight in _l3_ii_fold(elem.arg).terms()
-            ]
-        else:
-            terms.append((elem, coeff))
-    value = _combination_decimal(ZetaCombination(terms), _CLOSED_FORM_DIGITS, None)
+    value = _combination_decimal(result.combination, _CLOSED_FORM_DIGITS, None)
     with localcontext() as context:
         context.prec = _CLOSED_FORM_DIGITS + 10
         return float(value / _pi(context.prec) ** result.pi_normalization)

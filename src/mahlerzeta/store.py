@@ -5,10 +5,11 @@ The store is a small versioned text file mapping a constant key
 
     mahlerzeta-constants 1
     zeta 3 50 1.2020569031595942853997381615114499907649862923405
-    l3_ii 1 30 2.82711656135535384846204864476
+    lchi4 4 30 0.98894455174110533610842263322837782
 
-Loading refuses any line other than a kind, an integer argument, a digit
-count of at least 1 and a finite decimal literal.  A load, like a write,
+An ``l3_ii`` line, which older versions wrote, still loads and is never
+read.  Loading refuses any line other than a kind, an integer argument, a
+digit count of at least 1 and a finite decimal literal.  A load, like a write,
 keeps whichever entry for a key has more digits (the earlier on a tie):
 both go through :meth:`ConstantStore.put`.  A lookup hits only when the
 stored entry carries at least as many digits as requested.  The default

@@ -3,12 +3,12 @@
 Only normal-form arguments are evaluated here, the ones that
 :data:`mahlerzeta.combinations.KINDS` keeps: zeta at odd ``s >= 3``,
 ``L(chi_-4, s)`` at even ``s >= 2`` (both by accelerated alternating
-series), ``log 2`` and the ``l3_ii`` constants.  The other zeta and L
-arguments are rational multiples of powers of pi, folded exactly in
-:mod:`mahlerzeta.combinations`; :func:`combination_value` evaluates any
-combination, and :func:`l3_ii_value` each ``l3_ii`` constant through its
-fold to ``L(chi_-4, s)`` values.  Independent series cross-checks of these
-routes live with the tests.
+series) and ``log 2``.  The other zeta and L arguments are rational
+multiples of powers of pi, folded exactly in :mod:`mahlerzeta.combinations`.
+The one summation of a combination expands each ``l3_ii`` term through its
+exact fold to ``L(chi_-4, s)`` values (:func:`_l3_ii_fold`), so no ``l3_ii``
+constant is computed or stored on its own.  Independent series
+cross-checks of these routes live with the tests.
 
 All functions take a ``digits`` argument (decimal digits of target accuracy)
 and run internally with guard digits.  The base constants are computed in
@@ -33,9 +33,9 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import ceil, log2
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
-from .combinations import KINDS, ZetaCombination
+from .combinations import KINDS, ConstantBasisElement, ZetaCombination, _zeta_even
 from .store import ConstantStore
 
 if TYPE_CHECKING:
@@ -210,28 +210,28 @@ def _l3_ii_fold(b: int) -> ZetaCombination:
     """``l3_ii(b)`` for odd ``b >= 1`` in values of ``beta = L(chi_-4, .)``:
 
         2 (b+1)(b+2) beta(b+3) - b pi^2 beta(b+1)
-        - sum_{j=1}^{(b-1)/2} 4^(1-j) (b-2j+2)(b-2j+1) zeta(2j) beta(b+3-2j).
+        - sum_{j=1}^{(b-1)/2} 4^(1-j) (b-2j+2)(b-2j+1) zeta(2j) beta(b+3-2j),
 
+    built in one pass, with ``zeta(2j)`` as ``pi^(2j)`` times its rational.
     The reduction exists by the parity theorem (E. Panzer, J. Number Theory
     172, 2017); the formula matches the PSLQ relations for ``b <= 9``.
     """
-    fold = ZetaCombination.lchi4(b + 3, coeff=2 * (b + 1) * (b + 2))
-    fold -= ZetaCombination.lchi4(b + 1, pi_power=2, coeff=b)
+    pairs = [
+        (ConstantBasisElement("lchi4", b + 3, 0), 2 * (b + 1) * (b + 2)),
+        (ConstantBasisElement("lchi4", b + 1, 2), -b),
+    ]
     for j in range(1, (b - 1) // 2 + 1):
-        weight = Fraction((b - 2 * j + 2) * (b - 2 * j + 1), 4 ** (j - 1))
-        fold -= ZetaCombination.zeta(2 * j) * ZetaCombination.lchi4(b + 3 - 2 * j, coeff=weight)
-    return fold
+        weight = Fraction((b - 2 * j + 2) * (b - 2 * j + 1), 4 ** (j - 1)) * _zeta_even(2 * j)
+        pairs.append((ConstantBasisElement("lchi4", b + 3 - 2 * j, 2 * j), -weight))
+    return ZetaCombination(pairs)
 
 
 def l3_ii_value(b: int, digits: int = 30) -> Decimal:
     """The real constant i * scriptL_{3,b}(i, i) for odd ``b >= 1``, from its fold.
 
-    The fold's terms reach ``2 (b+1)(b+2) beta(b+3)`` while the value is
-    about ``8 * 2^-b``: the fold is summed with that ratio's digits added.
+    The one summation, :func:`_combination_decimal`, over ``l3_ii(b)`` alone.
     """
-    _require_normal("l3_ii", b)
-    _require_digits(digits)
-    return _combination_decimal(_l3_ii_fold(b), digits + len(str(2 * (b + 1) * (b + 2) << b)), None)
+    return _combination_decimal(ZetaCombination.l3_ii(b), digits, None)
 
 
 def combination_value(
@@ -242,10 +242,7 @@ def combination_value(
     If ``store`` is given, base constants are looked up there first (a hit
     requires at least the requested precision); the ones computed instead
     are written back, in one save after the evaluation, also when a later
-    constant fails.  Constants at ``digits + 5`` digits suffice for every
-    closed form: each coefficient and each basis constant is positive, so
-    the sum never cancels; only the ``l3_ii`` fold cancels, and
-    :func:`l3_ii_value` adds its own guard digits for it.
+    constant fails.  The digits are those of :func:`_combination_decimal`.
     """
     import mpmath as mp
 
@@ -261,18 +258,29 @@ def _combination_decimal(
 ) -> Decimal:
     """The value of ``combo``, summed with ``digits + 10`` significant digits.
 
-    Each base constant is the decimal string of ``digits + 5`` digits that
-    the store holds or that is computed and stored now, so an evaluation
-    reads the same digits whether its constants were stored or not.
+    Each ``l3_ii(b)`` term becomes the terms of its fold (:func:`_l3_ii_fold`)
+    and equal terms merge, so each ``L(chi_-4, s)`` of a closed form (whose
+    terms share one weight) is read once.  Every basis constant and pi is
+    positive, so only a negative merged coefficient can cancel; then
+    ``digits`` grows by the digits of ``2 (b+1)(b+2) 2^b`` at the largest
+    ``b``, the fold's largest term over its value (none of the families'
+    closed forms has one, by identity A).  Each base constant is the decimal
+    string of ``digits + 5`` digits that the store holds or that is computed
+    and stored now, so an evaluation reads the same digits whether its
+    constants were stored or not.
     """
     _require_digits(digits)
+    terms = ZetaCombination(_unfolded(combo)).terms()
+    if any(coeff < 0 for _, coeff in terms):
+        folds = [elem.arg for elem, _ in combo.terms() if elem.kind == "l3_ii"]
+        digits += max((len(str(2 * (b + 1) * (b + 2) << b)) for b in folds), default=0)
     missed = False
     try:
         with localcontext() as context:
             context.prec = digits + 10
             pi = _pi(context.prec)
             total = Decimal(0)
-            for elem, coeff in combo.terms():
+            for elem, coeff in terms:
                 if elem.kind == "one":
                     term = Decimal(1)
                 else:
@@ -290,6 +298,16 @@ def _combination_decimal(
     finally:
         if missed:
             store.save()
+
+
+def _unfolded(combo: ZetaCombination) -> Iterator[Tuple[ConstantBasisElement, Fraction]]:
+    """The terms of ``combo``, each ``l3_ii(b)`` term as the terms of its fold."""
+    for elem, coeff in combo.terms():
+        if elem.kind != "l3_ii":
+            yield elem, coeff
+        else:
+            for part, weight in _l3_ii_fold(elem.arg).terms():
+                yield part.shifted(elem.pi_power), coeff * weight
 
 
 def _pi(digits: int) -> Decimal:
@@ -322,7 +340,6 @@ def _base_constant(kind: str, arg: int, digits: int) -> str:
         "log2": _log2,
         "zeta": zeta,
         "lchi4": dirichlet_l_chi4,
-        "l3_ii": l3_ii_value,
     }[kind]
     return _nstr(evaluate(arg, digits), digits)
 

@@ -278,6 +278,25 @@ def test_verify_transfer_checks_build_two_ladders_per_n(monkeypatch, capsys) -> 
         assert 0 < built[name] <= 2 * len(range(first, 13)), name
 
 
+def test_verify_weighted_factorial_sums_build_each_ladder_once_per_n(monkeypatch) -> None:
+    from mahlerzeta import exact
+    from mahlerzeta.check import identities, registry
+
+    built = []
+
+    def spy(values):
+        built.append(tuple(values))
+        return exact.symmetric_ladder(values)
+
+    monkeypatch.setattr(identities, "symmetric_ladder", spy)
+    check = dict(registry._checks())["identities/weighted-factorial-sums"]
+    assert check(mahlerzeta.cli.build_parser().parse_args(["verify", "--max-n", "12"]))
+    # the two Euler sums share the odd-square ladder; the Bernoulli sum reads the even one
+    expected = [tuple(exact.odd_squares(n)) for n in range(13)]
+    expected += [tuple(exact.even_squares(n - 1)) for n in range(1, 13)]
+    assert sorted(built) == sorted(expected)
+
+
 def test_verify_kernel_cases_run_the_power_kernel(monkeypatch) -> None:
     from mahlerzeta.check import registry
 
@@ -413,16 +432,25 @@ def test_constants_warm_and_list(tmp_path, capsys) -> None:
         ["constants", "warm", "--digits", "12", "--store", store_path], capsys
     )
     assert code == 0
-    assert "24 constants" in out
+    assert "21 constants" in out
 
     code, out, _ = run_cli(["constants", "list", "--store", store_path], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 24
+    assert len(lines) == 21
     assert any(line.startswith("zeta 3 12 ") for line in lines)
     assert any(line.startswith("lchi4 2 12 ") for line in lines)
-    assert any(line.startswith("l3_ii 1 12 ") for line in lines)
+    assert any(line.startswith("lchi4 8 12 ") for line in lines)
     assert any(line.startswith("log2 0 12 ") for line in lines)
+    assert not any(line.startswith("l3_ii ") for line in lines)
+
+    # l3_ii(1), l3_ii(3) and l3_ii(5) fold to L(chi_-4, s) at s <= 8, so the
+    # warm store serves family ii at odd n <= 5 without a new constant
+    before = Path(store_path).read_text()
+    evaluate = ["eval", "--family", "ii", "--n", "5", "--digits", "12", "--store", store_path]
+    code, out, _ = run_cli(evaluate, capsys)
+    assert code == 0 and "i*scriptL(3,5;i,i)" in out
+    assert Path(store_path).read_text() == before
 
     # lower-precision warm is a no-op
     code, out, _ = run_cli(
@@ -443,11 +471,11 @@ def test_constants_warm_saves_the_store_once(tmp_path, capsys, monkeypatch) -> N
     store = tmp_path / "store.txt"
     argv = ["constants", "warm", "--digits", "12", "--store", str(store)]
     code, out, _ = run_cli(argv, capsys)
-    assert (code, saves, len(ConstantStore(store))) == (0, [1], 24)
-    assert out == "store %s holds 24 constants (24 computed at 12 digits)\n" % store
+    assert (code, saves, len(ConstantStore(store))) == (0, [1], 21)
+    assert out == "store %s holds 21 constants (21 computed at 12 digits)\n" % store
     code, out, _ = run_cli(argv, capsys)
     assert (code, saves) == (0, [1])
-    assert out == "store %s holds 24 constants (0 computed at 12 digits)\n" % store
+    assert out == "store %s holds 21 constants (0 computed at 12 digits)\n" % store
 
 
 def test_constants_warm_keeps_the_constants_computed_before_a_failure(
@@ -455,8 +483,8 @@ def test_constants_warm_keeps_the_constants_computed_before_a_failure(
 ) -> None:
     import mahlerzeta.values as values
 
-    # l3_ii sorts last, so every other target is computed before it fails
-    monkeypatch.setattr(values, "l3_ii_value", _fail_numerically)
+    # L(chi_-4, 20) sorts last, so every other target is computed before it fails
+    monkeypatch.setattr(values, "dirichlet_l_chi4", _fail_at(values.dirichlet_l_chi4, 20))
     saves = []
     save = ConstantStore.save
     monkeypatch.setattr(ConstantStore, "save", lambda self: saves.append(1) or save(self))
@@ -469,7 +497,8 @@ def test_constants_warm_keeps_the_constants_computed_before_a_failure(
         "log2",
         "zeta",
     ]
-    assert len(ConstantStore(store)) == 21
+    assert len(ConstantStore(store)) == 20
+    assert ConstantStore(store).get("lchi4", 20, 12) is None
 
 
 @pytest.mark.parametrize("command", [["eval", "--family", "i", "--n", "1"], ["constants", "list"]])
@@ -498,6 +527,17 @@ def _fail_numerically(*args, **kwargs):
     raise RuntimeError("series did not converge")
 
 
+def _fail_at(evaluate, failing):
+    """``evaluate``, except that it fails numerically at the argument ``failing``."""
+
+    def evaluate_or_fail(arg, digits):
+        if arg == failing:
+            _fail_numerically()
+        return evaluate(arg, digits)
+
+    return evaluate_or_fail
+
+
 def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
     import mahlerzeta.values as values
 
@@ -515,20 +555,22 @@ def test_eval_numeric_failure_exits_3(tmp_path, capsys, monkeypatch) -> None:
 def test_eval_keeps_the_constants_computed_before_a_failure(tmp_path, capsys, monkeypatch) -> None:
     import mahlerzeta.values as values
 
-    # family ii at n = 1 is pi^2 L(chi_-4, 2) + 2 l3_ii(1): L(chi_-4, 2) is
-    # computed, then l3_ii(1) fails, and the one save still keeps the first
-    monkeypatch.setattr(values, "l3_ii_value", _fail_numerically)
+    # family ii at n = 5, its l3_ii terms expanded through their folds, sums
+    # L(chi_-4, s) at s = 4, 6, 8: the first two are computed, then s = 8
+    # fails, and the one save still keeps the first two
+    monkeypatch.setattr(values, "dirichlet_l_chi4", _fail_at(values.dirichlet_l_chi4, 8))
     saves = []
     save = ConstantStore.save
     monkeypatch.setattr(ConstantStore, "save", lambda self: saves.append(1) or save(self))
     store = tmp_path / "store.txt"
     code, out, err = run_cli(
-        ["eval", "--family", "ii", "--n", "1", "--digits", "20", "--store", str(store)], capsys
+        ["eval", "--family", "ii", "--n", "5", "--digits", "20", "--store", str(store)], capsys
     )
     assert (code, out, err) == (3, "", "error: series did not converge\n")
     assert saves == [1]
     assert [line.split()[:3] for line in store.read_text().splitlines()[1:]] == [
-        ["lchi4", "2", "20"]
+        ["lchi4", "4", "20"],
+        ["lchi4", "6", "20"],
     ]
 
 
@@ -541,7 +583,12 @@ def test_eval_saves_the_store_once(tmp_path, capsys, monkeypatch) -> None:
     code, cold, _ = run_cli(argv, capsys)
     assert code == 0
     assert saves == [1]
-    assert len(ConstantStore(store)) == 6
+    # L(chi_-4, s) at s = 4, 6, 8, and no l3_ii constant
+    assert [key[:2] for key in ConstantStore(store).entries()] == [
+        ("lchi4", 4),
+        ("lchi4", 6),
+        ("lchi4", 8),
+    ]
     code, warm, _ = run_cli(argv, capsys)
     assert (code, warm) == (0, cold)
     assert saves == [1]
@@ -615,6 +662,29 @@ def test_eval_family_ii_odd_does_not_reach_the_engine(tmp_path, capsys, monkeypa
     )
     assert (code, err) == (0, "")
     assert out.splitlines()[2] == "pi^21 * m = 76241184106.66691403719311049 to 30 digits"
+
+
+def test_cold_eval_computes_each_l_value_once_and_stores_no_l3_ii(tmp_path, capsys, monkeypatch) -> None:
+    import mahlerzeta.values as values
+
+    evaluate = values.dirichlet_l_chi4
+    calls = []
+
+    def spy(s, digits):
+        calls.append(s)
+        return evaluate(s, digits)
+
+    monkeypatch.setattr(values, "dirichlet_l_chi4", spy)
+    store = tmp_path / "store.txt"
+    code, out, err = run_cli(
+        ["eval", "--family", "ii", "--n", "19", "--digits", "30", "--store", str(store)], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "pi^21 * m = 76241184106.66691403719311049 to 30 digits"
+    # the folds of l3_ii(1), ..., l3_ii(19) read L(chi_-4, s) at s = 4, ..., 22;
+    # L(chi_-4, 2) cancels out of the merged sum
+    assert calls == list(range(4, 23, 2))
+    assert [kind for kind, *_ in ConstantStore(store).entries()] == ["lchi4"] * 10
 
 
 def test_verify_l3_ii_fold_catches_a_perturbed_coefficient(monkeypatch) -> None:
@@ -795,7 +865,10 @@ def test_eval_path_does_not_load_numpy(probe, tmp_path) -> None:
     if probe == "eval-warm":
         assert store.read_text() == warm
     elif probe in ("eval-cold", "constants-warm"):
-        assert "l3_ii 1 " in store.read_text()
+        # family ii at n = 1 is 24 L(chi_-4, 4) once l3_ii(1) is folded
+        lines = store.read_text().splitlines()[1:]
+        assert any(line.startswith("lchi4 4 12 ") for line in lines)
+        assert not any(line.startswith("l3_ii ") for line in lines)
 
 
 def test_package_serves_every_public_name_from_its_module() -> None:
@@ -903,11 +976,22 @@ def _mpmath_sum(combination: ZetaCombination, digits: int, store: ConstantStore)
 
     The sum runs at ``digits + 10`` digits over the stored strings, as
     ``values.combination_value`` did on a warm store before eval summed in
-    ``decimal``; kept here as the reference for eval's printed digits.
+    ``decimal``; kept here as the reference for eval's printed digits.  Each
+    ``l3_ii`` term is expanded through its fold and equal terms merge, so
+    the fold's ``L(chi_-4, s)`` values are read from the store's strings.
     """
+    from mahlerzeta.values import _l3_ii_fold
+
+    pairs = []
+    for elem, coeff in combination.terms():
+        if elem.kind == "l3_ii":
+            fold = _l3_ii_fold(elem.arg).terms()
+            pairs += [(part.shifted(elem.pi_power), coeff * weight) for part, weight in fold]
+        else:
+            pairs.append((elem, coeff))
     with mp.workdps(digits + 10):
         total = mp.mpf(0)
-        for elem, coeff in combination.terms():
+        for elem, coeff in ZetaCombination(pairs).terms():
             value = 1 if elem.kind == "one" else mp.mpf(store.get(elem.kind, elem.arg, digits))
             term = mp.mpf(coeff.numerator) / coeff.denominator
             if elem.pi_power:

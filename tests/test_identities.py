@@ -20,8 +20,7 @@ from mahlerzeta.check.identities import (
     check_bernoulli_transfer_first,
     check_bernoulli_transfer_second,
     check_bernoulli_transfer_third,
-    check_euler_factorial_sum,
-    check_euler_shifted_factorial_sum,
+    check_euler_factorial_sums,
     check_log_moment_poly_properties,
     check_monomial_decomposition,
     check_symmetric_transfer_first,
@@ -77,16 +76,13 @@ def test_bernoulli_euler_transfer_rejects_l_zero() -> None:
 
 def test_weighted_factorial_sums() -> None:
     for n in range(13):
-        assert check_euler_factorial_sum(n)
-        assert check_euler_shifted_factorial_sum(n)
+        assert check_euler_factorial_sums(n)
     for n in range(1, 13):
         assert check_bernoulli_factorial_sum(n)
     with pytest.raises(ValueError):
         check_bernoulli_factorial_sum(0)
     with pytest.raises(ValueError):
-        check_euler_factorial_sum(-1)
-    with pytest.raises(ValueError):
-        check_euler_shifted_factorial_sum(-1)
+        check_euler_factorial_sums(-1)
 
 
 def test_bernoulli_recurrence_and_halving() -> None:

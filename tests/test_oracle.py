@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,7 +50,7 @@ from mahlerzeta.oracle import (
     _tanh_sinh_unit,
     _unit_factor_product,
 )
-from mahlerzeta.values import _combination_decimal, _pi
+from mahlerzeta.values import _base_constant, _nstr, _pi, l3_ii_value
 
 
 @pytest.fixture(autouse=True)
@@ -700,14 +700,22 @@ def test_reduced_weights_are_one_table_for_the_three_families(monkeypatch) -> No
 
 
 def test_closed_form_measure_equals_the_route_through_each_l3_ii_value() -> None:
-    # the route before the folds were merged: each l3_ii constant summed on its own
+    # the route before the folds were merged: each l3_ii constant summed on
+    # its own and printed at 30 digits, as the store held it, in the 35-digit
+    # sum of the other constants
     for n in range(1, 42, 2):
         spec = FamilySpec(Family.TWO, n)
         result = mahler_measure(spec)
         assert any(elem.kind == "l3_ii" for elem, _ in result.combination.terms())
-        value = _combination_decimal(result.combination, 25, None)
         with localcontext() as context:
             context.prec = 35
+            value = Decimal(0)
+            for elem, coeff in result.combination.terms():
+                if elem.kind == "l3_ii":
+                    text = _nstr(l3_ii_value(elem.arg, 30), 30)
+                else:
+                    text = _base_constant(elem.kind, elem.arg, 30)
+                value += Decimal(text) * _pi(35) ** elem.pi_power * coeff.numerator / coeff.denominator
             expected = float(value / _pi(35) ** result.pi_normalization)
         assert closed_form_measure(spec) == expected, n
 

@@ -12,6 +12,7 @@ from mahlerzeta.store import ConstantStore
 from mahlerzeta.values import (
     _base_constant,
     _l3_ii_fold,
+    _nstr,
     alternating_sum,
     combination_value,
     dirichlet_l_chi4,
@@ -90,16 +91,18 @@ _BASE_CONSTANTS = (
     [("zeta", s) for s in range(3, 44, 2)]
     + [("lchi4", s) for s in range(2, 43, 2)]
     + [("log2", 0)]
-    + [("l3_ii", b) for b in range(1, 22, 2)]
 )
 
 
 @pytest.mark.parametrize("digits", list(range(1, 111)) + [150, 205, 1000])
 def test_base_constants_print_as_the_mpmath_route(digits) -> None:
     # The store's strings are byte-identical to those the constants had when
-    # they were summed in mpmath floating point.
+    # they were summed in mpmath floating point; so are the l3_ii values,
+    # which are no longer stored, printed the way the store printed them.
     for kind, arg in _BASE_CONSTANTS:
         assert _base_constant(kind, arg, digits) == mp_base_constant(kind, arg, digits), (kind, arg)
+    for b in range(1, 22, 2):
+        assert _nstr(l3_ii_value(b, digits), digits) == mp_base_constant("l3_ii", b, digits), b
 
 
 def test_li_single_matches_mpmath_polylog() -> None:
@@ -252,6 +255,23 @@ def test_l3_ii_fold_matches_pslq_relations() -> None:
         assert {elem.kind for elem, _ in fold.terms()} == {"lchi4"}, b
 
 
+def _fold_by_combination_arithmetic(b: int) -> ZetaCombination:
+    """The fold as ``ZetaCombination`` arithmetic: ``zeta(2j)`` times a term, subtracted in turn."""
+    fold = ZetaCombination.lchi4(b + 3, coeff=2 * (b + 1) * (b + 2))
+    fold -= ZetaCombination.lchi4(b + 1, pi_power=2, coeff=b)
+    for j in range(1, (b - 1) // 2 + 1):
+        weight = Fraction((b - 2 * j + 2) * (b - 2 * j + 1), 4 ** (j - 1))
+        fold -= ZetaCombination.zeta(2 * j) * ZetaCombination.lchi4(b + 3 - 2 * j, coeff=weight)
+    return fold
+
+
+def test_l3_ii_fold_equals_the_combination_arithmetic() -> None:
+    for b in range(1, 122, 2):
+        fold = _l3_ii_fold(b)
+        assert fold == _fold_by_combination_arithmetic(b), b
+        assert all(type(coeff) is Fraction for _, coeff in fold.terms()), b
+
+
 def test_l3_ii_value_matches_the_engine() -> None:
     with mp.workdps(80):
         for b in range(1, 40, 2):
@@ -370,11 +390,12 @@ def test_combination_value_reaches_evaluators_through_module_attributes(monkeypa
             + mp.pi**4 / 90
         )
         assert _close(value, expected, 14)
-    # l3_ii(1) = 12 L(chi_-4, 4) - pi^2 L(chi_-4, 2) evaluates its own terms.
+    # l3_ii(1) = 12 L(chi_-4, 4) - pi^2 L(chi_-4, 2) is summed through its
+    # fold's terms, merged with the rest: l3_ii_value is not called, and
+    # L(chi_-4, 2) is evaluated for each of its two pi powers (no store).
     assert calls == [
         ("zeta", 3),
         ("dirichlet_l_chi4", 2),
-        ("l3_ii_value", 1),
         ("dirichlet_l_chi4", 2),
         ("dirichlet_l_chi4", 4),
     ]
